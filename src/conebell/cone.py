@@ -189,8 +189,9 @@ def _exact_products(mat, vec):
 def is_facet(candidate, cone):
     """Exact facet test with certificate.
 
-    A valid inequality (nonpositive on every ray) is a facet iff its
-    saturating rays span a space of dimension rank(cone) - 1.
+    A valid inequality (nonpositive on every ray) is a facet iff some ray
+    is strictly negative, so the face is proper, and its saturating rays
+    span a space of dimension rank(cone) - 1.
     """
     vec = as_int_vector(candidate)
     if len(vec) != cone.dim:
@@ -205,7 +206,8 @@ def is_facet(candidate, cone):
     target = cone.rank - 1
     sub = cone.rays[list(sat)] if sat else cone.rays[:0]
     sat_rank = rank(sub, stop_at=target) if len(sat) else 0
-    return FacetCertificate(valid=True, facet=(sat_rank == target), saturating=sat,
+    proper = len(sat) < len(values)
+    return FacetCertificate(valid=True, facet=proper and sat_rank == target, saturating=sat,
                             saturating_rank=sat_rank, cone_rank=cone.rank)
 
 

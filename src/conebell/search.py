@@ -4,11 +4,24 @@ The equivalence group is the full set of local relabelings: party
 permutations among equal-setting parties, per-party setting permutations,
 and per-setting outcome sign flips.  The canonical form of an inequality is
 the lexicographically minimal coefficient vector over its orbit, computed by
-branch and bound over the group factors instead of expanding the orbit.
+branch and bound over the group factors instead of expanding the orbit: the
+setting slots are filled from the least significant party upward, and only
+the partial relabelings whose block of coefficients is lex-minimal survive
+each slot (canonical labeling by search with pruning, the slots playing the
+role of partition cells).  Each slot is one vectorized step: a cached
+(source, sign) candidate table per setting count, one gather of the blocks of
+every (surviving state, free party, candidate), and one lex-min selection.
+Blocks are compared as int64 codes, the rank of each value in the sorted set
+of the coefficients and their negations, so the comparison is exact for any
+Python-int coefficient; the result is built from the coefficients
+themselves.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,6 +38,9 @@ from .inequality import Inequality, from_cone_normal, term_count
 from .scenario import Scenario, enumerate_vertices
 
 ORBIT_CAP_DEFAULT = 10_000_000
+# entries of one canonical-form gather (8 MB of int64); a slot whose rows are
+# more is gathered in chunks of whole (state, party) pairs
+_GATHER_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,21 +59,32 @@ class EquivalenceClass:
     witnesses: tuple[XiAssignment, ...] = ()
 
 
-def _slot_candidates(m, group):
-    """(source_of_image_setting, sign_of_image_setting) arrays, identity first.
+@functools.lru_cache(maxsize=None)
+def _slot_table(m, group):
+    """Candidate table of one setting slot: read-only int64 arrays (src, neg).
 
-    Each candidate assigns image setting s a source setting src[s] and a sign
-    sgn[s]; index 0 is the fixed identity setting.
+    Row k maps image setting s to source setting src[k, s] and negates it
+    when neg[k, s] is 1; column 0 is the fixed setting 0.  Row 0 is the
+    identity.
     """
     perms = list(itertools.permutations(range(1, m + 1))) if group.setting_permutations \
         else [tuple(range(1, m + 1))]
-    signs = list(itertools.product((1, -1), repeat=m)) if group.sign_flips \
-        else [(1,) * m]
-    out = []
-    for perm in perms:
-        for sgn in signs:
-            out.append(((0,) + perm, (1,) + sgn))
-    return out
+    flips = list(itertools.product((0, 1), repeat=m)) if group.sign_flips else [(0,) * m]
+    src = np.array([(0,) + perm for perm in perms for _ in flips], dtype=np.int64)
+    neg = np.array([(0,) + flip for _ in perms for flip in flips], dtype=np.int64)
+    src.flags.writeable = neg.flags.writeable = False
+    return src, neg
+
+
+def _lex_min_rows(blocks):
+    """Indices of every row of a 2-D int64 array equal to its lex-min row."""
+    rows = np.arange(len(blocks))
+    for col in blocks.T:
+        if len(rows) == 1:
+            break
+        vals = col[rows]
+        rows = rows[vals == vals.min()]
+    return rows
 
 
 def _lex_min_vector(coeffs, scenario, group, cap):
@@ -65,54 +92,62 @@ def _lex_min_vector(coeffs, scenario, group, cap):
 
     Image slots are processed from the least significant party upward, which
     matches the coordinate order, so keeping only the block-minimal partial
-    assignments at each stage is exact.
+    assignments (tie states) at each stage is exact.  A tie state is a party
+    mask and a row of signed source entries, one per image coordinate of the
+    slots placed so far: entry u reads coefficient u % D negated when u >= D,
+    where D is the vector length.  Per slot, the rows of every (state, free
+    party, candidate) triple come from one broadcast and their blocks from
+    one gather of order-preserving int64 codes, so big coefficients compare
+    exactly; slots over _GATHER_ENTRIES go in chunks.  Distinct triples give
+    distinct rows (the slot's entries at suffix 0 fix party and candidate,
+    the rest is the state), so the tied rows need no deduplication.  cap
+    bounds the number of triples; a slot that would exceed it raises before
+    its table and rows are built.
     """
     n = scenario.parties
-    shape = scenario.shape
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
-    c = np.array(list(coeffs), dtype=object)
-    cand_cache = {}
-    # states: (used_party_mask, suffix index array, suffix sign array)
-    states = [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    size = scenario.dimension + 1
+    strides = np.cumprod((1,) + scenario.shape[:0:-1])[::-1]
+    values = sorted(set(coeffs) | {-x for x in coeffs})
+    code = {v: k for k, v in enumerate(values)}
+    plus = [code[x] for x in coeffs]
+    # a state entry plus a candidate offset stays below 3 D, so the codes are
+    # laid out over three periods and rows are reduced mod 2 D only when kept
+    codes = np.array(plus + [code[-x] for x in coeffs] + plus, dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    states = np.zeros((1, 1), dtype=np.int64)
     budget = cap
     for slot in range(n - 1, -1, -1):
         m = scenario.settings[slot]
-        if m not in cand_cache:
-            cand_cache[m] = _slot_candidates(m, group)
-        cands = cand_cache[m]
-        best_block = None
-        best_states = []
-        seen = set()
-        for used, suf_idx, suf_sgn in states:
-            parties = [p for p in range(n) if not (used >> p) & 1 and scenario.settings[p] == m]
-            if not group.party_permutations:
-                parties = [p for p in parties if p == slot]
-            for p in parties:
-                for src, sgn in cands:
-                    budget -= 1
-                    if budget < 0:
-                        raise CapExceededError(
-                            f"canonical form search exceeded the cap of {cap} evaluations; "
-                            "restrict the group")
-                    src_arr = np.array(src, dtype=np.int64) * strides[p]
-                    idx = src_arr[:, None] + suf_idx[None, :]
-                    sg = np.array(sgn, dtype=np.int64)[:, None] * suf_sgn[None, :]
-                    block = tuple((c[idx[1:].ravel()] * sg[1:].ravel()).tolist())
-                    if best_block is None or block < best_block:
-                        best_block = block
-                        best_states = []
-                        seen = set()
-                    if block == best_block:
-                        key = (used | (1 << p), idx.tobytes(), sg.tobytes())
-                        if key not in seen:
-                            seen.add(key)
-                            best_states.append((used | (1 << p), idx.ravel(), sg.ravel()))
-        states = best_states
-    used, idx, sgn = states[0]
-    final = tuple(int(v) for v in (c[idx] * sgn).tolist())
-    return final
+        parties = np.array([p for p in range(n) if scenario.settings[p] == m]
+                           if group.party_permutations else [slot])
+        state_of, k = np.nonzero((used[:, None] >> parties) & 1 == 0)
+        party_of = parties[k]
+        budget -= len(state_of) * (math.factorial(m) if group.setting_permutations else 1) \
+            * (2 ** m if group.sign_flips else 1)
+        if budget < 0:
+            raise CapExceededError(
+                f"canonical form search exceeded the cap of {cap} evaluations; "
+                "restrict the group")
+        src, neg = _slot_table(m, group)
+        width = states.shape[1]
+        step = max(1, _GATHER_ENTRIES // (src.size * width))
+        best, kept = None, []
+        for lo in range(0, len(state_of), step):
+            st, pa = state_of[lo:lo + step], party_of[lo:lo + step]
+            offsets = src * strides[pa][:, None, None] + neg * size
+            rows = (offsets[..., None] + states[st][:, None, None, :]) \
+                .reshape(len(st) * len(src), -1)
+            blocks = codes[rows[:, width:]]
+            tied = _lex_min_rows(blocks)
+            block = blocks[tied[0]].tolist()
+            if best is None or block < best:
+                best, kept = block, []
+            # after the last slot every tied row gives the same vector
+            if block == best and (slot or not kept):
+                kept.append(((used[st] | (1 << pa))[tied // len(src)], rows[tied] % (2 * size)))
+        used = np.concatenate([u for u, _ in kept])
+        states = np.concatenate([r for _, r in kept])
+    return tuple(-coeffs[u - size] if u >= size else coeffs[u] for u in states[0].tolist())
 
 
 def canonical_form(ineq, group=None, cap=ORBIT_CAP_DEFAULT):
@@ -332,13 +367,13 @@ def generalize_multi(target, reductions, symmetry, dd_cap=5_000_000,
         for combo in _xi_space(target, chosen):
             jobs.append((target, cone, list(chosen), saturators, sym, combo, dd_cap))
     survivors = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for found in pool.map(_branch_star, jobs):
-                survivors.extend(found)
-    else:
-        for k, job in enumerate(jobs):
-            found = _branch(*job)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_branch_star, jobs)
+        else:
+            results = map(_branch_star, jobs)
+        for k, found in enumerate(results):
             survivors.extend(found)
             if progress is not None:
                 progress(k + 1, len(jobs), len(found))

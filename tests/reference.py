@@ -61,26 +61,35 @@ def sympy_nullity(mat, cols):
     return cols - sympy_rank(arr)
 
 
-def full_relabeling_group(scenario):
-    """Every local relabeling of the scenario, for brute-force orbit checks."""
+def full_relabeling_group(scenario, group=None):
+    """Every local relabeling of the scenario, for brute-force orbit checks.
+
+    group, a conebell.search.GroupSpec, drops the factors it switches off.
+    """
     n = scenario.parties
     perms = [p for p in itertools.permutations(range(n))
              if all(scenario.settings[p[i]] == scenario.settings[i] for i in range(n))]
+    if group is not None and not group.party_permutations:
+        perms = [tuple(range(n))]
     per_party = []
     for m in scenario.settings:
-        per_party.append([(sp, sf)
-                          for sp in itertools.permutations(range(1, m + 1))
-                          for sf in itertools.product((1, -1), repeat=m)])
+        setting_maps = list(itertools.permutations(range(1, m + 1)))
+        flips = list(itertools.product((1, -1), repeat=m))
+        if group is not None and not group.setting_permutations:
+            setting_maps = [tuple(range(1, m + 1))]
+        if group is not None and not group.sign_flips:
+            flips = [(1,) * m]
+        per_party.append([(sp, sf) for sp in setting_maps for sf in flips])
     for pp in perms:
         for combo in itertools.product(*per_party):
             yield Relabeling(pp, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
 
 
-def brute_force_canonical(ineq):
+def brute_force_canonical(ineq, group=None):
     """Orbit minimum by exhaustive group enumeration (small scenarios only)."""
     prim = ineq.primitive()
     return min(apply_relabeling(g, prim.scenario, prim.coefficients)
-               for g in full_relabeling_group(prim.scenario))
+               for g in full_relabeling_group(prim.scenario, group))
 
 
 def random_full_dim_vertices(rng, dim, count, spread=2):

@@ -173,6 +173,12 @@ def test_is_facet_invalid_inequality_distinct_outcome():
     assert not cert.valid and not cert.facet
 
 
+def test_is_facet_rejects_improper_face():
+    # every ray saturates [0, 0, 1], so the face is the whole cone
+    cert = is_facet([0, 0, 1], Cone(3, np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)))
+    assert cert.valid and not cert.facet
+
+
 def test_is_facet_mermin_on_three_party_cone():
     cone = lift_polytope(enumerate_vertices(Scenario((2, 2, 2))))
     assert is_facet(catalog.mermin().cone_normal(), cone).facet

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conebell import catalog
-from conebell.constraints import XiAssignment, apply_relabeling, party_swap
+from conebell import catalog, search
+from conebell.constraints import (XiAssignment, apply_relabeling, parse_relabeling,
+                                  party_swap)
 from conebell.errors import CapExceededError
 from conebell.inequality import Inequality, from_terms
 from conebell.scenario import Scenario
@@ -20,15 +22,56 @@ def test_canonical_form_idempotent():
     assert canonical_form(canon).coefficients == canon.coefficients
 
 
-def test_canonical_form_matches_brute_force():
+def _oracle_cases():
+    """(inequality, GroupSpec) pairs for the brute-force canonical-form oracle."""
     rng = np.random.default_rng(42)
-    for settings in [(2, 2), (1, 2), (2, 1, 1)]:
+    full = GroupSpec()
+    restricted = [GroupSpec(party_permutations=False), GroupSpec(setting_permutations=False),
+                  GroupSpec(sign_flips=False)]
+    for settings, count in [((2, 2), 8), ((1, 2), 8), ((2, 1, 1), 8), ((2, 2, 2), 4),
+                            ((3, 2), 4), ((1, 1, 1, 1), 6)]:
         sc = Scenario(settings)
-        for _ in range(8):
+        for k in range(count):
             vec = [int(x) for x in rng.integers(-3, 4, size=sc.dimension + 1)]
+            if k % 2:  # sparse and small: many tied partial relabelings
+                vec = [x % 2 * (-1) ** i for i, x in enumerate(vec)]
             vec[0] = abs(vec[0]) + 1
             ineq = Inequality(sc, tuple(vec))
-            assert canonical_form(ineq).coefficients == brute_force_canonical(ineq)
+            yield ineq, full
+            yield ineq, restricted[k % 3]
+    # coefficients above 2**63, with ties among their magnitudes
+    big = 2 ** 64 + 3
+    sc = Scenario((2, 2))
+    for k in range(6):
+        vec = [int(x) for x in rng.choice([-big, big, -(2 ** 70), 1, 0], size=sc.dimension + 1)]
+        vec[0] = 2 ** 80 + k
+        yield Inequality(sc, tuple(vec)), full
+        yield Inequality(sc, tuple(vec)), restricted[k % 3]
+    # Mermin and vectors invariant under the cyclic party shift
+    mermin = catalog.mermin()
+    for group in [full] + restricted:
+        yield mermin, group
+    sc = mermin.scenario
+    shift = parse_relabeling("perm:ABC->BCA", sc)
+    for k in range(3):
+        vec = [int(x) for x in rng.integers(-1, 2, size=sc.dimension + 1)]
+        once = apply_relabeling(shift, sc, vec)
+        twice = apply_relabeling(shift, sc, once)
+        sym = [a + b + c for a, b, c in zip(vec, once, twice)]
+        sym[0] = abs(sym[0]) + 3
+        assert apply_relabeling(shift, sc, sym) == tuple(sym)
+        yield Inequality(sc, tuple(sym)), full
+        yield Inequality(sc, tuple(sym)), restricted[k]
+
+
+def test_canonical_form_matches_brute_force(monkeypatch):
+    for ineq, group in _oracle_cases():
+        want = brute_force_canonical(ineq, group)
+        assert canonical_form(ineq, group=group).coefficients == want, (ineq, group)
+        # one (state, party) pair per gather: ties are merged across chunks
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_GATHER_ENTRIES", 1)
+            assert canonical_form(ineq, group=group).coefficients == want, (ineq, group)
 
 
 def test_canonical_form_orbit_invariance():
@@ -67,6 +110,27 @@ def test_canonical_form_group_restriction():
 def test_canonical_cap():
     with pytest.raises(CapExceededError):
         canonical_form(catalog.i4422(), cap=10)
+
+
+@pytest.mark.parametrize("ineq, evaluations", [(catalog.chsh(), 144), (catalog.i4422(), 3840)])
+def test_canonical_cap_counts_evaluations(ineq, evaluations):
+    """cap counts evaluated (tie state, party, candidate) blocks."""
+    assert canonical_form(ineq, cap=evaluations) == canonical_form(ineq)
+    with pytest.raises(CapExceededError):
+        canonical_form(ineq, cap=evaluations - 1)
+
+
+def test_canonical_cap_fails_before_allocating():
+    """A slot over the cap raises before its candidate table or rows exist."""
+    ineq = Inequality(Scenario((6, 6)), (1,) + (0,) * 47 + (1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            canonical_form(ineq, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_classify_singleton_and_counts():
@@ -158,6 +222,18 @@ def test_generalize_worker_pool_matches_sequential():
     assert [cl.canonical.coefficients for cl in seq] == \
         [cl.canonical.coefficients for cl in par]
     assert [cl.witnesses for cl in seq] == [cl.witnesses for cl in par]
+
+
+def test_generalize_worker_pool_reports_progress():
+    chsh = catalog.chsh()
+    target = Scenario((2, 2, 2))
+    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
+    reports = {1: [], 2: []}
+    for workers, seen in reports.items():
+        generalize(chsh, (2,), sym, workers=workers,
+                   progress=lambda *args, seen=seen: seen.append(args))
+    assert reports[1] and reports[2] == reports[1]
+    assert [done for done, _, _ in reports[1]] == list(range(1, len(reports[1]) + 1))
 
 
 def test_generalize_multi_rejects_non_facet_lower():
