@@ -21,11 +21,9 @@ from .inequality import (algebraic_bound, from_cone_normal, parse_inequality,
 from .quantum import (BoundsRecord, SeesawConfig, metrics, seesaw,
                       write_seesaw_result)
 from .npa import export_sdpa
-from .scenario import Scenario, enumerate_vertices
+from .scenario import _PARTY_LETTERS, Scenario, enumerate_vertices
 from .search import (ReductionSpec, canonical_form, classify, generalize_multi,
                      parse_class_list, write_class_list)
-
-_PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 DEFAULTS = {
     "workers": 1,

@@ -6,6 +6,11 @@ polar cone: the facet normals of cone(W) are exactly the extreme rays of
 {y : W y <= 0}.  Inequalities are oriented so every ray has nonpositive
 inner product with a facet normal.
 
+constrained_facets is the constrained search that generalize runs on every
+branch: project the rays onto the kernel of the constraint rows, run the
+enumeration on the small projected cone, lift each candidate back and
+certify it with is_facet on the full cone.
+
 All arithmetic is exact.  The hot loops run on int64 arrays and promote to
 arbitrary-precision object arrays before any product could overflow.
 """
@@ -77,24 +82,6 @@ class Cone:
             self._rank = rank(self.rays)
         return self._rank
 
-    def dump(self, scenario=None):
-        """Debug listing: one ray per line, space-separated integers."""
-        lines = []
-        if scenario is not None:
-            lines.append(scenario.header())
-        for i in range(self.ray_count):
-            lines.append(" ".join(str(int(x)) for x in self.rays[i]))
-        return "\n".join(lines) + "\n"
-
-
-class ProjectedCone(Cone):
-    """Cone of projected rays, remembering which source rays map where."""
-
-    def __init__(self, dim, rays, source_map, dropped):
-        super().__init__(dim, rays)
-        self.source_map = source_map
-        self.dropped = dropped
-
 
 @dataclass(frozen=True)
 class FacetNormal:
@@ -134,8 +121,8 @@ def lift_polytope(vertices):
 def project_rays(cone, basis):
     """Image cone of the rays under y -> y @ basis, for a kernel basis.
 
-    Zero images are dropped and duplicates merged; source_map[i] lists the
-    source ray indices that land on projected ray i.
+    Zero images are dropped; Cone reduces the rest to primitive form and
+    merges duplicates in first-seen order.
     """
     t = as_int_matrix(basis)
     if t.shape[0] != cone.dim:
@@ -144,25 +131,10 @@ def project_rays(cone, basis):
     if k == 0:
         raise ValueError("projection onto a zero-dimensional kernel")
     img = cone.rays.astype(object) @ t
-    groups = {}
-    order = []
-    dropped = []
-    for i in range(img.shape[0]):
-        row = img[i]
-        g = vector_gcd(row)
-        if g == 0:
-            dropped.append(i)
-            continue
-        key = tuple(int(x) // g for x in row)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    if not order:
+    img = img[(img != 0).any(axis=1)]
+    if not len(img):
         raise DegenerateVectorError("all rays project to zero")
-    rays = np.array(order, dtype=object)
-    return ProjectedCone(k, rays, tuple(tuple(groups[key]) for key in order),
-                         tuple(dropped))
+    return Cone(k, img)
 
 
 def lift_back(b_tilde, basis):
@@ -402,22 +374,17 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
     return facets
 
 
-def constrained_facets(cone, constraint_rows):
+def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT):
     """Facet normals of the cone that lie in the kernel of the constraints.
 
     Projects the rays onto an integer kernel basis, enumerates facets of the
-    projected cone, lifts each candidate back, and keeps the ones certified
-    as facets of the original cone.  Returns (normal, certificate) pairs.
+    projected cone (cap bounds its intermediate rays), lifts each candidate
+    back, and keeps the ones certified as facets of the original cone.
+    Returns the certified lifted normals in the projected cone's facet order.
     """
-    g = as_int_matrix(constraint_rows, columns=cone.dim)
-    basis = integer_kernel_basis(g, columns=cone.dim)
+    basis = integer_kernel_basis(constraint_rows, columns=cone.dim)
     if basis.shape[1] == 0:
-        return [], basis
-    projected = project_rays(cone, basis)
-    results = []
-    for facet in enumerate_facets_dd(projected):
-        lifted = lift_back(facet.vector, basis)
-        cert = is_facet(lifted, cone)
-        if cert.facet:
-            results.append((lifted, cert))
-    return results, basis
+        return []
+    lifted = (lift_back(f.vector, basis)
+              for f in enumerate_facets_dd(project_rays(cone, basis), cap=cap))
+    return [b for b in lifted if is_facet(b, cone).facet]

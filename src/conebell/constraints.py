@@ -1,8 +1,8 @@
 """Affine constraint systems for targeted facet searches.
 
-Three row sources: saturation by extended behaviors, invariance under
-relabeling symmetries, and raw user rows.  Rows live in the lifted
-coordinate space, so a normal b satisfies a constraint iff row . b = 0.
+Two row sources: saturation by extended behaviors and invariance under
+relabeling symmetries.  Rows live in the lifted coordinate space, so a
+normal b satisfies a constraint iff row . b = 0.
 """
 from __future__ import annotations
 
@@ -11,12 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import is_facet, lift_polytope
 from .errors import ParseError
 from .exactlinalg import as_int_matrix
-from .scenario import Vertex, assignment_coords, enumerate_vertices
-
-_PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+from .scenario import _PARTY_LETTERS, Vertex, assignment_coords, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -60,14 +57,6 @@ class Relabeling:
             u[self.party_map[i]] = self.setting_maps[i][s - 1]
             sign *= self.sign_flips[i][s - 1]
         return tuple(u), sign
-
-
-def identity_relabeling(scenario):
-    return Relabeling(
-        party_map=tuple(range(scenario.parties)),
-        setting_maps=tuple(tuple(range(1, m + 1)) for m in scenario.settings),
-        sign_flips=tuple((1,) * m for m in scenario.settings),
-    )
 
 
 def permutation_data(r, scenario):
@@ -128,10 +117,9 @@ def parse_xi_label(text):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Integer constraint rows over the lifted space, with provenance tags."""
+    """Integer constraint rows over the lifted space."""
 
     rows: tuple[tuple[int, ...], ...]
-    provenance: tuple[str, ...]
     columns: int
 
     def matrix(self):
@@ -140,8 +128,7 @@ class ConstraintSystem:
     def __add__(self, other):
         if self.columns != other.columns:
             raise ValueError("cannot combine constraint systems of different dimension")
-        return ConstraintSystem(self.rows + other.rows,
-                                self.provenance + other.provenance, self.columns)
+        return ConstraintSystem(self.rows + other.rows, self.columns)
 
 
 def saturating_assignments(lower):
@@ -151,8 +138,7 @@ def saturating_assignments(lower):
     return [verts[i].assignment for i in np.nonzero(mask)[0]]
 
 
-def build_extended_behaviors(lower, xi, target, embed=None, check_facet=True,
-                             _saturators=None):
+def build_extended_behaviors(lower, xi, target, embed=None):
     """Extended behaviors: lower-scenario saturating vertices plus fixed outcomes.
 
     The lower inequality occupies the target parties listed in ``embed``
@@ -171,11 +157,7 @@ def build_extended_behaviors(lower, xi, target, embed=None, check_facet=True,
     for v, party in zip(xi.values, extras):
         if len(v) != target.settings[party]:
             raise ValueError(f"xi for party {party} has {len(v)} settings, need {target.settings[party]}")
-    if check_facet:
-        lower_cone = lift_polytope(enumerate_vertices(lower.scenario))
-        if not is_facet(lower.cone_normal(), lower_cone):
-            raise ValueError("the inequality to extend is not facet-defining on its scenario")
-    saturators = _saturators if _saturators is not None else saturating_assignments(lower)
+    saturators = saturating_assignments(lower)
     if not saturators:
         raise ValueError("the inequality has no saturating vertices, so it cannot define a facet")
     out = []
@@ -194,17 +176,14 @@ def build_extended_behaviors(lower, xi, target, embed=None, check_facet=True,
 def saturation_rows(extended):
     """One row per extended behavior; row . b = 0 forces tightness on it."""
     if not extended:
-        return ConstraintSystem((), (), 0)
-    cols = len(extended[0].coords)
-    rows = tuple(v.coords for v in extended)
-    return ConstraintSystem(rows, ("saturation",) * len(rows), cols)
+        return ConstraintSystem((), 0)
+    return ConstraintSystem(tuple(v.coords for v in extended), len(extended[0].coords))
 
 
 def symmetry_rows(generators, scenario):
     """Rows of (I - P) per generator; the kernel is the invariant subspace."""
     d1 = scenario.dimension + 1
     rows = []
-    prov = []
     for gen in generators:
         image, sign = permutation_data(gen, scenario)
         for src in range(d1):
@@ -213,20 +192,7 @@ def symmetry_rows(generators, scenario):
             row[image[src]] -= int(sign[src])
             if any(row):
                 rows.append(tuple(row))
-                prov.append("symmetry")
-    return ConstraintSystem(tuple(rows), tuple(prov), d1)
-
-
-def custom_rows(rows, scenario):
-    """Expert mode: raw integer rows with an explicit constant entry."""
-    d1 = scenario.dimension + 1
-    out = []
-    for row in rows:
-        row = tuple(int(x) for x in row)
-        if len(row) != d1:
-            raise ValueError(f"custom row has length {len(row)}, expected {d1}")
-        out.append(row)
-    return ConstraintSystem(tuple(out), ("custom",) * len(out), d1)
+    return ConstraintSystem(tuple(rows), d1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,40 +252,6 @@ def parse_relabeling(text, scenario):
                      tuple(tuple(sf) for sf in sign_flips))
     rel.validate(scenario)
     return rel
-
-
-def format_relabeling(r, scenario):
-    """Inverse of parse_relabeling, canonical clause order."""
-    n = scenario.parties
-    clauses = []
-    if tuple(r.party_map) != tuple(range(n)):
-        src = "".join(_PARTY_LETTERS[i] for i in range(n))
-        dst = "".join(_PARTY_LETTERS[r.party_map[i]] for i in range(n))
-        clauses.append(f"perm:{src}->{dst}")
-    for i in range(n):
-        sm = r.setting_maps[i]
-        if tuple(sm) != tuple(range(1, len(sm) + 1)):
-            cycles = []
-            seen = set()
-            for s in range(1, len(sm) + 1):
-                if s in seen:
-                    continue
-                cyc = [s]
-                seen.add(s)
-                nxt = sm[s - 1]
-                while nxt != s:
-                    cyc.append(nxt)
-                    seen.add(nxt)
-                    nxt = sm[nxt - 1]
-                if len(cyc) > 1:
-                    cycles.append("(" + " ".join(str(x) for x in cyc) + ")")
-            if cycles:
-                clauses.append(f"{_PARTY_LETTERS[i]}:" + "".join(cycles))
-    for i in range(n):
-        for s, flip in enumerate(r.sign_flips[i], start=1):
-            if flip < 0:
-                clauses.append(f"{_PARTY_LETTERS[i]}{s}:-")
-    return "; ".join(clauses) if clauses else "identity"
 
 
 def party_swap(scenario, i, j):

@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import ParseError
 from .exactlinalg import as_int_vector, primitive_normalize, vector_gcd
-from .scenario import Scenario, parse_scenario_header, vertex_matrix
-
-_PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+from .scenario import _PARTY_LETTERS, Scenario, parse_scenario_header, vertex_matrix
 
 
 @dataclass(frozen=True)

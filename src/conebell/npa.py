@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .inequality import write_inequality
-
-_PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+from .scenario import _PARTY_LETTERS
 
 
 def canonical_monomial(word, scenario):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolationError
-from .inequality import algebraic_bound as _algebraic_bound
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-9
@@ -29,11 +28,6 @@ def assert_valid_observable(mat):
     eig = np.linalg.eigvalsh(mat)
     if not np.all(np.abs(np.abs(eig) - 1.0) < EIGENVALUE_TOL):
         raise ValueError(f"observable eigenvalues {eig} are not within tolerance of +-1")
-
-
-def algebraic_bound(ineq):
-    """Max of the Bell expression over independent +-1 correlator values."""
-    return _algebraic_bound(ineq)
 
 
 @dataclass(frozen=True)
@@ -226,10 +220,6 @@ class Metrics:
     npa_qutrit_ratio: float | None            # max_npa / max_qutrit - 1
     algebraic_classical_ratio: float          # (algebraic - classical) / classical
     npa_level: int | None = None
-
-    def as_tuple(self):
-        return (self.relative_qutrit_violation, self.qutrit_qubit_ratio,
-                self.npa_qutrit_ratio, self.algebraic_classical_ratio)
 
 
 def metrics(rec):

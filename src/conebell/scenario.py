@@ -21,6 +21,8 @@ import numpy as np
 from .errors import CapExceededError, ParseError
 
 VERTEX_CAP_DEFAULT = 1 << 24
+# party names in the text formats: party i is _PARTY_LETTERS[i]
+_PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,6 @@ class Vertex:
 
     assignment: tuple[tuple[int, ...], ...]
     coords: tuple[int, ...]
-
-    def coords_array(self):
-        return np.array(self.coords, dtype=np.int64)
 
 
 def behavior_dimension(scenario):

@@ -23,18 +23,17 @@ import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (enumerate_facets_dd, is_facet, lift_back, lift_polytope,
-                   project_rays)
-from .constraints import (XiAssignment, build_extended_behaviors,
-                          parse_xi_label, saturating_assignments,
+from .cone import constrained_facets, is_facet, lift_polytope
+from .constraints import (Relabeling, XiAssignment, apply_relabeling,
+                          build_extended_behaviors, parse_xi_label,
                           saturation_rows, symmetry_rows)
-from .errors import CapExceededError
-from .exactlinalg import integer_kernel_basis
-from .inequality import Inequality, from_cone_normal, term_count
+from .errors import CapExceededError, ParseError
+from .inequality import (Inequality, from_cone_normal, parse_inequality,
+                         term_count, write_inequality)
 from .scenario import Scenario, enumerate_vertices
 
 ORBIT_CAP_DEFAULT = 10_000_000
@@ -271,28 +270,24 @@ class ReductionSpec:
 
 def relabeling_orbit(ineq, cap=ORBIT_CAP_DEFAULT):
     """All distinct relabeled variants of an inequality (bound kept positive)."""
-    import itertools as _it
-
-    from .constraints import Relabeling, apply_relabeling
-
     sc = ineq.scenario
     n = sc.parties
-    perms = [p for p in _it.permutations(range(n))
+    perms = [p for p in itertools.permutations(range(n))
              if all(sc.settings[p[i]] == sc.settings[i] for i in range(n))]
     group_size = len(perms)
     for m in sc.settings:
-        group_size *= len(list(_it.permutations(range(m)))) * (1 << m)
+        group_size *= len(list(itertools.permutations(range(m)))) * (1 << m)
     if group_size > cap:
         raise CapExceededError(
             f"relabeling group has {group_size} elements, above the cap of {cap}")
     per_party = []
     for m in sc.settings:
-        opts = [(sp, sf) for sp in _it.permutations(range(1, m + 1))
-                for sf in _it.product((1, -1), repeat=m)]
+        opts = [(sp, sf) for sp in itertools.permutations(range(1, m + 1))
+                for sf in itertools.product((1, -1), repeat=m)]
         per_party.append(opts)
     out = {}
     for pp in perms:
-        for combo in _it.product(*per_party):
+        for combo in itertools.product(*per_party):
             rel = Relabeling(pp, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
             vec = apply_relabeling(rel, sc, ineq.coefficients)
             out.setdefault(vec, Inequality(sc, vec))
@@ -310,28 +305,17 @@ def _xi_space(target, reductions):
     return list(itertools.product(*spaces))
 
 
-def _branch(target, cone, reductions, saturators, sym, xi_combo, dd_cap):
+def _branch(target, cone, reductions, sym, xi_combo, dd_cap):
     """One deterministic-outcome branch: constraint rows -> surviving facets."""
     rows = sym
-    for spec, sat, xi in zip(reductions, saturators, xi_combo):
-        extended = build_extended_behaviors(
-            spec.lower, xi, target, embed=spec.embed, check_facet=False,
-            _saturators=sat)
-        rows = saturation_rows(extended) + rows
-    basis = integer_kernel_basis(rows.matrix(), columns=target.dimension + 1)
-    if basis.shape[1] == 0:
-        return []
-    projected = project_rays(cone, basis)
+    for spec, xi in zip(reductions, xi_combo):
+        rows = saturation_rows(build_extended_behaviors(
+            spec.lower, xi, target, embed=spec.embed)) + rows
     survivors = []
-    for facet in enumerate_facets_dd(projected, cap=dd_cap):
-        lifted = lift_back(facet.vector, basis)
-        cert = is_facet(lifted, cone)
-        if not cert.facet:
-            continue
+    for lifted in constrained_facets(cone, rows.matrix(), cap=dd_cap):
         ineq = from_cone_normal(target, lifted)
-        ok = all(verify_reduction(ineq, xi, spec.lower, embed=spec.embed)
-                 for spec, xi in zip(reductions, xi_combo))
-        if ok:
+        if all(verify_reduction(ineq, xi, spec.lower, embed=spec.embed)
+               for spec, xi in zip(reductions, xi_combo)):
             survivors.append((ineq, xi_combo))
     return survivors
 
@@ -363,9 +347,8 @@ def generalize_multi(target, reductions, symmetry, dd_cap=5_000_000,
             variant_lists.append([ReductionSpec(lower=spec.lower, embed=spec.embed)])
     jobs = []
     for chosen in itertools.product(*variant_lists):
-        saturators = [saturating_assignments(spec.lower) for spec in chosen]
         for combo in _xi_space(target, chosen):
-            jobs.append((target, cone, list(chosen), saturators, sym, combo, dd_cap))
+            jobs.append((target, cone, list(chosen), sym, combo, dd_cap))
     survivors = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -404,7 +387,6 @@ def generalize(lower, extra_settings, symmetry, **kwargs):
 
 
 def write_class_list(classes):
-    from .inequality import write_inequality
     blocks = []
     for k, cl in enumerate(classes, start=1):
         head = f"class {k}: members={cl.members_found}"
@@ -415,8 +397,6 @@ def write_class_list(classes):
 
 
 def parse_class_list(text):
-    from .errors import ParseError
-    from .inequality import parse_inequality
     classes = []
     current = None
 

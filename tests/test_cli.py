@@ -164,3 +164,14 @@ def test_dd_cap_exit_code(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("dd_cap = 4\n")
     assert main(["--config", str(cfg), "facets", "2,2"]) == 3
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generalize_dd_cap_exit_code(tmp_path, chsh_file, capsys, workers):
+    # the cap reaches the per-branch DD of the projected cone, also in workers
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("dd_cap = 2\n")
+    code = main(["--config", str(cfg), "--workers", workers, "generalize",
+                 "--lower", str(chsh_file), "--extra-settings", "2", "--quiet"])
+    assert code == 3
+    assert "resource cap" in capsys.readouterr().err

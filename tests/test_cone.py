@@ -5,7 +5,7 @@ from conebell import catalog
 from conebell.cone import (Cone, constrained_facets, enumerate_facets_dd,
                            is_facet, lift_back, lift_polytope, project_rays)
 from conebell.errors import CapExceededError
-from conebell.exactlinalg import integer_kernel_basis
+from conebell.exactlinalg import integer_kernel_basis, vector_gcd
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, Vertex, enumerate_vertices
 
@@ -14,6 +14,22 @@ from .reference import random_full_dim_vertices, reference_facets
 
 def _vertex(coords):
     return Vertex(assignment=(), coords=tuple(coords))
+
+
+def _projection_sources(cone, basis, projected):
+    """Source ray indices landing on each projected ray, recomputed from
+    cone.rays @ basis, and the indices of the rays whose image is zero."""
+    index = {projected.ray(j): j for j in range(projected.ray_count)}
+    sources = [[] for _ in range(projected.ray_count)]
+    dropped = []
+    for i, image in enumerate(cone.rays.astype(object) @ basis):
+        g = vector_gcd(image)
+        if g == 0:
+            dropped.append(i)
+        else:
+            sources[index[tuple(int(x) // g for x in image)]].append(i)
+    assert all(sources), "every projected ray is the image of some source ray"
+    return sources, dropped
 
 
 def test_lift_unit_segment():
@@ -47,7 +63,8 @@ def test_project_single_column_collapses_to_apex():
     basis[0, 0] = 1
     proj = project_rays(cone, basis)
     assert proj.ray_count == 1 and proj.ray(0) == (1,)
-    assert len(proj.source_map[0]) == 16
+    sources, dropped = _projection_sources(cone, basis, proj)
+    assert sources == [list(range(16))] and dropped == []
 
 
 def test_project_merges_redundant_rays():
@@ -59,14 +76,9 @@ def test_project_merges_redundant_rays():
     basis = np.array([[1, 0], [0, 1], [0, 0]], dtype=object)
     proj = project_rays(cone, basis)
     assert proj.ray_count == 3
-    assert sorted(len(src) for src in proj.source_map) == [2, 2, 2]
-
-
-def test_cone_dump_format():
-    sc = Scenario((1,))
-    cone = lift_polytope(enumerate_vertices(sc))
-    text = cone.dump(scenario=sc)
-    assert text.splitlines() == ["scenario: n=1 settings=1", "1 -1", "1 1"]
+    sources, dropped = _projection_sources(cone, basis, proj)
+    assert sources == [[0, 1], [2, 3], [4, 5]] and dropped == []
+    assert [proj.ray(j) for j in range(3)] == [(1, 0), (0, 1), (1, 1)]
 
 
 def test_orthant_facets():
@@ -212,18 +224,20 @@ def test_projection_preserves_saturating_sets():
         [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)
     basis = integer_kernel_basis(rows.matrix(), columns=cone.dim)
     projected = project_rays(cone, basis)
+    sources, dropped = _projection_sources(cone, basis, projected)
+    assert dropped, "the saturation rows send some vertices to zero"
     rays = cone.rays.astype(object)
     for facet in enumerate_facets_dd(projected):
         lifted = lift_back(facet.vector, basis)
         vals = rays @ lifted
         sat_sources = {i for i, v in enumerate(vals) if v == 0}
-        mapped = set(projected.dropped)
+        mapped = set(dropped)
         for j in facet.saturating:
-            mapped.update(projected.source_map[j])
+            mapped.update(sources[j])
         # every non-saturating projected ray must contribute no saturating source
         for j in range(projected.ray_count):
             if j not in facet.saturating:
-                assert not (set(projected.source_map[j]) & sat_sources)
+                assert not (set(sources[j]) & sat_sources)
         assert mapped == sat_sources
 
 
@@ -245,6 +259,6 @@ def test_theorem_pipeline_matches_filtered_enumeration():
         g = np.array([row], dtype=object)
         expected = {f.vector for f in facets
                     if not (g @ np.array(f.vector, dtype=object)).any()}
-        got, _ = constrained_facets(cone, g)
-        assert {tuple(int(x) for x in vec) for vec, _ in got} == expected
+        got = constrained_facets(cone, g)
+        assert {tuple(int(x) for x in vec) for vec in got} == expected
         checked += 1

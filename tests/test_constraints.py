@@ -3,11 +3,9 @@ import pytest
 
 from conebell import catalog
 from conebell.constraints import (Relabeling, XiAssignment, apply_relabeling,
-                                  build_extended_behaviors, custom_rows,
-                                  format_relabeling, identity_relabeling,
-                                  parse_relabeling, party_swap,
-                                  relabeling_matrix, saturation_rows,
-                                  symmetry_rows)
+                                  build_extended_behaviors, parse_relabeling,
+                                  party_swap, relabeling_matrix,
+                                  saturation_rows, symmetry_rows)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, rank
 from conebell.scenario import Scenario, vertex_matrix
@@ -17,7 +15,7 @@ from .reference import full_relabeling_group
 
 def test_relabeling_matrix_identity():
     sc = Scenario((2, 2))
-    p = relabeling_matrix(identity_relabeling(sc), sc)
+    p = relabeling_matrix(Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1))), sc)
     assert (p == np.eye(9, dtype=object)).all()
 
 
@@ -70,7 +68,7 @@ def test_gyni_symmetries_fix_gyni():
 
 def test_symmetry_rows_identity_contributes_nothing():
     sc = Scenario((2, 2))
-    sys = symmetry_rows([identity_relabeling(sc)], sc)
+    sys = symmetry_rows([Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))], sc)
     assert sys.rows == ()
     t = integer_kernel_basis(sys.matrix(), columns=9)
     assert t.shape == (9, 9)
@@ -112,7 +110,6 @@ def test_extended_behaviors_chsh_count():
         assert v.assignment[2] == (1, 1)
     rows = saturation_rows(ext)
     assert rank(rows.matrix()) == 8
-    assert set(rows.provenance) == {"saturation"}
 
 
 def test_extended_behaviors_i3322_count():
@@ -127,11 +124,11 @@ def test_extended_behaviors_validation():
     chsh = catalog.chsh()
     with pytest.raises(ValueError, match="xi"):
         build_extended_behaviors(chsh, XiAssignment(((1,),)), Scenario((2, 2, 2)))
-    # a valid-but-not-facet inequality is rejected before extension
-    weak = __import__("conebell.inequality", fromlist=["x"]).from_terms(
-        Scenario((2, 2)), 2, {(1, 1): 1, (1, 2): 1})
+    # an inequality that no vertex saturates cannot be extended to a facet
+    loose = __import__("conebell.inequality", fromlist=["x"]).from_terms(
+        Scenario((2, 2)), 3, {(1, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="facet"):
-        build_extended_behaviors(weak, XiAssignment(((1, 1),)), Scenario((2, 2, 2)))
+        build_extended_behaviors(loose, XiAssignment(((1, 1),)), Scenario((2, 2, 2)))
 
 
 def test_saturation_rows_empty():
@@ -158,14 +155,6 @@ def test_chsh_extension_kernel_dimension_matches_independent_nullspace():
     assert project_rays(cone, t).dim == t.shape[1]
 
 
-def test_custom_rows_validation():
-    sc = Scenario((2, 2))
-    sys = custom_rows([[0, 1, -1, 0, 0, 0, 0, 0, 0]], sc)
-    assert sys.provenance == ("custom",)
-    with pytest.raises(ValueError):
-        custom_rows([[1, 2]], sc)
-
-
 def test_parse_relabeling_round_trip():
     sc = Scenario((2, 2, 4))
     text = "perm:ABC->BAC; C:(1 2)(3 4); A1:-; C4:-"
@@ -174,8 +163,6 @@ def test_parse_relabeling_round_trip():
     assert rel.setting_maps[2] == (2, 1, 4, 3)
     assert rel.sign_flips[0] == (-1, 1)
     assert rel.sign_flips[2] == (1, 1, 1, -1)
-    formatted = format_relabeling(rel, sc)
-    assert parse_relabeling(formatted, sc) == rel
 
 
 def test_parse_relabeling_rejects_malformed():

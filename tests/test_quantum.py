@@ -3,7 +3,8 @@ import pytest
 
 from conebell import catalog
 from conebell.errors import InvariantViolationError
-from conebell.quantum import (BoundsRecord, SeesawConfig, algebraic_bound,
+from conebell.inequality import algebraic_bound
+from conebell.quantum import (BoundsRecord, SeesawConfig,
                               assert_valid_observable, bell_operator,
                               bell_value, metrics, parse_seesaw_result,
                               seesaw, write_seesaw_result, _sign_observable)
@@ -107,12 +108,6 @@ def test_observable_validation():
         assert_valid_observable(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         assert_valid_observable(2 * Z)
-
-
-def test_algebraic_bounds_of_fixtures():
-    assert algebraic_bound(catalog.i3322_generalization(1)) == 28
-    assert algebraic_bound(catalog.i3322_generalization(532)) == 86
-    assert algebraic_bound(catalog.hybrid_generalization(198)) == 40
 
 
 def test_metrics_table_values():
