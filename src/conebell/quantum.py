@@ -7,6 +7,19 @@ by the sign of its effective operator.  Both steps are exact maximizers of
 the linearized objective, so the objective is nondecreasing within a run.
 Restarts run on independent PRNG streams spawned from one seed; a warmup
 phase keeps only the most promising runs for full convergence.
+
+Every operator is a contraction.  The inequality is the real coefficient
+tensor C of shape scenario.shape with the constant slot zeroed, and party p
+contributes the observable stack A_p = [I, O_1, ..., O_m] of shape
+(m+1, d, d), so the Bell operator is sum_t C[t] A_0[t_0] (x) ... (x)
+A_{n-1}[t_{n-1}]: one tensordot per party.  The effective operators of all of
+one party's settings come from one contraction as well: the other parties'
+stacks act on the state, C sums over their settings, and the conjugate state
+closes the remaining axes.  They depend only on the other parties'
+observables, so a sweep updates all settings of a party at once, with one
+stacked eigendecomposition.  A sweep builds the Bell operator of its new
+observables once; the same operator gives the sweep's value and is
+diagonalized by the next sweep.
 """
 from __future__ import annotations
 
@@ -45,6 +58,11 @@ class SeesawConfig:
             raise ValueError("only qubit and qutrit local dimensions are supported")
         if self.restarts < 1 or self.tolerance <= 0:
             raise ValueError("need at least one restart and a positive tolerance")
+        if self.warmup_iterations < 1 or self.survivors < 1:
+            raise ValueError("need at least one warmup iteration and one survivor")
+        if self.max_iterations < self.warmup_iterations:
+            raise ValueError("max_iterations counts the warmup iterations and cannot be "
+                             "below them")
 
 
 @dataclass
@@ -59,6 +77,21 @@ class SeesawResult:
     @property
     def trace(self):
         return self.traces[self.best_restart]
+
+
+def _coefficient_tensor(ineq):
+    """The Bell-expression coefficients as a real array of scenario.shape."""
+    coeffs = np.array(ineq.coefficients, dtype=float).reshape(ineq.scenario.shape)
+    coeffs.flat[0] = 0.0
+    return coeffs
+
+
+def _observable_stack(party, d):
+    """[I, O_1, ..., O_m] as one (m+1, d, d) complex array."""
+    stack = np.empty((len(party) + 1, d, d), dtype=complex)
+    stack[0] = np.eye(d)
+    stack[1:] = party
+    return stack
 
 
 def bell_operator(ineq, observables):
@@ -80,15 +113,14 @@ def bell_operator(ineq, observables):
         for obs in party:
             if np.asarray(obs).shape != (d, d):
                 raise ValueError("observables must be square")
-    total = d ** sc.parties
-    op = np.zeros((total, total), dtype=complex)
-    eye = np.eye(d)
-    for t, coeff in ineq.nonzero_terms():
-        term = np.ones((1, 1), dtype=complex)
-        for p, s in enumerate(t):
-            term = np.kron(term, eye if s == 0 else np.asarray(observables[p][s - 1]))
-        op += coeff * term
-    return op
+    # sum_t C[t] A_0[t_0] (x) ... (x) A_{n-1}[t_{n-1}], one party at a time
+    op = _coefficient_tensor(ineq)
+    for party in observables:
+        op = np.tensordot(op, _observable_stack(party, d), axes=([0], [0]))
+    # axes are now (i_0, j_0, i_1, j_1, ...): rows first, then columns
+    n = sc.parties
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return op.transpose(order).reshape(d ** n, d ** n)
 
 
 def bell_value(ineq, observables, state):
@@ -104,44 +136,57 @@ def _random_observable(rng, d):
 
 
 def _sign_observable(effective):
-    """Maximizer of Tr(X F) over Hermitian X with +-1 spectrum: sign(F)."""
-    herm = (effective + effective.conj().T) / 2
+    """Maximizer of Tr(X F) over Hermitian X with +-1 spectrum: sign(F).
+
+    Takes one (d, d) operator F or a stack (m, d, d) of them.
+    """
+    herm = (effective + np.swapaxes(effective, -1, -2).conj()) / 2
     eig, vec = np.linalg.eigh(herm)
     signs = np.where(eig >= 0, 1.0, -1.0)  # zero eigenvalues map to +1
-    return (vec * signs) @ vec.conj().T
+    return (vec * signs[..., None, :]) @ np.swapaxes(vec, -1, -2).conj()
 
 
-def _effective_operator(psi_tensor, observables, t, party, d, n):
-    """F with objective contribution Tr(O F) for the observable at (party, t)."""
+def _effective_operators(coeffs, stacks, psi_tensor, party):
+    """F[s-1] with objective contribution Tr(O_s F[s-1]), for s = 1..m of party.
+
+    The other parties' stacks act on psi, the coefficient tensor sums over
+    their settings, and conj(psi) closes every axis but the party's own.
+    """
+    n = psi_tensor.ndim
+    others = [q for q in range(n) if q != party]
     phi = psi_tensor
-    for q, s in enumerate(t):
-        if q == party or s == 0:
-            continue
-        op = observables[q][s - 1]
-        phi = np.moveaxis(np.tensordot(op, phi, axes=([1], [q])), 0, q)
-    axes = [q for q in range(n) if q != party]
-    # E[a, b] = <psi| (ops on others) (x) |a><b| |psi>; Tr(O E^T) is the value
-    e = np.tensordot(psi_tensor.conj(), phi, axes=(axes, axes))
-    return e.T
+    # phi holds the setting axes gathered so far, then the n state axes;
+    # descending order leaves the setting axes in party order
+    for gathered, q in enumerate(reversed(others)):
+        phi = np.tensordot(stacks[q], phi, axes=([2], [gathered + q]))
+        phi = np.moveaxis(phi, 1, 1 + gathered + q)
+    own = coeffs[(slice(None),) * party + (slice(1, None),)]
+    phi = np.tensordot(own, phi, axes=(others, list(range(n - 1))))
+    # phi[s, k_0, ..., k_{n-1}]; F[s][b, a] sums phi[s, .. b ..] conj(psi[.. a ..])
+    # over the other parties' k
+    return np.tensordot(phi, psi_tensor.conj(), axes=([1 + q for q in others], others))
 
 
-def _sweep(ineq, observables, d):
-    """One state update plus one measurement pass; returns the new state."""
-    sc = ineq.scenario
-    n = sc.parties
-    op = bell_operator(ineq, observables)
+def _sweep(ineq, coeffs, observables, op, d):
+    """One state update plus one measurement pass.
+
+    op is the Bell operator of the current observables, which are updated in
+    place.  Returns the new state, the Bell operator of the new observables
+    and the state's value on it.
+    """
+    n = ineq.scenario.parties
     _, vecs = np.linalg.eigh(op)
     psi = vecs[:, -1]
     psi_tensor = psi.reshape((d,) * n)
-    terms = ineq.nonzero_terms()
+    stacks = [_observable_stack(party, d) for party in observables]
+    # a party's effective operators depend only on the other parties, so all
+    # of its settings are updated at once
     for party in range(n):
-        for s in range(1, sc.settings[party] + 1):
-            f = np.zeros((d, d), dtype=complex)
-            for t, coeff in terms:
-                if t[party] == s:
-                    f += coeff * _effective_operator(psi_tensor, observables, t, party, d, n)
-            observables[party][s - 1] = _sign_observable(f)
-    return psi
+        stacks[party][1:] = _sign_observable(
+            _effective_operators(coeffs, stacks, psi_tensor, party))
+        observables[party][:] = list(stacks[party][1:])
+    op = bell_operator(ineq, observables)
+    return psi, op, float(np.real(np.conj(psi) @ (op @ psi)))
 
 
 def seesaw(ineq, cfg=None):
@@ -150,26 +195,25 @@ def seesaw(ineq, cfg=None):
         cfg = SeesawConfig()
     d = cfg.local_dim
     sc = ineq.scenario
+    coeffs = _coefficient_tensor(ineq)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     runs = []
     traces = [[] for _ in range(cfg.restarts)]
     for r in range(cfg.restarts):
         rng = np.random.default_rng(streams[r])
         obs = [[_random_observable(rng, d) for _ in range(m)] for m in sc.settings]
-        psi = None
-        for _ in range(max(1, cfg.warmup_iterations)):
-            psi = _sweep(ineq, obs, d)
-            traces[r].append(bell_value(ineq, obs, psi))
-        runs.append([traces[r][-1], obs, psi, r])
-    runs.sort(key=lambda run: (-run[0], run[3]))
-    keep = runs[:max(1, cfg.survivors)]
+        op = bell_operator(ineq, obs)
+        for _ in range(cfg.warmup_iterations):
+            psi, op, value = _sweep(ineq, coeffs, obs, op, d)
+            traces[r].append(value)
+        runs.append([value, obs, psi, op, r])
+    runs.sort(key=lambda run: (-run[0], run[4]))
     best = None
     all_converged = True
-    for value, obs, psi, r in keep:
+    for value, obs, psi, op, r in runs[:cfg.survivors]:
         converged = False
         for _ in range(cfg.max_iterations - cfg.warmup_iterations):
-            psi = _sweep(ineq, obs, d)
-            new_value = bell_value(ineq, obs, psi)
+            psi, op, new_value = _sweep(ineq, coeffs, obs, op, d)
             traces[r].append(new_value)
             if new_value - value < cfg.tolerance:
                 value = max(value, new_value)

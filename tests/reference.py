@@ -2,6 +2,9 @@
 
 Facet enumeration here goes through ray subsets and sympy nullspaces, a
 completely different route from the double description code under test.
+The quantum oracles build every Bell-expression term on its own, with
+np.kron and one tensordot per party, where conebell.quantum contracts the
+whole coefficient tensor at once.
 """
 import itertools
 import math
@@ -99,3 +102,40 @@ def random_full_dim_vertices(rng, dim, count, spread=2):
         lifted = np.hstack([np.ones((count, 1), dtype=np.int64), pts])
         if np.linalg.matrix_rank(lifted) == dim + 1:
             return lifted.astype(np.int64)
+
+
+def reference_bell_operator(ineq, observables):
+    """Bell operator as the sum over nonzero terms of coeff * (x)_p A_p[t_p]."""
+    d = np.asarray(observables[0][0]).shape[0]
+    total = d ** ineq.scenario.parties
+    op = np.zeros((total, total), dtype=complex)
+    eye = np.eye(d)
+    for t, coeff in ineq.nonzero_terms():
+        term = np.ones((1, 1), dtype=complex)
+        for p, s in enumerate(t):
+            term = np.kron(term, eye if s == 0 else np.asarray(observables[p][s - 1]))
+        op += coeff * term
+    return op
+
+
+def reference_effective_operator(ineq, observables, psi, party, setting):
+    """F with objective contribution Tr(O F) for party's observable at setting.
+
+    Sums, over the nonzero terms t with t[party] == setting, coeff times
+    <psi| (ops of the other parties in t) (x) |a><b| |psi>, transposed.
+    """
+    n = ineq.scenario.parties
+    d = np.asarray(observables[0][0]).shape[0]
+    psi_tensor = np.asarray(psi).reshape((d,) * n)
+    axes = [q for q in range(n) if q != party]
+    f = np.zeros((d, d), dtype=complex)
+    for t, coeff in ineq.nonzero_terms():
+        if t[party] != setting:
+            continue
+        phi = psi_tensor
+        for q in axes:
+            if t[q] != 0:
+                op = np.asarray(observables[q][t[q] - 1])
+                phi = np.moveaxis(np.tensordot(op, phi, axes=([1], [q])), 0, q)
+        f += coeff * np.tensordot(psi_tensor.conj(), phi, axes=(axes, axes)).T
+    return f

@@ -150,6 +150,12 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["seesaw", "--ineq", str(tmp_path / "nope.ineq")]) == 2
 
 
+def test_seesaw_fewer_iterations_than_warmup_exit_code(chsh_file, capsys):
+    assert main(["seesaw", "--ineq", str(chsh_file), "--warmup", "5",
+                 "--max-iterations", "3"]) == 2
+    assert "max_iterations" in capsys.readouterr().err
+
+
 def test_show_config_and_config_file(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("workers = 2\n# comment\nseed = 9\n")

@@ -3,17 +3,35 @@ import pytest
 
 from conebell import catalog
 from conebell.errors import InvariantViolationError
-from conebell.inequality import algebraic_bound
+from conebell.inequality import Inequality, algebraic_bound
 from conebell.quantum import (BoundsRecord, SeesawConfig,
                               assert_valid_observable, bell_operator,
                               bell_value, metrics, parse_seesaw_result,
-                              seesaw, write_seesaw_result, _sign_observable)
+                              seesaw, write_seesaw_result, _coefficient_tensor,
+                              _effective_operators, _observable_stack,
+                              _random_observable, _sign_observable)
+from conebell.scenario import Scenario
+
+from .reference import reference_bell_operator, reference_effective_operator
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 FAST = SeesawConfig(local_dim=2, restarts=8, seed=3)
+
+ORACLE_CASES = [(settings, d) for settings in ((2, 2), (4, 4), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2))
+                for d in (2, 3)]
+
+
+def _random_instance(settings, d, seed):
+    """A random integer inequality, random +-1 observables and a random state."""
+    rng = np.random.default_rng(seed)
+    sc = Scenario(settings)
+    ineq = Inequality(sc, tuple(int(c) for c in rng.integers(-3, 4, size=sc.dimension + 1)))
+    obs = [[_random_observable(rng, d) for _ in range(m)] for m in settings]
+    psi = rng.standard_normal(d ** sc.parties) + 1j * rng.standard_normal(d ** sc.parties)
+    return ineq, obs, psi / np.linalg.norm(psi)
 
 
 def test_bell_operator_classical_embedding():
@@ -45,6 +63,33 @@ def test_mermin_ghz_value():
 def test_bell_operator_dimension_mismatch():
     with pytest.raises(ValueError):
         bell_operator(catalog.chsh(), [[Z, X], [Z, np.eye(3, dtype=complex)]])
+
+
+def test_bell_operator_rejects_wrong_observable_counts():
+    with pytest.raises(ValueError, match="per party"):
+        bell_operator(catalog.chsh(), [[Z, X]])
+    with pytest.raises(ValueError, match="needs 2"):
+        bell_operator(catalog.chsh(), [[Z, X], [Z]])
+
+
+@pytest.mark.parametrize("settings,d", ORACLE_CASES)
+def test_bell_operator_matches_kron_reference(settings, d):
+    ineq, obs, _ = _random_instance(settings, d, seed=sum(settings) * 10 + d)
+    assert np.abs(bell_operator(ineq, obs) - reference_bell_operator(ineq, obs)).max() < 1e-12
+
+
+@pytest.mark.parametrize("settings,d", ORACLE_CASES)
+def test_effective_operators_match_reference(settings, d):
+    ineq, obs, psi = _random_instance(settings, d, seed=sum(settings) * 10 + d + 1)
+    coeffs = _coefficient_tensor(ineq)
+    stacks = [_observable_stack(party, d) for party in obs]
+    psi_tensor = psi.reshape((d,) * len(settings))
+    for party, m in enumerate(settings):
+        batch = _effective_operators(coeffs, stacks, psi_tensor, party)
+        assert batch.shape == (m, d, d)
+        for s in range(1, m + 1):
+            ref = reference_effective_operator(ineq, obs, psi, party, s)
+            assert np.abs(batch[s - 1] - ref).max() < 1e-12
 
 
 def test_seesaw_chsh_reaches_tsirelson():
@@ -84,10 +129,13 @@ def test_seesaw_below_algebraic_bound():
 
 def test_sign_step_is_optimal():
     rng = np.random.default_rng(8)
-    for _ in range(25):
-        f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        f = f + f.conj().T
+    fs = rng.standard_normal((25, 3, 3)) + 1j * rng.standard_normal((25, 3, 3))
+    fs = fs + np.swapaxes(fs, -1, -2).conj()
+    stacked = _sign_observable(fs)
+    assert stacked.shape == fs.shape
+    for f, from_stack in zip(fs, stacked):
         best = _sign_observable(f)
+        assert np.allclose(best, from_stack, atol=1e-12)
         best_val = np.real(np.trace(best @ f))
         for _ in range(10):
             h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -100,6 +148,16 @@ def test_zero_eigenvalue_maps_to_plus_one():
     f = np.diag([1.0, 0.0, -2.0]).astype(complex)
     obs = _sign_observable(f)
     assert np.allclose(np.sort(np.linalg.eigvalsh(obs)), [-1, 1, 1])
+    stack = np.array([f, np.diag([0.0, 0.0, -3.0]), np.zeros((3, 3))], dtype=complex)
+    spectra = np.sort(np.linalg.eigvalsh(_sign_observable(stack)), axis=-1)
+    assert np.allclose(spectra, [[-1, 1, 1], [-1, 1, 1], [1, 1, 1]])
+
+
+@pytest.mark.parametrize("fields", [{"warmup_iterations": 0}, {"survivors": 0},
+                                    {"warmup_iterations": 5, "max_iterations": 3}])
+def test_seesaw_config_rejects_bad_iteration_counts(fields):
+    with pytest.raises(ValueError):
+        SeesawConfig(**fields)
 
 
 def test_observable_validation():

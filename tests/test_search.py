@@ -202,15 +202,18 @@ def test_generalize_chsh_contains_mermin():
         assert cl.witnesses, "every class carries at least one xi witness"
 
 
-def test_generalize_invariant_under_xi_order():
-    # xi enumeration order must not change the class set; the branch order is
-    # internal, so run twice through different worker counts instead
+def test_generalize_invariant_under_xi_order(monkeypatch):
+    # the order in which deterministic-outcome choices are enumerated must not
+    # change the class list: canonical forms, member counts or witnesses
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
     sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
-    a = generalize(chsh, (2,), sym)
-    b = generalize(chsh, (2,), sym)
-    assert [cl.canonical.coefficients for cl in a] == [cl.canonical.coefficients for cl in b]
+    forward = generalize(chsh, (2,), sym)
+    xi_space = search._xi_space
+    monkeypatch.setattr(search, "_xi_space", lambda *args: xi_space(*args)[::-1])
+    backward = generalize(chsh, (2,), sym)
+    assert len(forward) == 6
+    assert backward == forward
 
 
 def test_generalize_worker_pool_matches_sequential():
