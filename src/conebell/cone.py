@@ -11,8 +11,12 @@ branch: project the rays onto the kernel of the constraint rows, run the
 enumeration on the small projected cone, lift each candidate back and
 certify it with is_facet on the full cone.
 
-All arithmetic is exact.  The hot loops run on int64 arrays and promote to
-arbitrary-precision object arrays before any product could overflow.
+All arithmetic is exact, and the exact steps go through the two kernels of
+exactlinalg.  The DD's initial simplex comes from pivot_columns (which rows)
+and integer_kernel_basis (one kernel per ray); it enters the DD as int64
+when its entries are at most 2^40.  The insertions then run on int64 arrays
+and promote to Python-int object arrays before a product could reach the
+bound that exactlinalg defines.
 """
 from __future__ import annotations
 
@@ -21,30 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DegenerateVectorError
-from .exactlinalg import (as_int_matrix, as_int_vector, integer_inverse_scaled,
-                          integer_kernel_basis, primitive_normalize, rank,
-                          vector_gcd)
+from .exactlinalg import (_RAY_INT64_MAX, _primitive_rows, _products_overflow,
+                          as_int_matrix, as_int_vector, integer_kernel_basis,
+                          pivot_columns, primitive_normalize, rank, vector_gcd)
 
 DD_CAP_DEFAULT = 5_000_000
-
-_INT64_LIMIT = 1 << 62
-
-
-def _reduce_rows_primitive(mat):
-    """Divide every row by its gcd, keeping orientation; no zero rows allowed."""
-    if mat.dtype == object:
-        out = mat.copy()
-        for i in range(out.shape[0]):
-            g = vector_gcd(out[i])
-            if g == 0:
-                raise DegenerateVectorError("zero ray")
-            if g > 1:
-                out[i] = out[i] // g
-        return out
-    g = np.gcd.reduce(np.abs(mat), axis=1)
-    if (g == 0).any():
-        raise DegenerateVectorError("zero ray")
-    return mat // g[:, None]
 
 
 class Cone:
@@ -57,7 +42,9 @@ class Cone:
             raise ValueError("a cone needs at least one ray")
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"rays must be rows of length {self.dim}")
-        arr = _reduce_rows_primitive(arr)
+        if not (arr != 0).any(axis=1).all():
+            raise DegenerateVectorError("zero ray")
+        arr = _primitive_rows(arr)
         seen = {}
         keep = []
         for i in range(arr.shape[0]):
@@ -152,7 +139,7 @@ def _exact_products(mat, vec):
     if mat.dtype != object:
         vmax = max((abs(int(x)) for x in vec), default=0)
         mmax = int(np.abs(mat).max()) if mat.size else 0
-        if vmax and mmax and mmax * vmax * mat.shape[1] >= _INT64_LIMIT:
+        if _products_overflow(mmax, vmax, mat.shape[1]):
             return mat.astype(object) @ np.array(list(vec), dtype=object)
         return mat @ np.asarray(vec, dtype=np.int64)
     return mat @ np.array(list(vec), dtype=object)
@@ -187,27 +174,6 @@ def is_facet(candidate, cone):
 # double description
 
 
-def _independent_subset(rows, r):
-    """Indices of the first r linearly independent rows, scanning in order."""
-    picked = []
-    basis = []  # mutually reduced object rows
-    for i in range(rows.shape[0]):
-        v = np.array([int(x) for x in rows[i]], dtype=object)
-        for b in basis:
-            lead = next(j for j in range(len(b)) if b[j] != 0)
-            if v[lead] != 0:
-                v = v * int(b[lead]) - b * int(v[lead])
-                g = vector_gcd(v)
-                if g > 1:
-                    v = v // g
-        if any(x != 0 for x in v):
-            picked.append(i)
-            basis.append(v)
-            if len(picked) == r:
-                return picked
-    return picked
-
-
 def _popcounts(words):
     return np.bitwise_count(words).sum(axis=1).astype(np.int64)
 
@@ -231,22 +197,26 @@ def _dd_extreme_rays(a, cap):
 
     a must have full column rank.  Returns (rays, zerosets) where bit i of a
     ray's zero set means constraint row i is satisfied with equality.
-    Insertion order is lexicographic over the constraint rows, after an
-    initial linearly independent simplex basis.
+    The initial simplex is the first r independent rows in lexicographic
+    order (the pivots of pivot_columns).  Its ray j spans the integer kernel
+    of the other r - 1 rows and lies on the negative side of row j.  The
+    remaining rows are then inserted in lexicographic order.
     """
     m, r = a.shape
     order = sorted(range(m), key=lambda i: tuple(int(x) for x in a[i]))
-    basis = _independent_subset(a[order], r)
-    if len(basis) < r:
+    basis_ids = [order[i] for i in pivot_columns(a[order].T, stop_at=r)]
+    if len(basis_ids) < r:
         raise ValueError("constraint matrix does not have full column rank")
-    basis_ids = [order[i] for i in basis]
-    rest_ids = [order[i] for i in range(m) if i not in set(basis)]
+    basis = set(basis_ids)
+    rest_ids = [i for i in order if i not in basis]
 
-    x, det = integer_inverse_scaled(a[basis_ids])
-    sign = 1 if det > 0 else -1
+    b = a[basis_ids]
+    init = np.empty((r, r), dtype=object)
+    for j in range(r):
+        y = integer_kernel_basis(np.delete(b, j, axis=0), columns=r)[:, 0]
+        init[j] = -y if b[j].astype(object) @ y > 0 else y
     state = _DDState(m, r)
-    init = (-sign) * x.T
-    state.rays = _reduce_rows_primitive(init)
+    state.rays = init if np.abs(init).max() > _RAY_INT64_MAX else init.astype(np.int64)
     state.zero = np.zeros((r, state.words), dtype=np.uint64)
     for j in range(r):
         for k, row_id in enumerate(basis_ids):
@@ -321,7 +291,7 @@ def _combine_adjacent(state, values, pos_v, neg_v, vec, row_id, r):
     if not promote:
         vmax = int(np.abs(np.array([int(v) for v in values])).max())
         rmax = int(np.abs(state.rays).max())
-        promote = vmax * rmax * 2 >= _INT64_LIMIT
+        promote = _products_overflow(vmax, rmax, 2)
     for k, (p_i, n_i, z) in enumerate(pairs):
         cp, cn = int(values[p_i]), int(values[n_i])
         if promote:
@@ -331,8 +301,8 @@ def _combine_adjacent(state, values, pos_v, neg_v, vec, row_id, r):
         new_rays.append(row)
         new_zero[k] = z | bit
     arr = np.array(new_rays, dtype=object) if promote else np.array(new_rays, dtype=np.int64)
-    arr = _reduce_rows_primitive(arr)
-    if arr.dtype != object and int(np.abs(arr).max()) > (1 << 40):
+    arr = _primitive_rows(arr)
+    if arr.dtype != object and int(np.abs(arr).max()) > _RAY_INT64_MAX:
         arr = arr.astype(object)
     return arr, new_zero
 

@@ -1,22 +1,53 @@
 """Exact integer linear algebra on dense arrays.
 
 All results are exact over the rationals.  Matrices are numpy arrays, either
-int64 (fast path, promoted to Python-int object arrays before any overflow
-can occur) or dtype=object holding arbitrary-precision Python integers.
-Everything here is a pure function on immutable inputs; callers may
+int64 (the fast path) or dtype=object holding arbitrary-precision Python
+integers.  Two elimination kernels do every exact step:
+
+- pivot_columns: fraction-free Gaussian elimination.  rank() counts its
+  pivots, and the double description in cone picks its initial simplex
+  from them.
+- integer_kernel_basis: unimodular reduction to a primitive integer basis of
+  the kernel.  It gives the constraint kernels of the projection, the span
+  of a lower-dimensional cone, and each ray of the DD's initial simplex.
+
+One bound keeps int64 arithmetic exact, here and in cone.  A sum of k
+products a * b with |a| <= A and |b| <= B is at most k * A * B in absolute
+value.  _products_overflow(A, B, k) is true once that reaches _INT64_LIMIT =
+2^62, which is below the int64 limit 2^63 - 1, and the caller then switches
+to Python ints.  An elimination or DD update x * u - y * v is the case
+k = 2; a dot product of length n is the case k = n.
+
+The public functions are pure and leave their inputs unchanged; callers may
 parallelize freely.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateVectorError
 
-# Entries above this trigger promotion from int64 to object arithmetic.
-_INT64_SAFE = 1 << 30
+_INT64_LIMIT = 1 << 62
+# DD rays with larger entries are kept as Python ints: their products with
+# the constraint rows would soon fail the bound anyway.
+_RAY_INT64_MAX = 1 << 40
+
+
+def _products_overflow(a_max, b_max, terms):
+    """True if a sum of terms products of entries up to a_max and b_max in
+    absolute value may reach the int64 bound."""
+    return terms * a_max * b_max >= _INT64_LIMIT
+
+
+def _as_ints(arr):
+    """Python-int copy of a nonempty object array; ValueError if an entry is
+    not an integer (int() would truncate it)."""
+    out = np.vectorize(int, otypes=[object])(arr)
+    if (out != arr).any():
+        raise ValueError("entries must be integers")
+    return out
 
 
 def as_int_matrix(data, columns=None):
@@ -28,14 +59,14 @@ def as_int_matrix(data, columns=None):
         return np.zeros((0, columns), dtype=object)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    return np.vectorize(int, otypes=[object])(arr)
+    return _as_ints(arr)
 
 
 def as_int_vector(data):
     arr = np.array(data, dtype=object)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    return np.vectorize(int, otypes=[object])(arr) if arr.size else arr
+    return _as_ints(arr) if arr.size else arr
 
 
 def vector_gcd(v):
@@ -70,8 +101,11 @@ def primitive_normalize(v, keep_orientation=False):
     return v
 
 
-def _row_reduce_gcd(rows):
-    """Divide each row of a 2-d array by its gcd, in place where possible."""
+def _primitive_rows(rows):
+    """Divide each row by the gcd of its entries, in place; zero rows stay zero.
+
+    rows is a 2-d int64 or object array; it is returned for chaining.
+    """
     if rows.dtype == object:
         for i in range(rows.shape[0]):
             g = vector_gcd(rows[i])
@@ -80,61 +114,59 @@ def _row_reduce_gcd(rows):
         return rows
     g = np.gcd.reduce(np.abs(rows), axis=1)
     g[g == 0] = 1
-    return rows // g[:, None]
+    rows //= g[:, None]
+    return rows
 
 
-def _eliminate(mat, stop_at=None):
-    """Fraction-free Gaussian elimination; returns the rank.
+def pivot_columns(mat, stop_at=None):
+    """Pivot column indices of an echelon form of mat, in increasing order.
 
-    Rows are rescaled by their gcd after every update, which keeps int64
-    intermediates small in practice; if entries still threaten to overflow
-    the whole matrix is promoted to exact object arithmetic.
+    Column j is a pivot iff it is not in the span of columns 0..j-1, so the
+    pivots are the greedy first independent columns and their count is the
+    rank.  With stop_at the scan ends once that many pivots are found (at
+    least one, if mat is nonzero), which gives a prefix of the full list.
+
+    Fraction-free Gaussian elimination: every row update is pivot * row -
+    entry * pivot_row, divided by the gcd of the result.  An int64 matrix
+    switches to Python ints at the first update that could reach the bound
+    and continues from where it is, since row operations keep the pivots.
     """
     m = np.array(mat)
     if m.size == 0:
-        return 0
+        return []
     if m.dtype != object:
-        m = m.astype(np.int64, copy=False).copy()
-    else:
-        m = m.copy()
+        m = m.astype(np.int64, copy=False)
     rows, cols = m.shape
-    rank = 0
-    col = 0
-    while col < cols and rank < rows:
-        block = m[rank:, col]
-        nz = np.nonzero(block)[0] if m.dtype != object else np.nonzero(block != 0)[0]
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = r + np.nonzero(m[r:, col] != 0)[0]
         if nz.size == 0:
-            col += 1
             continue
-        # smallest pivot keeps coefficient growth down
-        pick = nz[np.argmin([abs(int(block[i])) for i in nz])]
-        if pick != 0:
-            m[[rank, rank + pick]] = m[[rank + pick, rank]]
-        pivot = int(m[rank, col])
-        sub = m[rank + 1:]
-        if sub.shape[0]:
-            tgt = np.nonzero(sub[:, col])[0] if m.dtype != object else np.nonzero(sub[:, col] != 0)[0]
-            if tgt.size:
-                if m.dtype != object:
-                    hi = max(abs(pivot), int(np.abs(sub[tgt]).max()), int(np.abs(m[rank]).max()))
-                    if hi > _INT64_SAFE:
-                        # row ops preserve rank, so resume exactly on the current state
-                        return _eliminate(np.vectorize(int, otypes=[object])(m), stop_at=stop_at)
-                upd = sub[tgt] * pivot - np.outer(sub[tgt, col], m[rank])
-                sub[tgt] = _row_reduce_gcd(upd)
-        rank += 1
-        if stop_at is not None and rank >= stop_at:
-            return rank
-        col += 1
-    return rank
+        # the smallest pivot keeps coefficient growth down
+        pick = nz[np.argmin(np.abs(m[nz, col]))]
+        if pick != r:
+            m[[r, pick]] = m[[pick, r]]
+        pivots.append(col)
+        if stop_at is not None and len(pivots) >= stop_at:
+            break
+        tgt = r + 1 + np.nonzero(m[r + 1:, col] != 0)[0]
+        if not tgt.size:
+            continue
+        if m.dtype != object:
+            hi = int(max(np.abs(m[tgt]).max(), np.abs(m[r]).max()))
+            if _products_overflow(hi, hi, 2):
+                m = m.astype(object)
+        upd = m[tgt] * m[r, col] - np.outer(m[tgt, col], m[r])
+        m[tgt] = _primitive_rows(upd)
+    return pivots
 
 
 def rank(mat, stop_at=None):
-    """Exact rank over the rationals via fraction-free elimination."""
-    arr = np.asarray(mat)
-    if arr.size == 0:
-        return 0
-    return _eliminate(arr, stop_at=stop_at)
+    """Exact rank over the rationals: the number of pivot columns."""
+    return len(pivot_columns(mat, stop_at=stop_at))
 
 
 def _xgcd(a, b):
@@ -192,44 +224,3 @@ def integer_kernel_basis(mat, columns=None):
         gk = vector_gcd(t[:, k])
         assert gk == 1, "unimodular reduction must produce primitive columns"
     return t
-
-
-def integer_inverse_scaled(mat):
-    """Return (X, det) with mat @ X = det * I, all entries exact integers.
-
-    mat must be square and nonsingular.  Works over Fractions internally;
-    the scaled inverse is the adjugate, which is integral.
-    """
-    a = as_int_matrix(mat)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    work = [[Fraction(int(a[i, j])) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        p = work[col][col]
-        det *= p
-        work[col] = [x / p for x in work[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    assert det.denominator == 1
-    det_int = int(det)
-    x = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            v = inv[i][j] * det_int
-            assert v.denominator == 1
-            x[i, j] = int(v)
-    return x, det_int

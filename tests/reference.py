@@ -2,6 +2,7 @@
 
 Facet enumeration here goes through ray subsets and sympy nullspaces, a
 completely different route from the double description code under test.
+Ranks, pivots and the rays of a simplex come from sympy's own elimination.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
 whole coefficient tensor at once.
@@ -55,6 +56,22 @@ def reference_facets(rays):
 
 def sympy_rank(mat):
     return sympy.Matrix(np.array(mat, dtype=object).tolist()).rank()
+
+
+def sympy_pivots(mat):
+    """Pivot column indices of the reduced row echelon form, from sympy."""
+    return list(sympy.Matrix(np.array(mat, dtype=object).tolist()).rref()[1])
+
+
+def sympy_simplex_rays(a):
+    """Extreme rays of {y : a y <= 0} for a square nonsingular a.
+
+    Ray i is the primitive row i of -sign(det a) adj(a)^T: it is orthogonal
+    to every row of a but row i, and a_i . y < 0.
+    """
+    m = sympy.Matrix(np.array(a, dtype=object).tolist())
+    scaled = -sympy.sign(m.det()) * m.adjugate().T
+    return [_primitive(scaled.row(i)) for i in range(m.rows)]
 
 
 def sympy_nullity(mat, cols):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conebell import catalog
-from conebell.cone import (Cone, constrained_facets, enumerate_facets_dd,
-                           is_facet, lift_back, lift_polytope, project_rays)
+from conebell.cone import (DD_CAP_DEFAULT, Cone, _dd_extreme_rays, constrained_facets,
+                           enumerate_facets_dd, is_facet, lift_back, lift_polytope,
+                           project_rays)
 from conebell.errors import CapExceededError
-from conebell.exactlinalg import integer_kernel_basis, vector_gcd
+from conebell.exactlinalg import integer_kernel_basis, rank, vector_gcd
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, Vertex, enumerate_vertices
 
-from .reference import random_full_dim_vertices, reference_facets
+from .reference import (random_full_dim_vertices, reference_facets, sympy_rank,
+                        sympy_simplex_rays)
 
 
 def _vertex(coords):
@@ -99,6 +101,7 @@ def test_chsh_polytope_facet_count():
 
 def test_dd_matches_reference_on_random_cones():
     rng = np.random.default_rng(23)
+    inputs = []
     for trial in range(30):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(dim + 1, 9))
@@ -106,9 +109,39 @@ def test_dd_matches_reference_on_random_cones():
         rays = rays[[bool(r.any()) for r in rays]]
         if len(rays) == 0 or np.linalg.matrix_rank(rays) < dim:
             continue
-        cone = Cone(dim, rays.astype(np.int64))
+        inputs.append(rays.astype(np.int64))
+    # large enough that the DD starts on int64 and promotes partway through
+    inputs.append(random_full_dim_vertices(rng, 4, 9, spread=200))
+    for rays in inputs:
+        cone = Cone(rays.shape[1], rays)
         got = {f.vector for f in enumerate_facets_dd(cone)}
         assert got == reference_facets(cone.rays)
+
+
+def test_dd_stays_on_int64_for_small_entries():
+    cone = lift_polytope(enumerate_vertices(Scenario((2, 2))))
+    rays, _ = _dd_extreme_rays(cone.rays, DD_CAP_DEFAULT)
+    assert rays.dtype == np.int64 and rays.shape[0] == 24
+
+
+def test_dd_of_square_system_is_the_simplex():
+    # with as many constraints as dimensions the DD inserts nothing after
+    # its initial simplex; entries up to 10^6 give simplex rays above 2^40,
+    # which stay Python ints
+    rng = np.random.default_rng(5)
+    cases = [rng.integers(-5, 6, size=(n, n)) for n in range(1, 7) for _ in range(4)]
+    cases.append(rng.integers(-10 ** 6, 10 ** 6, size=(5, 5)).astype(object))
+    for a in cases:
+        n = a.shape[0]
+        if sympy_rank(a) < n:
+            continue
+        rays, zero = _dd_extreme_rays(a, DD_CAP_DEFAULT)
+        got = {}
+        for ray, z in zip(rays, zero):
+            # the one constraint the ray does not saturate
+            (row,) = [i for i in range(n) if not int(z[0]) >> i & 1]
+            got[row] = tuple(int(x) for x in ray)
+        assert got == dict(enumerate(sympy_simplex_rays(a)))
 
 
 def test_dd_order_independence():
@@ -131,7 +164,6 @@ def test_dd_saturating_sets_are_exact():
         assert tuple(i for i, v in enumerate(vals) if v == 0) == f.saturating
         assert all(v <= 0 for v in vals)
         sub = cone.rays[list(f.saturating)]
-        from conebell.exactlinalg import rank
         assert rank(sub) == cone.rank - 1
 
 
@@ -145,8 +177,7 @@ def test_dd_handles_lineality_by_span_restriction():
     assert len(facets) == 1
     vec = np.array(facets[0].vector, dtype=object)
     assert (rays.astype(object) @ vec <= 0).all()
-    from conebell.exactlinalg import rank as xrank
-    assert xrank(cone.rays[list(facets[0].saturating)]) == 1
+    assert rank(cone.rays[list(facets[0].saturating)]) == 1
 
 
 def test_dd_full_space_cone_has_no_facets():
@@ -194,6 +225,15 @@ def test_is_facet_rejects_improper_face():
 def test_is_facet_mermin_on_three_party_cone():
     cone = lift_polytope(enumerate_vertices(Scenario((2, 2, 2))))
     assert is_facet(catalog.mermin().cone_normal(), cone).facet
+
+
+def test_non_integral_candidates_are_rejected():
+    # int() would truncate these to integral vectors and judge those instead
+    cone = lift_polytope(enumerate_vertices(Scenario((2, 2))))
+    with pytest.raises(ValueError):
+        is_facet([1.9] + [0] * (cone.dim - 1), cone)
+    with pytest.raises(ValueError):
+        lift_back([0.5, 1.5], integer_kernel_basis(np.array([[1, 1, 0]], dtype=object)))
 
 
 def test_lift_back_identity_and_kernel_property():

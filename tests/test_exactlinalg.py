@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conebell.errors import DegenerateVectorError
-from conebell.exactlinalg import (integer_inverse_scaled, integer_kernel_basis,
-                                  primitive_normalize, rank, vector_gcd)
+from conebell.exactlinalg import (as_int_matrix, as_int_vector, integer_kernel_basis,
+                                  pivot_columns, primitive_normalize, rank, vector_gcd)
 from conebell.scenario import Scenario, vertex_matrix
 
-from .reference import sympy_nullity, sympy_rank
+from .reference import sympy_nullity, sympy_pivots, sympy_rank
 
 
 def test_rank_trivial_cases():
@@ -88,13 +88,42 @@ def test_primitive_normalize():
         primitive_normalize([0, 0, 0])
 
 
-def test_integer_inverse_scaled():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(1, 6))
-        mat = rng.integers(-5, 6, size=(n, n))
-        if sympy_rank(mat) < n:
-            continue
-        x, det = integer_inverse_scaled(mat)
-        assert det != 0
-        assert (mat.astype(object) @ x == det * np.eye(n, dtype=object)).all()
+def test_as_int_rejects_non_integral_entries():
+    assert as_int_vector([2.0, -3]).tolist() == [2, -3]
+    assert as_int_matrix(np.array([[1.0, 2.0]])).tolist() == [[1, 2]]
+    with pytest.raises(ValueError):
+        as_int_vector([1.9, 0])
+    with pytest.raises(ValueError):
+        as_int_matrix([[1, 0.5]])
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """int64 or object matrices, a product through a random inner dimension
+    so that rank deficiency is common."""
+    rows, cols, inner = (draw(st.integers(1, 6)) for _ in range(3))
+    spread = draw(st.sampled_from([3, 2 ** 29, 2 ** 31]))
+    left = np.array([[draw(st.integers(-spread, spread)) for _ in range(inner)]
+                     for _ in range(rows)], dtype=object)
+    right = np.array([[draw(st.integers(-2, 2)) for _ in range(cols)]
+                      for _ in range(inner)], dtype=object)
+    mat = left @ right
+    return mat if draw(st.booleans()) else mat.astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices(), st.integers(1, 6))
+# int64 elimination must go over to Python ints: at the first step here
+# (the determinant is 2^64) ...
+@example(np.array([[1 << 32, 0], [1 << 32, 1 << 32]], dtype=np.int64), 2)
+# ... and partway through here, where the first step fits int64 and the
+# rank is 3
+@example(np.array([[68472176, 360061286, 551405440, 44546570],
+                   [368109036, 1028139378, 647539946, 837047376],
+                   [-685082597, -1153683341, 218154674, -509256245],
+                   [367683041, 363154368, -570511307, -158581995]], dtype=np.int64), 4)
+def test_pivot_columns_match_sympy(mat, stop):
+    expected = sympy_pivots(mat)
+    assert pivot_columns(mat) == expected
+    assert rank(mat) == len(expected)
+    assert pivot_columns(mat, stop_at=stop) == expected[:stop]
