@@ -7,16 +7,14 @@ equivalence classes, bound quantum violations with an alternating ascent,
 and export moment-matrix relaxations for external SDP solvers.
 """
 
-from .scenario import (Scenario, Vertex, behavior_dimension, enumerate_vertices,
-                       vertex_count)
+from .scenario import Scenario, behavior_dimension, enumerate_vertices, vertex_count
 from .inequality import (Inequality, algebraic_bound, from_cone_normal,
                          from_terms, parse_inequality, write_inequality)
 from .cone import (Cone, FacetCertificate, FacetNormal, constrained_facets,
                    enumerate_facets_dd, is_facet, lift_back, lift_polytope,
                    project_rays)
 from .constraints import (Relabeling, XiAssignment, build_extended_behaviors,
-                          parse_relabeling, relabeling_matrix, saturation_rows,
-                          symmetry_rows)
+                          parse_relabeling, relabeling_matrix, symmetry_rows)
 from .search import (EquivalenceClass, GroupSpec, ReductionSpec, canonical_form,
                      classify, generalize, generalize_multi, verify_reduction)
 from .quantum import (BoundsRecord, Metrics, SeesawConfig, SeesawResult,

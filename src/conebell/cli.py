@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .cone import enumerate_facets_dd, lift_polytope
+from .cone import DD_CAP_DEFAULT, enumerate_facets_dd, lift_polytope
 from .constraints import parse_relabeling
 from .errors import CapExceededError, InvariantViolationError, ParseError
 from .inequality import (algebraic_bound, from_cone_normal, parse_inequality,
@@ -21,16 +21,16 @@ from .inequality import (algebraic_bound, from_cone_normal, parse_inequality,
 from .quantum import (BoundsRecord, SeesawConfig, metrics, seesaw,
                       write_seesaw_result)
 from .npa import export_sdpa
-from .scenario import _PARTY_LETTERS, Scenario, enumerate_vertices
-from .search import (ReductionSpec, canonical_form, classify, generalize_multi,
-                     parse_class_list, write_class_list)
+from .scenario import VERTEX_CAP_DEFAULT, _PARTY_LETTERS, Scenario, enumerate_vertices
+from .search import (ORBIT_CAP_DEFAULT, ReductionSpec, canonical_form, classify,
+                     generalize_multi, parse_class_list, write_class_list)
 
 DEFAULTS = {
     "workers": 1,
-    "seed": 4,
-    "dd_cap": 5_000_000,
-    "orbit_cap": 10_000_000,
-    "vertex_cap": 1 << 24,
+    "seed": SeesawConfig.seed,
+    "dd_cap": DD_CAP_DEFAULT,
+    "orbit_cap": ORBIT_CAP_DEFAULT,
+    "vertex_cap": VERTEX_CAP_DEFAULT,
 }
 
 
@@ -316,12 +316,12 @@ def build_parser():
 
     p = sub.add_parser("seesaw", help="lower-bound the quantum violation")
     p.add_argument("--ineq", required=True)
-    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--survivors", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--dim", type=int, default=SeesawConfig.local_dim, choices=(2, 3))
+    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
+    p.add_argument("--warmup", type=int, default=SeesawConfig.warmup_iterations)
+    p.add_argument("--survivors", type=int, default=SeesawConfig.survivors)
+    p.add_argument("--tolerance", type=float, default=SeesawConfig.tolerance)
+    p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
     p.add_argument("--out")
 
     p = sub.add_parser("metrics", help="comparison ratios from imported bounds")

@@ -6,10 +6,15 @@ polar cone: the facet normals of cone(W) are exactly the extreme rays of
 {y : W y <= 0}.  Inequalities are oriented so every ray has nonpositive
 inner product with a facet normal.
 
+A cone keeps its rays as the rows of one matrix, deduplicated and primitive:
+int64 when the input is int64 (lift_polytope of an enumerate_vertices
+matrix), Python-int objects otherwise (projected cones).  Non-integral input
+raises ValueError.
+
 constrained_facets is the constrained search that generalize runs on every
-branch: project the rays onto the kernel of the constraint rows, run the
-enumeration on the small projected cone, lift each candidate back and
-certify it with is_facet on the full cone.
+branch: project the rays onto the kernel of the constraint rows (an integer
+matrix, one constraint per row), run the enumeration on the small projected
+cone, lift each candidate back and certify it with is_facet on the full cone.
 
 All arithmetic is exact, and the exact steps go through the two kernels of
 exactlinalg.  The DD's initial simplex comes from pivot_columns (which rows)
@@ -42,25 +47,21 @@ class Cone:
             raise ValueError("a cone needs at least one ray")
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"rays must be rows of length {self.dim}")
+        # signed integers become int64; anything else becomes exact Python
+        # ints, and a non-integral entry raises ValueError
+        arr = arr.astype(np.int64, copy=False) if arr.dtype.kind == "i" else as_int_matrix(arr)
         if not (arr != 0).any(axis=1).all():
             raise DegenerateVectorError("zero ray")
         arr = _primitive_rows(arr)
-        seen = {}
-        keep = []
-        for i in range(arr.shape[0]):
-            key = tuple(int(x) for x in arr[i])
-            if key not in seen:
-                seen[key] = len(keep)
-                keep.append(i)
-        self.rays = arr[keep]
+        first = {}
+        for i, key in enumerate(map(tuple, arr.tolist())):
+            first.setdefault(key, i)
+        self.rays = arr[list(first.values())]
         self._rank = None
 
     @property
     def ray_count(self):
         return self.rays.shape[0]
-
-    def ray(self, i):
-        return tuple(int(x) for x in self.rays[i])
 
     @property
     def rank(self):
@@ -93,16 +94,19 @@ class FacetCertificate:
 
 
 def lift_polytope(vertices):
-    """Cone over lifted polytope vertices (leading coordinate 1)."""
-    if not vertices:
+    """Cone over lifted polytope vertices (leading coordinate 1).
+
+    vertices is a matrix such as enumerate_vertices returns, or a sequence
+    of its rows.
+    """
+    arr = np.array(vertices)
+    if arr.size == 0:
         raise ValueError("empty vertex list")
-    coords = [v.coords for v in vertices]
-    dim = len(coords[0])
-    if any(len(c) != dim for c in coords):
-        raise ValueError("vertices of mixed dimension")
-    if any(c[0] != 1 for c in coords):
+    if arr.ndim != 2:
+        raise ValueError("vertices must be rows of equal length")
+    if (arr[:, 0] != 1).any():
         raise ValueError("vertices must be lifted with leading coordinate 1")
-    return Cone(dim, np.array(coords, dtype=np.int64))
+    return Cone(arr.shape[1], arr)
 
 
 def project_rays(cone, basis):
@@ -158,8 +162,8 @@ def is_facet(candidate, cone):
     if vector_gcd(vec) == 0:
         raise DegenerateVectorError("zero candidate")
     values = _exact_products(cone.rays, vec)
-    sat = tuple(int(i) for i in np.nonzero(np.array([v == 0 for v in values]))[0])
-    if any(v > 0 for v in values):
+    sat = tuple(np.nonzero(values == 0)[0].tolist())
+    if (values > 0).any():
         return FacetCertificate(valid=False, facet=False, saturating=sat,
                                 saturating_rank=0, cone_rank=cone.rank)
     target = cone.rank - 1
@@ -228,9 +232,9 @@ def _dd_extreme_rays(a, cap):
             break
         vec = a[row_id]
         values = _exact_products(state.rays, vec)
-        neg_v = np.array([v < 0 for v in values])
-        pos_v = np.array([v > 0 for v in values])
-        zer_v = ~neg_v & ~pos_v
+        neg_v = values < 0
+        pos_v = values > 0
+        zer_v = values == 0
         if not pos_v.any():
             state.zero[zer_v] |= state.bit(row_id)
             continue

@@ -1,8 +1,11 @@
-"""Affine constraint systems for targeted facet searches.
+"""Constraint rows for targeted facet searches.
 
 Two row sources: saturation by extended behaviors and invariance under
-relabeling symmetries.  Rows live in the lifted coordinate space, so a
-normal b satisfies a constraint iff row . b = 0.
+relabeling symmetries.  Both are int64 matrices over the lifted coordinate
+space, one constraint per row, so a normal b satisfies a constraint iff
+row . b = 0.  The extended behaviors are themselves vertices of the target
+scenario, selected as rows of enumerate_vertices(target); a search stacks
+them with the symmetry rows into one matrix.
 """
 from __future__ import annotations
 
@@ -12,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .exactlinalg import as_int_matrix
-from .scenario import _PARTY_LETTERS, Vertex, assignment_coords, enumerate_vertices
+from .scenario import _PARTY_LETTERS, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -115,36 +117,14 @@ def parse_xi_label(text):
     return XiAssignment(tuple(values))
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Integer constraint rows over the lifted space."""
-
-    rows: tuple[tuple[int, ...], ...]
-    columns: int
-
-    def matrix(self):
-        return as_int_matrix(list(self.rows), columns=self.columns)
-
-    def __add__(self, other):
-        if self.columns != other.columns:
-            raise ValueError("cannot combine constraint systems of different dimension")
-        return ConstraintSystem(self.rows + other.rows, self.columns)
-
-
-def saturating_assignments(lower):
-    """Assignments of the deterministic vertices that saturate the bound."""
-    mask = lower.saturating_vertex_mask()
-    verts = enumerate_vertices(lower.scenario)
-    return [verts[i].assignment for i in np.nonzero(mask)[0]]
-
-
 def build_extended_behaviors(lower, xi, target, embed=None):
     """Extended behaviors: lower-scenario saturating vertices plus fixed outcomes.
 
     The lower inequality occupies the target parties listed in ``embed``
     (defaults to the leading parties); xi supplies one outcome tuple for each
-    remaining party, in party order.  One vertex is produced per saturating
-    vertex of the lower inequality.
+    remaining party, in party order.  Returns one row of
+    enumerate_vertices(target) per saturating vertex of the lower
+    inequality, in lower-vertex order; each row is a tightness constraint.
     """
     n = target.parties
     if embed is None:
@@ -157,42 +137,32 @@ def build_extended_behaviors(lower, xi, target, embed=None):
     for v, party in zip(xi.values, extras):
         if len(v) != target.settings[party]:
             raise ValueError(f"xi for party {party} has {len(v)} settings, need {target.settings[party]}")
-    saturators = saturating_assignments(lower)
-    if not saturators:
+    saturators = np.nonzero(lower.saturating_vertex_mask())[0]
+    if not len(saturators):
         raise ValueError("the inequality has no saturating vertices, so it cannot define a facet")
-    out = []
-    for gamma in saturators:
-        assignment = [None] * n
-        for pos, party in enumerate(embed):
-            assignment[party] = tuple(gamma[pos])
-        for pos, party in enumerate(extras):
-            assignment[party] = tuple(xi.values[pos])
-        assignment = tuple(assignment)
-        coords = assignment_coords(target, assignment)
-        out.append(Vertex(assignment=assignment, coords=tuple(int(x) for x in coords)))
-    return out
-
-
-def saturation_rows(extended):
-    """One row per extended behavior; row . b = 0 forces tightness on it."""
-    if not extended:
-        return ConstraintSystem((), 0)
-    return ConstraintSystem(tuple(v.coords for v in extended), len(extended[0].coords))
+    # a vertex row is the mixed-radix number of its per-party assignment
+    # indices (see enumerate_vertices)
+    digits = [None] * n
+    lower_digits = np.unravel_index(saturators, [1 << m for m in lower.scenario.settings])
+    for party, idx in zip(embed, lower_digits):
+        digits[party] = idx
+    for party, v in zip(extras, xi.values):
+        digits[party] = np.ravel_multi_index(tuple(int(x > 0) for x in v), (2,) * len(v))
+    rows = np.ravel_multi_index(digits, [1 << m for m in target.settings])
+    return enumerate_vertices(target)[rows]
 
 
 def symmetry_rows(generators, scenario):
-    """Rows of (I - P) per generator; the kernel is the invariant subspace."""
+    """Rows of (I - P) per generator, zero rows dropped, as a (k, D+1) int64
+    matrix; its kernel is the invariant subspace."""
     d1 = scenario.dimension + 1
-    rows = []
+    blocks = [np.zeros((0, d1), dtype=np.int64)]
     for gen in generators:
         image, sign = permutation_data(gen, scenario)
-        for src in range(d1):
-            row = [0] * d1
-            row[src] += 1
-            row[image[src]] -= int(sign[src])
-            if any(row):
-                rows.append(tuple(row))
-    return ConstraintSystem(tuple(rows), d1)
+        rows = np.eye(d1, dtype=np.int64)
+        rows[np.arange(d1), image] -= sign
+        blocks.append(rows[rows.any(axis=1)])
+    return np.vstack(blocks)
 
 
 # ---------------------------------------------------------------------------

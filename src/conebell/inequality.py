@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError
 from .exactlinalg import as_int_vector, primitive_normalize, vector_gcd
-from .scenario import _PARTY_LETTERS, Scenario, parse_scenario_header, vertex_matrix
+from .scenario import _PARTY_LETTERS, Scenario, enumerate_vertices, parse_scenario_header
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,14 @@ class Inequality:
 
     def values_on_vertices(self):
         """Bell-expression value at every vertex, in vertex order."""
-        verts = vertex_matrix(self.scenario).astype(object)
+        verts = enumerate_vertices(self.scenario).astype(object)
         return verts @ self.bell_vector()
 
     def max_vertex_value(self):
         return int(max(self.values_on_vertices()))
 
-    def is_valid(self):
-        """True iff the bound dominates the Bell expression on all vertices."""
-        return self.max_vertex_value() <= self.bound
-
-    def is_tight(self):
-        return self.max_vertex_value() == self.bound
-
     def saturating_vertex_mask(self):
-        return np.array([v == self.bound for v in self.values_on_vertices()])
+        return self.values_on_vertices() == self.bound
 
     def nonzero_terms(self):
         return [(self.scenario.tuple_of(i), c)

@@ -7,9 +7,11 @@ measurement that always yields +1, so the all-zero tuple is the constant
 term.  Tuples are laid out in lexicographic order with the first party most
 significant; index 0 is the constant coordinate.
 
-Vertices are the local deterministic behaviors, stored in lifted form with
-the leading coordinate 1.  All types are immutable after construction and
-safe to share across threads.
+Vertices are the local deterministic behaviors.  enumerate_vertices returns
+them as the rows of one int64 matrix, in lifted form with the leading
+coordinate 1; every later stage (cones, extended behaviors, constraint rows)
+selects or stacks rows of such matrices.  Scenario is immutable after
+construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -85,19 +87,6 @@ def parse_scenario_header(line, lineno=None):
     return Scenario(settings)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """One local deterministic behavior, in lifted correlator coordinates.
-
-    assignment[i][s-1] is party i's fixed outcome for setting s; the
-    coordinate at tuple (s_1, ..., s_n) is the product of the chosen
-    outcomes, with setting 0 contributing +1.
-    """
-
-    assignment: tuple[tuple[int, ...], ...]
-    coords: tuple[int, ...]
-
-
 def behavior_dimension(scenario):
     """Number of independent correlators: prod(m_i + 1) - 1."""
     d = 1
@@ -117,11 +106,14 @@ def _party_block(m):
     return np.hstack([np.ones((rows.shape[0], 1), dtype=np.int64), rows])
 
 
-def vertex_matrix(scenario, cap=VERTEX_CAP_DEFAULT):
+def enumerate_vertices(scenario, cap=VERTEX_CAP_DEFAULT):
     """All lifted vertices as the rows of an int64 matrix.
 
     Row order is lexicographic over the concatenated assignments with -1
-    before +1; column order matches Scenario.index_tuples().
+    before +1; column order matches Scenario.index_tuples().  A party's
+    assignment index reads its outcomes as binary digits (+1 as 1, setting 1
+    most significant), and a vertex's row is the mixed-radix number of these
+    indices with radix 2^m_i per party, the first party most significant.
     """
     n = vertex_count(scenario)
     if n > cap:
@@ -131,22 +123,3 @@ def vertex_matrix(scenario, cap=VERTEX_CAP_DEFAULT):
     for m in scenario.settings:
         mat = np.kron(mat, _party_block(m))
     return mat
-
-
-def assignment_coords(scenario, assignment):
-    """Lifted coordinate vector of a single deterministic assignment."""
-    vec = np.ones(1, dtype=np.int64)
-    for part in assignment:
-        block = np.concatenate([np.ones(1, dtype=np.int64), np.asarray(part, dtype=np.int64)])
-        vec = np.kron(vec, block)
-    return vec
-
-
-def enumerate_vertices(scenario, cap=VERTEX_CAP_DEFAULT):
-    """All deterministic vertices, in the fixed lexicographic order."""
-    coords = vertex_matrix(scenario, cap=cap)
-    per_party = [list(itertools.product((-1, 1), repeat=m)) for m in scenario.settings]
-    out = []
-    for i, combo in enumerate(itertools.product(*per_party)):
-        out.append(Vertex(assignment=tuple(combo), coords=tuple(int(x) for x in coords[i])))
-    return out

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import constrained_facets, is_facet, lift_polytope
+from .cone import DD_CAP_DEFAULT, constrained_facets, is_facet, lift_polytope
 from .constraints import (Relabeling, XiAssignment, apply_relabeling,
-                          build_extended_behaviors, parse_xi_label,
-                          saturation_rows, symmetry_rows)
+                          build_extended_behaviors, parse_xi_label, symmetry_rows)
 from .errors import CapExceededError, ParseError
 from .inequality import (Inequality, from_cone_normal, parse_inequality,
                          term_count, write_inequality)
@@ -307,12 +306,11 @@ def _xi_space(target, reductions):
 
 def _branch(target, cone, reductions, sym, xi_combo, dd_cap):
     """One deterministic-outcome branch: constraint rows -> surviving facets."""
-    rows = sym
-    for spec, xi in zip(reductions, xi_combo):
-        rows = saturation_rows(build_extended_behaviors(
-            spec.lower, xi, target, embed=spec.embed)) + rows
+    # the last reduction's extended behaviors first, the symmetry rows last
+    rows = np.vstack([build_extended_behaviors(spec.lower, xi, target, embed=spec.embed)
+                      for spec, xi in zip(reductions[::-1], xi_combo[::-1])] + [sym])
     survivors = []
-    for lifted in constrained_facets(cone, rows.matrix(), cap=dd_cap):
+    for lifted in constrained_facets(cone, rows, cap=dd_cap):
         ineq = from_cone_normal(target, lifted)
         if all(verify_reduction(ineq, xi, spec.lower, embed=spec.embed)
                for spec, xi in zip(reductions, xi_combo)):
@@ -320,7 +318,7 @@ def _branch(target, cone, reductions, sym, xi_combo, dd_cap):
     return survivors
 
 
-def generalize_multi(target, reductions, symmetry, dd_cap=5_000_000,
+def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
                      orbit_cap=ORBIT_CAP_DEFAULT, workers=1, progress=None):
     """Facets of the target polytope reducing to every lower inequality.
 

@@ -3,6 +3,8 @@
 Facet enumeration here goes through ray subsets and sympy nullspaces, a
 completely different route from the double description code under test.
 Ranks, pivots and the rays of a simplex come from sympy's own elimination.
+Extended behaviors are built assignment by assignment, with one product of
+outcomes per coordinate, where conebell selects rows of its vertex matrix.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
 whole coefficient tensor at once.
@@ -110,6 +112,38 @@ def brute_force_canonical(ineq, group=None):
     prim = ineq.primitive()
     return min(apply_relabeling(g, prim.scenario, prim.coefficients)
                for g in full_relabeling_group(prim.scenario, group))
+
+
+def reference_extended_behaviors(lower, xi, target, embed=None):
+    """Extended behaviors as lists of ints, by brute force.
+
+    Enumerates the lower scenario's assignments in lex order (-1 before +1),
+    keeps those whose Bell value reaches the bound, places them on the
+    embedded parties and xi on the others, and multiplies the outcomes per
+    target coordinate.
+    """
+    lower_sc = lower.scenario
+    if embed is None:
+        embed = tuple(range(lower_sc.parties))
+    extras = [p for p in range(target.parties) if p not in embed]
+
+    def coords(scenario, assignment):
+        return [math.prod(assignment[p][s - 1] for p, s in enumerate(t) if s)
+                for t in scenario.index_tuples()]
+
+    out = []
+    for gamma in itertools.product(*[itertools.product((-1, 1), repeat=m)
+                                     for m in lower_sc.settings]):
+        value = sum(c * x for c, x in zip(lower.coefficients[1:], coords(lower_sc, gamma)[1:]))
+        if value != lower.bound:
+            continue
+        assignment = [None] * target.parties
+        for pos, party in enumerate(embed):
+            assignment[party] = gamma[pos]
+        for party, v in zip(extras, xi.values):
+            assignment[party] = v
+        out.append(coords(target, assignment))
+    return out
 
 
 def random_full_dim_vertices(rng, dim, count, spread=2):

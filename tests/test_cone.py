@@ -8,20 +8,16 @@ from conebell.cone import (DD_CAP_DEFAULT, Cone, _dd_extreme_rays, constrained_f
 from conebell.errors import CapExceededError
 from conebell.exactlinalg import integer_kernel_basis, rank, vector_gcd
 from conebell.inequality import from_terms
-from conebell.scenario import Scenario, Vertex, enumerate_vertices
+from conebell.scenario import Scenario, enumerate_vertices
 
 from .reference import (random_full_dim_vertices, reference_facets, sympy_rank,
                         sympy_simplex_rays)
 
 
-def _vertex(coords):
-    return Vertex(assignment=(), coords=tuple(coords))
-
-
 def _projection_sources(cone, basis, projected):
     """Source ray indices landing on each projected ray, recomputed from
     cone.rays @ basis, and the indices of the rays whose image is zero."""
-    index = {projected.ray(j): j for j in range(projected.ray_count)}
+    index = {tuple(ray): j for j, ray in enumerate(projected.rays.tolist())}
     sources = [[] for _ in range(projected.ray_count)]
     dropped = []
     for i, image in enumerate(cone.rays.astype(object) @ basis):
@@ -35,22 +31,24 @@ def _projection_sources(cone, basis, projected):
 
 
 def test_lift_unit_segment():
-    cone = lift_polytope([_vertex((1, -1)), _vertex((1, 1))])
+    cone = lift_polytope([(1, -1), (1, 1)])
     assert cone.dim == 2
-    assert {cone.ray(i) for i in range(cone.ray_count)} == {(1, -1), (1, 1)}
+    assert cone.rays.dtype == np.int64 and cone.rays.tolist() == [[1, -1], [1, 1]]
 
 
 def test_lift_chsh_scenario():
     cone = lift_polytope(enumerate_vertices(Scenario((2, 2))))
     assert cone.dim == 9 and cone.ray_count == 16
-    assert all(cone.ray(i)[0] == 1 for i in range(cone.ray_count))
+    assert (cone.rays[:, 0] == 1).all()
 
 
 def test_lift_rejects_bad_input():
     with pytest.raises(ValueError):
         lift_polytope([])
     with pytest.raises(ValueError):
-        lift_polytope([_vertex((2, 1))])
+        lift_polytope([(2, 1)])
+    with pytest.raises(ValueError):
+        lift_polytope([(1, 1), (1, 1, 1)])
 
 
 def test_project_identity_keeps_rays():
@@ -64,7 +62,7 @@ def test_project_single_column_collapses_to_apex():
     basis = np.zeros((9, 1), dtype=object)
     basis[0, 0] = 1
     proj = project_rays(cone, basis)
-    assert proj.ray_count == 1 and proj.ray(0) == (1,)
+    assert proj.rays.tolist() == [[1]]
     sources, dropped = _projection_sources(cone, basis, proj)
     assert sources == [list(range(16))] and dropped == []
 
@@ -80,7 +78,7 @@ def test_project_merges_redundant_rays():
     assert proj.ray_count == 3
     sources, dropped = _projection_sources(cone, basis, proj)
     assert sources == [[0, 1], [2, 3], [4, 5]] and dropped == []
-    assert [proj.ray(j) for j in range(3)] == [(1, 0), (0, 1), (1, 1)]
+    assert proj.rays.tolist() == [[1, 0], [0, 1], [1, 1]]
 
 
 def test_orthant_facets():
@@ -227,6 +225,25 @@ def test_is_facet_mermin_on_three_party_cone():
     assert is_facet(catalog.mermin().cone_normal(), cone).facet
 
 
+def test_non_integral_rays_are_rejected():
+    # int64 conversion would truncate (1, 0.5) to (1, 0); a float gcd would
+    # fail inside numpy
+    with pytest.raises(ValueError):
+        lift_polytope([(1, 0.5), (1, -1)])
+    with pytest.raises(ValueError):
+        Cone(2, [[1.5, 1.0], [1, -1]])
+    cone = Cone(2, [[2.0, 4.0], [1, -1]])
+    assert cone.rays.tolist() == [[1, 2], [1, -1]]
+
+
+def test_cone_dedup_keeps_first_seen_order():
+    for dtype in (np.int64, object):
+        rays = np.array([[2, 0], [0, 1], [1, 0], [0, 3], [-1, 1]], dtype=dtype)
+        cone = Cone(2, rays)
+        assert cone.rays.dtype == dtype
+        assert cone.rays.tolist() == [[1, 0], [0, 1], [-1, 1]]
+
+
 def test_non_integral_candidates_are_rejected():
     # int() would truncate these to integral vectors and judge those instead
     cone = lift_polytope(enumerate_vertices(Scenario((2, 2))))
@@ -254,15 +271,15 @@ def test_projection_preserves_saturating_sets():
     saturates every source ray mapped onto i (zero-image rays always do)."""
     from conebell import catalog
     from conebell.constraints import (XiAssignment, build_extended_behaviors,
-                                      party_swap, saturation_rows, symmetry_rows)
+                                      party_swap, symmetry_rows)
 
     target = Scenario((2, 2, 2))
     verts = enumerate_vertices(target)
     cone = lift_polytope(verts)
     ext = build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)), target)
-    rows = saturation_rows(ext) + symmetry_rows(
-        [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)
-    basis = integer_kernel_basis(rows.matrix(), columns=cone.dim)
+    rows = np.vstack([ext, symmetry_rows(
+        [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
+    basis = integer_kernel_basis(rows, columns=cone.dim)
     projected = project_rays(cone, basis)
     sources, dropped = _projection_sources(cone, basis, projected)
     assert dropped, "the saturation rows send some vertices to zero"

@@ -4,13 +4,12 @@ import pytest
 from conebell import catalog
 from conebell.constraints import (Relabeling, XiAssignment, apply_relabeling,
                                   build_extended_behaviors, parse_relabeling,
-                                  party_swap, relabeling_matrix,
-                                  saturation_rows, symmetry_rows)
+                                  party_swap, relabeling_matrix, symmetry_rows)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, rank
-from conebell.scenario import Scenario, vertex_matrix
+from conebell.scenario import Scenario, enumerate_vertices
 
-from .reference import full_relabeling_group
+from .reference import full_relabeling_group, reference_extended_behaviors
 
 
 def test_relabeling_matrix_identity():
@@ -44,7 +43,7 @@ def test_relabeling_matrices_are_signed_permutations():
         absd = np.vectorize(abs)(p)
         assert (absd.sum(axis=0) == 1).all() and (absd.sum(axis=1) == 1).all()
         # vertices map bijectively onto vertices
-        verts = vertex_matrix(sc).astype(object)
+        verts = enumerate_vertices(sc).astype(object)
         images = {tuple(int(x) for x in p @ v) for v in verts}
         assert images == {tuple(int(x) for x in v) for v in verts}
         # the constant coordinate stays fixed
@@ -68,9 +67,9 @@ def test_gyni_symmetries_fix_gyni():
 
 def test_symmetry_rows_identity_contributes_nothing():
     sc = Scenario((2, 2))
-    sys = symmetry_rows([Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))], sc)
-    assert sys.rows == ()
-    t = integer_kernel_basis(sys.matrix(), columns=9)
+    rows = symmetry_rows([Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))], sc)
+    assert rows.dtype == np.int64 and rows.shape == (0, 9)
+    t = integer_kernel_basis(rows, columns=9)
     assert t.shape == (9, 9)
 
 
@@ -78,24 +77,23 @@ def test_swap_symmetry_kernel_dimension():
     # orbits of the 8 correlator coordinates under A<->B: {A1,B1}, {A2,B2},
     # {A1B2, A2B1}, {A1B1}, {A2B2}; plus the constant: kernel dimension 6
     sc = Scenario((2, 2))
-    sys = symmetry_rows([party_swap(sc, 0, 1)], sc)
-    t = integer_kernel_basis(sys.matrix(), columns=9)
+    rows = symmetry_rows([party_swap(sc, 0, 1)], sc)
+    t = integer_kernel_basis(rows, columns=9)
     assert t.shape[1] == 6
 
 
 def test_full_party_symmetry_kernel_dimension_three_parties():
     # one kernel dimension per multiset over {0..3}^3: C(6,3) = 20
     sc = Scenario((3, 3, 3))
-    sys = symmetry_rows([party_swap(sc, 0, 1), party_swap(sc, 0, 2)], sc)
-    t = integer_kernel_basis(sys.matrix(), columns=65)
+    rows = symmetry_rows([party_swap(sc, 0, 1), party_swap(sc, 0, 2)], sc)
+    t = integer_kernel_basis(rows, columns=65)
     assert t.shape[1] == 20
 
 
 def test_symmetry_kernel_is_pointwise_invariant():
     sc = Scenario((2, 2))
     gens = [party_swap(sc, 0, 1)]
-    sys = symmetry_rows(gens, sc)
-    t = integer_kernel_basis(sys.matrix(), columns=9)
+    t = integer_kernel_basis(symmetry_rows(gens, sc), columns=9)
     p = relabeling_matrix(gens[0], sc)
     assert ((p @ t) == t).all()
 
@@ -104,12 +102,11 @@ def test_extended_behaviors_chsh_count():
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
     ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target)
-    assert len(ext) == 8
-    for v in ext:
-        assert v.coords[0] == 1
-        assert v.assignment[2] == (1, 1)
-    rows = saturation_rows(ext)
-    assert rank(rows.matrix()) == 8
+    assert ext.dtype == np.int64 and ext.shape == (8, 27)
+    assert (ext[:, 0] == 1).all()
+    assert (ext[:, target.index_of((0, 0, 1))] == 1).all()
+    assert (ext[:, target.index_of((0, 0, 2))] == 1).all()
+    assert rank(ext) == 8
 
 
 def test_extended_behaviors_i3322_count():
@@ -131,24 +128,41 @@ def test_extended_behaviors_validation():
         build_extended_behaviors(loose, XiAssignment(((1, 1),)), Scenario((2, 2, 2)))
 
 
-def test_saturation_rows_empty():
-    sys = saturation_rows([])
-    assert sys.rows == ()
+@pytest.mark.parametrize("lower, target, embed", [
+    (catalog.chsh, (2, 2, 2), None),
+    (catalog.chsh, (2, 2, 2), (0, 1)),
+    (catalog.chsh, (2, 2, 2), (1, 2)),
+    (catalog.chsh, (2, 2, 2), (2, 0)),
+    (catalog.chsh, (2, 3, 2), (2, 0)),
+    (catalog.chsh, (3, 2, 2), (1, 2)),
+    (catalog.i3322, (3, 2, 3), (2, 0)),
+    (catalog.mermin, (2, 2, 2, 2), (3, 1, 0)),
+])
+def test_extended_behaviors_match_brute_force(lower, target, embed):
+    lower, target = lower(), Scenario(target)
+    used = embed if embed is not None else tuple(range(lower.scenario.parties))
+    extras = [p for p in range(target.parties) if p not in used]
+    rng = np.random.default_rng(sum(target.settings))
+    for _ in range(3):
+        xi = XiAssignment(tuple(tuple(int(x) for x in rng.choice([-1, 1], size=target.settings[p]))
+                                for p in extras))
+        got = build_extended_behaviors(lower, xi, target, embed=embed)
+        want = reference_extended_behaviors(lower, xi, target, embed=embed)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 def test_chsh_extension_kernel_dimension_matches_independent_nullspace():
     # the constraint system of the three-party CHSH extension: its kernel
     # dimension is the dimension of the projected cone behind Mermin
     from conebell.cone import lift_polytope, project_rays
-    from conebell.scenario import enumerate_vertices
     from .reference import sympy_nullity
 
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
     ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target)
-    rows = saturation_rows(ext) + symmetry_rows(
-        [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)
-    g = rows.matrix()
+    g = np.vstack([ext, symmetry_rows(
+        [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
     t = integer_kernel_basis(g, columns=27)
     assert t.shape[1] == sympy_nullity(g, 27)
     cone = lift_polytope(enumerate_vertices(target))

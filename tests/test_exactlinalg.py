@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conebell.errors import DegenerateVectorError
 from conebell.exactlinalg import (as_int_matrix, as_int_vector, integer_kernel_basis,
                                   pivot_columns, primitive_normalize, rank, vector_gcd)
-from conebell.scenario import Scenario, vertex_matrix
+from conebell.scenario import Scenario, enumerate_vertices
 
 from .reference import sympy_nullity, sympy_pivots, sympy_rank
 
@@ -18,14 +18,14 @@ def test_rank_trivial_cases():
 
 
 def test_rank_of_lifted_chsh_vertices():
-    mat = vertex_matrix(Scenario((2, 2)))
+    mat = enumerate_vertices(Scenario((2, 2)))
     assert mat.shape == (16, 9)
     assert rank(mat) == 9
     assert rank(mat) == sympy_rank(mat)
 
 
 def test_rank_early_stop():
-    mat = vertex_matrix(Scenario((3, 2)))
+    mat = enumerate_vertices(Scenario((3, 2)))
     assert rank(mat, stop_at=5) == 5
 
 

@@ -2,8 +2,7 @@ import pytest
 
 from conebell import catalog
 from conebell.errors import ParseError
-from conebell.inequality import (Inequality, algebraic_bound,
-                                 expand_symmetric_terms, from_cone_normal,
+from conebell.inequality import (algebraic_bound, expand_symmetric_terms, from_cone_normal,
                                  from_terms, parse_inequality, render,
                                  render_symmetric, symmetric_terms, term_count,
                                  write_inequality)
@@ -58,7 +57,7 @@ def test_algebraic_bounds():
 def test_cone_normal_orientation():
     chsh = catalog.chsh()
     normal = chsh.cone_normal()
-    verts = __import__("conebell.scenario", fromlist=["x"]).vertex_matrix(chsh.scenario)
+    verts = __import__("conebell.scenario", fromlist=["x"]).enumerate_vertices(chsh.scenario)
     vals = verts.astype(object) @ normal
     assert all(v <= 0 for v in vals)
     assert from_cone_normal(chsh.scenario, normal).coefficients == chsh.coefficients
@@ -114,10 +113,3 @@ def test_parse_errors_carry_position():
         parse_inequality("bound: 2\n")
     with pytest.raises(ParseError):
         parse_inequality(good + "1,1: 5\n")
-
-
-def test_validity_and_tightness_flags():
-    chsh = catalog.chsh()
-    assert chsh.is_valid() and chsh.is_tight()
-    slack = Inequality(chsh.scenario, (3,) + chsh.coefficients[1:])
-    assert slack.is_valid() and not slack.is_tight()

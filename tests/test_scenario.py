@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conebell import catalog
 from conebell.errors import CapExceededError, ParseError
 from conebell.scenario import (Scenario, behavior_dimension, enumerate_vertices,
-                               parse_scenario_header, vertex_count, vertex_matrix)
+                               parse_scenario_header, vertex_count)
 
 
 def test_behavior_dimension():
@@ -28,15 +30,15 @@ def test_invalid_scenarios():
 
 def test_single_party_single_setting_vertices():
     verts = enumerate_vertices(Scenario((1,)))
-    assert [v.coords for v in verts] == [(1, -1), (1, 1)]
+    assert verts.dtype == np.int64 and verts.tolist() == [[1, -1], [1, 1]]
 
 
 def test_vertices_distinct_and_counted():
     for settings in [(2, 2), (3, 2), (2, 2, 2)]:
         sc = Scenario(settings)
         verts = enumerate_vertices(sc)
-        assert len(verts) == vertex_count(sc)
-        assert len({v.coords for v in verts}) == len(verts)
+        assert verts.shape == (vertex_count(sc), behavior_dimension(sc) + 1)
+        assert len(np.unique(verts, axis=0)) == len(verts)
 
 
 def test_chsh_value_two_on_eight_vertices():
@@ -55,23 +57,26 @@ def test_coordinates_are_products_of_assignments():
     rng = np.random.default_rng(11)
     sc = Scenario((3, 2, 2))
     verts = enumerate_vertices(sc)
+    # row k belongs to the k-th assignment in lex order, -1 before +1
+    assignments = list(itertools.product(
+        *[list(itertools.product((-1, 1), repeat=m)) for m in sc.settings]))
     tuples = sc.index_tuples()
     for _ in range(200):
-        v = verts[rng.integers(len(verts))]
+        k = int(rng.integers(len(verts)))
         idx = int(rng.integers(1, len(tuples)))
         t = tuples[idx]
         expect = 1
         for party, s in enumerate(t):
             if s:
-                expect *= v.assignment[party][s - 1]
-        assert v.coords[idx] == expect
-    assert all(v.coords[0] == 1 for v in verts)
+                expect *= assignments[k][party][s - 1]
+        assert verts[k, idx] == expect
+    assert (verts[:, 0] == 1).all()
 
 
-def test_lifted_vertex_matrix_has_full_rank():
+def test_lifted_vertices_have_full_rank():
     for settings in [(2, 2), (3, 3), (2, 2, 2)]:
         sc = Scenario(settings)
-        mat = vertex_matrix(sc)
+        mat = enumerate_vertices(sc)
         assert np.linalg.matrix_rank(mat) == behavior_dimension(sc) + 1
 
 
