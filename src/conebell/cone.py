@@ -8,8 +8,8 @@ inner product with a facet normal.
 
 A cone keeps its rays as the rows of one matrix, deduplicated and primitive:
 int64 when the input is int64 (lift_polytope of an enumerate_vertices
-matrix), Python-int objects otherwise (projected cones).  Non-integral input
-raises ValueError.
+matrix, or a projection whose products fit int64), Python-int objects
+otherwise.  Non-integral input raises ValueError.
 
 constrained_facets is the constrained search that generalize runs on every
 branch: project the rays onto the kernel of the constraint rows (an integer
@@ -22,6 +22,16 @@ and integer_kernel_basis (one kernel per ray); it enters the DD as int64
 when its entries are at most 2^40.  The insertions then run on int64 arrays
 and promote to Python-int object arrays before a product could reach the
 bound that exactlinalg defines.
+
+Each insertion finds the adjacent (positive, negative) ray pairs with the
+combinatorial test on zero sets, kept as bit words (bit i: constraint row i
+is tight).  A broadcast AND filters the pairs whose common zero set has at
+least r - 2 bits, a scan keeps the candidates whose common set lies in
+exactly two zero sets, and one expression combines the kept pairs.  The
+scan needs only the rays that share r - 2 zeros with one ray of the pair,
+which the filter has already counted.  The broadcasts go in chunks of
+about _ADJACENCY_ENTRIES entries: the DD already holds every intermediate
+ray, and larger chunks raise its peak memory for little speed.
 """
 from __future__ import annotations
 
@@ -35,6 +45,10 @@ from .exactlinalg import (_RAY_INT64_MAX, _primitive_rows, _products_overflow,
                           pivot_columns, primitive_normalize, rank, vector_gcd)
 
 DD_CAP_DEFAULT = 5_000_000
+# entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
+# chunks only cost memory: four (3,3) DDs take about 0.5 s CPU from 2^13 to
+# 2^16 entries, at a peak RSS of 38.7 to 39.3 MB, and 0.7 s and 72 MB at 2^22
+_ADJACENCY_ENTRIES = 1 << 15
 
 
 class Cone:
@@ -109,6 +123,15 @@ def lift_polytope(vertices):
     return Cone(arr.shape[1], arr)
 
 
+def _exact_products(mat, other):
+    """mat @ other for a nonempty integer matrix and a nonempty integer
+    vector or matrix: int64 when provably safe, else exact Python ints."""
+    if mat.dtype != object and not _products_overflow(
+            int(np.abs(mat).max()), int(np.abs(other).max()), mat.shape[1]):
+        return mat @ other.astype(np.int64)
+    return mat.astype(object, copy=False) @ other.astype(object, copy=False)
+
+
 def project_rays(cone, basis):
     """Image cone of the rays under y -> y @ basis, for a kernel basis.
 
@@ -121,7 +144,7 @@ def project_rays(cone, basis):
     k = t.shape[1]
     if k == 0:
         raise ValueError("projection onto a zero-dimensional kernel")
-    img = cone.rays.astype(object) @ t
+    img = _exact_products(cone.rays, t)
     img = img[(img != 0).any(axis=1)]
     if not len(img):
         raise DegenerateVectorError("all rays project to zero")
@@ -136,17 +159,6 @@ def lift_back(b_tilde, basis):
         raise ValueError("normal length does not match basis column count")
     lifted = t @ b
     return primitive_normalize(lifted, keep_orientation=True)
-
-
-def _exact_products(mat, vec):
-    """mat @ vec with int64 when provably safe, else exact object arithmetic."""
-    if mat.dtype != object:
-        vmax = max((abs(int(x)) for x in vec), default=0)
-        mmax = int(np.abs(mat).max()) if mat.size else 0
-        if _products_overflow(mmax, vmax, mat.shape[1]):
-            return mat.astype(object) @ np.array(list(vec), dtype=object)
-        return mat @ np.asarray(vec, dtype=np.int64)
-    return mat @ np.array(list(vec), dtype=object)
 
 
 def is_facet(candidate, cone):
@@ -176,10 +188,6 @@ def is_facet(candidate, cone):
 
 # ---------------------------------------------------------------------------
 # double description
-
-
-def _popcounts(words):
-    return np.bitwise_count(words).sum(axis=1).astype(np.int64)
 
 
 class _DDState:
@@ -242,7 +250,7 @@ def _dd_extreme_rays(a, cap):
         keep_zero = [state.zero[neg_v], state.zero[zer_v] | state.bit(row_id)]
         if neg_v.any():
             new_rays, new_zero = _combine_adjacent(
-                state, values, pos_v, neg_v, vec, row_id, r)
+                state, values, pos_v, neg_v, row_id, r)
             keep_rays.append(new_rays)
             keep_zero.append(new_zero)
         rays = [k for k in keep_rays if k.shape[0]]
@@ -260,55 +268,61 @@ def _dd_extreme_rays(a, cap):
     return state.rays, state.zero
 
 
-def _combine_adjacent(state, values, pos_v, neg_v, vec, row_id, r):
-    """New extreme rays from adjacent (positive, negative) pairs."""
+def _combine_adjacent(state, values, pos_v, neg_v, row_id, r):
+    """New extreme rays from adjacent (positive, negative) pairs.
+
+    Two rays are adjacent when their common zero set has at least r - 2
+    bits and no third ray's zero set contains it.  The outer rays are the
+    smaller of the two sides.  For a chunk of them, one broadcast per word
+    counts the zeros each shares with every ray; the rays sharing at least
+    r - 2 are near.  The near rays on the other side are the candidates.  A
+    ray that holds a candidate's common zero set is near its outer ray, so
+    the superset scan tests the common sets against the near rays alone.
+    Both broadcasts go in chunks of at most _ADJACENCY_ENTRIES entries, or
+    of one row where a row is longer.  Every new ray is one combination
+    values[p] * ray[n] - values[n] * ray[p].
+    """
     pos_idx = np.nonzero(pos_v)[0]
     neg_idx = np.nonzero(neg_v)[0]
-    z_all = state.zero
-    z_pos = z_all[pos_idx]
-    z_neg = z_all[neg_idx]
-    # iterate over the smaller side, vectorizing against the larger
     swap = len(pos_idx) < len(neg_idx)
-    outer_idx, outer_z = (pos_idx, z_pos) if swap else (neg_idx, z_neg)
-    inner_idx, inner_z = (neg_idx, z_neg) if swap else (pos_idx, z_pos)
+    outer, inner = (pos_idx, neg_idx) if swap else (neg_idx, pos_idx)
+    # one contiguous row per word: reducing over a short word axis would cost
+    # more than the AND it reduces
+    words = state.zero.T.copy()
     pairs = []
-    need = r - 2
-    for oi in range(len(outer_idx)):
-        zo = outer_z[oi]
-        common = inner_z & zo
-        counts = _popcounts(common)
-        cand = np.nonzero(counts >= need)[0]
-        for ci in cand:
-            z = common[ci]
-            sup = ((z_all & z) == z).all(axis=1)
-            if int(sup.sum()) == 2:
-                a_i = int(outer_idx[oi])
-                b_i = int(inner_idx[ci])
-                p_i, n_i = (a_i, b_i) if swap else (b_i, a_i)
-                pairs.append((p_i, n_i, z))
-    if not pairs:
+    step = max(1, _ADJACENCY_ENTRIES // words.shape[1])
+    for lo in range(0, len(outer), step):
+        o = outer[lo:lo + step]
+        count = np.bitwise_count(words[0, o, None] & words[0])
+        for k in range(1, state.words):
+            count = np.add(count, np.bitwise_count(words[k, o, None] & words[k]),
+                           dtype=np.int32)
+        near = count >= r - 2
+        oi, ii = np.nonzero(near[:, inner])
+        common = state.zero[o[oi]] & state.zero[inner[ii]]
+        near_words = words[:, near.any(axis=0)]
+        keep = np.zeros(len(common), dtype=bool)
+        sub = max(1, _ADJACENCY_ENTRIES // near_words.shape[1])
+        for c in range(0, len(common), sub):
+            z = common[c:c + sub].T[..., None]
+            inside = (near_words[0] & z[0]) == z[0]
+            for k in range(1, state.words):
+                inside &= (near_words[k] & z[k]) == z[k]
+            keep[c:c + sub] = np.count_nonzero(inside, axis=1) == 2
+        pairs.append((o[oi[keep]], inner[ii[keep]], common[keep]))
+    o_i, i_i, common = (np.concatenate(x) for x in zip(*pairs))
+    if not len(o_i):
         return state.rays[:0], state.zero[:0]
-    new_rays = []
-    new_zero = np.zeros((len(pairs), state.words), dtype=np.uint64)
-    bit = state.bit(row_id)
-    promote = state.rays.dtype == object
-    if not promote:
-        vmax = int(np.abs(np.array([int(v) for v in values])).max())
-        rmax = int(np.abs(state.rays).max())
-        promote = _products_overflow(vmax, rmax, 2)
-    for k, (p_i, n_i, z) in enumerate(pairs):
-        cp, cn = int(values[p_i]), int(values[n_i])
-        if promote:
-            row = cp * state.rays[n_i].astype(object) - cn * state.rays[p_i].astype(object)
-        else:
-            row = cp * state.rays[n_i] - cn * state.rays[p_i]
-        new_rays.append(row)
-        new_zero[k] = z | bit
-    arr = np.array(new_rays, dtype=object) if promote else np.array(new_rays, dtype=np.int64)
-    arr = _primitive_rows(arr)
+    p_i, n_i = (o_i, i_i) if swap else (i_i, o_i)
+    rays = state.rays
+    promote = rays.dtype == object or _products_overflow(
+        int(np.abs(values).max()), int(np.abs(rays).max()), 2)
+    if promote:
+        rays, values = rays.astype(object), values.astype(object)
+    arr = _primitive_rows(values[p_i, None] * rays[n_i] - values[n_i, None] * rays[p_i])
     if arr.dtype != object and int(np.abs(arr).max()) > _RAY_INT64_MAX:
         arr = arr.astype(object)
-    return arr, new_zero
+    return arr, common | state.bit(row_id)
 
 
 def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
@@ -328,22 +342,13 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
         assert u.shape[1] == r
         w = w.astype(object) @ u
     rays, zero = _dd_extreme_rays(w if w.dtype == object else w.astype(np.int64), cap)
-    facets = []
-    for i in range(rays.shape[0]):
-        vec = rays[i]
-        if u is not None:
-            vec = u @ np.array([int(x) for x in vec], dtype=object)
-            vec = primitive_normalize(vec, keep_orientation=True)
-        sat = []
-        for word in range(zero.shape[1]):
-            bits = int(zero[i, word])
-            base = word << 6
-            while bits:
-                low = bits & -bits
-                sat.append(base + low.bit_length() - 1)
-                bits ^= low
-        facets.append(FacetNormal(vector=tuple(int(x) for x in vec),
-                                  saturating=tuple(sorted(sat))))
+    if u is not None:
+        rays = _primitive_rows(rays.astype(object) @ u.T)
+    # bit i of a zero set is bit i & 63 of word i >> 6, so little-endian
+    # bytes unpacked little-end first put row i at position i
+    bits = np.unpackbits(zero.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    facets = [FacetNormal(vector=tuple(vec), saturating=tuple(np.flatnonzero(b).tolist()))
+              for vec, b in zip(rays.tolist(), bits)]
     facets.sort(key=lambda f: f.vector)
     return facets
 

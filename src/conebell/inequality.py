@@ -63,9 +63,6 @@ class Inequality:
         verts = enumerate_vertices(self.scenario).astype(object)
         return verts @ self.bell_vector()
 
-    def max_vertex_value(self):
-        return int(max(self.values_on_vertices()))
-
     def saturating_vertex_mask(self):
         return self.values_on_vertices() == self.bound
 

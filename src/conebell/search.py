@@ -304,7 +304,7 @@ def _xi_space(target, reductions):
     return list(itertools.product(*spaces))
 
 
-def _branch(target, cone, reductions, sym, xi_combo, dd_cap):
+def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
     """One deterministic-outcome branch: constraint rows -> surviving facets."""
     # the last reduction's extended behaviors first, the symmetry rows last
     rows = np.vstack([build_extended_behaviors(spec.lower, xi, target, embed=spec.embed)
@@ -343,17 +343,18 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
                                   for v in relabeling_orbit(spec.lower, cap=orbit_cap)])
         else:
             variant_lists.append([ReductionSpec(lower=spec.lower, embed=spec.embed)])
-    jobs = []
-    for chosen in itertools.product(*variant_lists):
-        for combo in _xi_space(target, chosen):
-            jobs.append((target, cone, list(chosen), sym, combo, dd_cap))
+    context = (target, cone, sym, dd_cap)
+    jobs = [(list(chosen), combo) for chosen in itertools.product(*variant_lists)
+            for combo in _xi_space(target, chosen)]
     survivors = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_branch_star, jobs)
+            # each worker receives the cone once; a job is its reductions and xi
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_worker_context, initargs=context))
+            results = pool.map(_worker_branch, jobs)
         else:
-            results = map(_branch_star, jobs)
+            results = (_branch(*context, *job) for job in jobs)
         for k, found in enumerate(results):
             survivors.extend(found)
             if progress is not None:
@@ -369,8 +370,18 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     return classify(members, witnesses=witnesses, cap=orbit_cap)
 
 
-def _branch_star(args):
-    return _branch(*args)
+# (target, cone, sym, dd_cap) of the generalize_multi call a worker process
+# serves, set by the pool initializer
+_worker_context = ()
+
+
+def _set_worker_context(*context):
+    global _worker_context
+    _worker_context = context
+
+
+def _worker_branch(job):
+    return _branch(*_worker_context, *job)
 
 
 def generalize(lower, extra_settings, symmetry, **kwargs):

@@ -81,6 +81,14 @@ def test_project_merges_redundant_rays():
     assert proj.rays.tolist() == [[1, 0], [0, 1], [1, 1]]
 
 
+def test_project_keeps_large_products_exact():
+    # 2^40 * 2^30 wraps around in int64, so this product needs Python ints
+    cone = Cone(2, np.array([[1, 2 ** 40], [3, -2 ** 40]], dtype=np.int64))
+    basis = np.array([[1, 0], [2 ** 30, 1]], dtype=object)
+    proj = project_rays(cone, basis)
+    assert proj.rays.tolist() == [[1 + 2 ** 70, 2 ** 40], [3 - 2 ** 70, -2 ** 40]]
+
+
 def test_orthant_facets():
     cone = Cone(3, np.eye(3, dtype=np.int64))
     facets = enumerate_facets_dd(cone)
@@ -114,6 +122,34 @@ def test_dd_matches_reference_on_random_cones():
         cone = Cone(rays.shape[1], rays)
         got = {f.vector for f in enumerate_facets_dd(cone)}
         assert got == reference_facets(cone.rays)
+
+
+def test_dd_across_word_boundary_and_on_python_ints():
+    rng = np.random.default_rng(11)
+    # 70 rays on a parabola, all extreme: zero sets span two uint64 words
+    k = rng.permutation(np.arange(-35, 35))
+    wide = Cone(3, np.stack([np.ones_like(k), k, k * k], axis=1))
+    facets = enumerate_facets_dd(wide)
+    assert any(min(f.saturating) < 64 <= max(f.saturating) for f in facets)
+    assert {f.vector for f in facets} == reference_facets(wide.rays)
+    # entries near 10^6 put the simplex rays above 2^40, so every insertion
+    # combines Python-int rays
+    big = Cone(4, random_full_dim_vertices(rng, 3, 8, spread=10 ** 6))
+    assert _dd_extreme_rays(big.rays, DD_CAP_DEFAULT)[0].dtype == object
+    assert {f.vector for f in enumerate_facets_dd(big)} == reference_facets(big.rays)
+
+
+def test_dd_output_does_not_depend_on_the_chunk_bound(monkeypatch):
+    cones = [lift_polytope(enumerate_vertices(Scenario((3, 3)))),
+             Cone(5, random_full_dim_vertices(np.random.default_rng(3), 4, 14))]
+
+    def output(cone):
+        return [(f.vector, f.saturating) for f in enumerate_facets_dd(cone)]
+
+    expected = [output(cone) for cone in cones]
+    # one outer ray per pair filter and one candidate per superset scan
+    monkeypatch.setattr("conebell.cone._ADJACENCY_ENTRIES", 1)
+    assert [output(cone) for cone in cones] == expected
 
 
 def test_dd_stays_on_int64_for_small_entries():
@@ -281,6 +317,9 @@ def test_projection_preserves_saturating_sets():
         [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
     basis = integer_kernel_basis(rows, columns=cone.dim)
     projected = project_rays(cone, basis)
+    # small products stay on int64; _projection_sources recomputes them in
+    # Python ints
+    assert projected.rays.dtype == np.int64
     sources, dropped = _projection_sources(cone, basis, projected)
     assert dropped, "the saturation rows send some vertices to zero"
     rays = cone.rays.astype(object)

@@ -50,7 +50,7 @@ def test_chsh_value_two_on_eight_vertices():
 
 
 def test_mermin_classical_maximum_is_two():
-    assert catalog.mermin().max_vertex_value() == 2
+    assert max(catalog.mermin().values_on_vertices()) == 2
 
 
 def test_coordinates_are_products_of_assignments():
