@@ -7,7 +7,8 @@ Extended behaviors are built assignment by assignment, with one product of
 outcomes per coordinate, where conebell selects rows of its vertex matrix.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
-whole coefficient tensor at once.
+whole coefficient tensor at once.  The moment-matrix oracle canonicalizes
+every matrix entry's word, where conebell.npa multiplies per-party tables.
 """
 import itertools
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import sympy
 
 from conebell.constraints import Relabeling, apply_relabeling
+from conebell.npa import MomentProblem, canonical_monomial
 
 
 def _primitive(vec):
@@ -31,14 +33,21 @@ def reference_facets(rays):
 
     For every (d-1)-subset of rays with rank d-1 the one-dimensional sympy
     nullspace gives a candidate hyperplane; candidates valid on all rays are
-    facets.  Requires the rays to span the full space.  Float ranks prefilter
-    the subsets; sympy confirms every survivor exactly.
+    facets.  Requires the rays to span the full space.  A subset on which a
+    hyperplane found earlier vanishes (read off the exact values of that
+    hyperplane on every ray) either has rank below d-1 or spans that same
+    hyperplane, so it is skipped.  Float ranks prefilter the other subsets;
+    sympy confirms every survivor exactly.
     """
     arr = np.array(rays, dtype=np.int64)
     m, d = arr.shape
     assert np.linalg.matrix_rank(arr) == d
     found = set()
+    zero_sets = []  # bitmask of the rays on each hyperplane seen so far
     for combo in itertools.combinations(range(m), d - 1):
+        mask = sum(1 << r for r in combo)
+        if any(mask & zeros == mask for zeros in zero_sets):
+            continue
         sub = arr[list(combo)]
         if np.linalg.matrix_rank(sub) != d - 1:
             continue
@@ -49,6 +58,7 @@ def reference_facets(rays):
         denom = sympy.lcm([sympy.fraction(x)[1] for x in vec])
         ints = [int(x * denom) for x in vec]
         vals = arr @ np.array(ints, dtype=object)
+        zero_sets.append(sum(1 << r for r in range(m) if vals[r] == 0))
         if all(v <= 0 for v in vals):
             found.add(_primitive(ints))
         elif all(v >= 0 for v in vals):
@@ -190,3 +200,35 @@ def reference_effective_operator(ineq, observables, psi, party, setting):
                 phi = np.moveaxis(np.tensordot(op, phi, axes=([1], [q])), 0, q)
         f += coeff * np.tensordot(psi_tensor.conj(), phi, axes=(axes, axes)).T
     return f
+
+
+def reference_monomials(scenario, level):
+    """Canonical words of length up to level, shortest first, then lex."""
+    letters = [(p, s) for p in range(scenario.parties)
+               for s in range(1, scenario.settings[p] + 1)]
+    words = {canonical_monomial(w, scenario)
+             for length in range(level + 1) for w in itertools.product(letters, repeat=length)}
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def reference_moment_structure(scenario, level, ineq=None):
+    """Moment-matrix structure with canonical_monomial on every entry.
+
+    Entry (u, v) gets the smaller of canonical(u~ v) and the canonical form of
+    its reversal; classes are numbered in row-major order of first sight.
+    """
+    monomials = reference_monomials(scenario, level)
+    class_of = {}
+    entry_class = []
+    for u in monomials:
+        for v in monomials:
+            word = canonical_monomial(tuple(reversed(u)) + v, scenario)
+            label = min(word, canonical_monomial(tuple(reversed(word)), scenario))
+            entry_class.append(class_of.setdefault(label, len(class_of)))
+    acc = {}
+    for t, coeff in ([] if ineq is None else ineq.nonzero_terms()):
+        k = class_of[canonical_monomial(tuple((p, s) for p, s in enumerate(t) if s), scenario)]
+        acc[k] = acc.get(k, 0) + coeff
+    return MomentProblem(scenario=scenario, level=level, monomials=tuple(monomials),
+                         classes=tuple(class_of), entry_class=tuple(entry_class),
+                         objective=tuple(sorted(acc.items())), constant_class=class_of[()])

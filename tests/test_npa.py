@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conebell import catalog
 from conebell.npa import (canonical_monomial, export_sdpa, inequality_digest,
                           moment_matrix_structure, monomial_name, parse_sdpa)
 from conebell.scenario import Scenario
+
+from .reference import reference_monomials, reference_moment_structure
 
 SC22 = Scenario((2, 2))
 
@@ -114,6 +120,60 @@ def test_empty_objective_instance():
     sdpa, _ = export_sdpa(zero, 1)
     parsed = parse_sdpa(sdpa)
     assert all(x == 0 for x in parsed["c"])
+
+
+def assert_matches_reference(scenario, level, ineq=None):
+    got = moment_matrix_structure(scenario, level, ineq=ineq)
+    want = reference_moment_structure(scenario, level, ineq=ineq)
+    assert got.monomials == want.monomials
+    assert got.classes == want.classes
+    assert list(got.entry_class) == list(want.entry_class)
+    assert got.objective == want.objective
+    assert got.constant_class == want.constant_class
+
+
+@pytest.mark.parametrize("settings_", [(2, 2), (3, 2), (2, 2, 2), (3, 3), (2, 3, 2),
+                                       (1, 1, 1), (2, 2, 2, 2)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_structure_matches_reference(settings_, level):
+    assert_matches_reference(Scenario(settings_), level)
+
+
+@pytest.mark.parametrize("settings_", [(3,) * 19, (1,) * 65])
+def test_structure_matches_reference_past_int64_keys(settings_):
+    # the per-party product counts multiply to 10**19 (ten products per
+    # party) and 2**65 (two), so the entry keys are Python ints
+    assert_matches_reference(Scenario(settings_), 1)
+
+
+@pytest.mark.parametrize("ineq, level", [(catalog.chsh(), 1), (catalog.mermin(), 2),
+                                         (catalog.i3322_generalization(1), 3)])
+def test_objective_matches_reference(ineq, level):
+    assert_matches_reference(ineq.scenario, level, ineq=ineq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 3))
+def test_structure_matches_reference_on_random_scenarios(settings_, level):
+    scenario = Scenario(tuple(settings_))
+    assume(len(reference_monomials(scenario, level)) <= 100)
+    assert_matches_reference(scenario, level)
+
+
+def test_entry_class_is_read_only():
+    mp = moment_matrix_structure(SC22, 2)
+    assert mp.entry_class.dtype == np.int32
+    with pytest.raises(ValueError):
+        mp.entry_class[0] = 1
+    assert mp == moment_matrix_structure(SC22, 2)
+    assert hash(mp) == hash(moment_matrix_structure(SC22, 2))
+
+
+@pytest.mark.parametrize("ineq, digest", [(catalog.i4422(), "61715d5d1975bf8c"),
+                                          (catalog.i3322_generalization(400), "d39e251e44c4d0fe")])
+def test_level3_export_digest(ineq, digest):
+    sdpa, index = export_sdpa(ineq, 3)
+    assert hashlib.sha256((sdpa + index).encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.skip(reason="needs an external SDP solver; solve the level-1 and "
