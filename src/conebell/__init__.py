@@ -11,8 +11,7 @@ from .scenario import Scenario, behavior_dimension, enumerate_vertices, vertex_c
 from .inequality import (Inequality, algebraic_bound, from_cone_normal,
                          from_terms, parse_inequality, write_inequality)
 from .cone import (Cone, FacetCertificate, FacetNormal, constrained_facets,
-                   enumerate_facets_dd, is_facet, lift_back, lift_polytope,
-                   project_rays)
+                   enumerate_facets_dd, is_facet, lift_polytope, project_rays)
 from .constraints import (Relabeling, XiAssignment, build_extended_behaviors,
                           parse_relabeling, relabeling_matrix, symmetry_rows)
 from .search import (EquivalenceClass, GroupSpec, ReductionSpec, canonical_form,

@@ -18,8 +18,8 @@ from .constraints import parse_relabeling
 from .errors import CapExceededError, InvariantViolationError, ParseError
 from .inequality import (algebraic_bound, from_cone_normal, parse_inequality,
                          render, write_inequality)
-from .quantum import (BoundsRecord, SeesawConfig, metrics, seesaw,
-                      write_seesaw_result)
+from .quantum import (BoundsRecord, SeesawConfig, metrics, parse_seesaw_result,
+                      replay_seesaw_result, seesaw, write_seesaw_result)
 from .npa import export_sdpa
 from .scenario import VERTEX_CAP_DEFAULT, _PARTY_LETTERS, Scenario, enumerate_vertices
 from .search import (ORBIT_CAP_DEFAULT, ReductionSpec, canonical_form, classify,
@@ -200,8 +200,29 @@ def write_record(ineq, rec, m=None, seesaw_text=None):
     return "\n".join(lines) + "\n"
 
 
+def _read_seesaw_file(path, ineq, qubit, qutrit, slack=1e-6):
+    """Text of a seesaw file whose inequality is ineq and whose replayed
+    value is the --qubit or --qutrit value, by its dim: line, within slack."""
+    text = Path(path).read_text()
+    data = parse_seesaw_result(text)
+    if data["inequality"] != ineq:
+        raise InvariantViolationError("the seesaw file is for another inequality than --ineq")
+    names = {2: ("qubit", qubit), 3: ("qutrit", qutrit)}
+    if data["dim"] not in names:
+        raise InvariantViolationError(f"seesaw file has dim {data['dim']}, not 2 or 3")
+    name, claimed = names[data["dim"]]
+    value = replay_seesaw_result(data)
+    if abs(value - claimed) > slack:
+        raise InvariantViolationError(
+            f"--{name} {claimed!r} differs from the seesaw file's value {value!r}")
+    return text
+
+
 def cmd_metrics(args, cfg):
     ineq = _read_inequality(args.ineq)
+    seesaw_text = None
+    if args.seesaw_file:
+        seesaw_text = _read_seesaw_file(args.seesaw_file, ineq, args.qubit, args.qutrit)
     npa = _parse_npa_sidecar(args.npa_file) if args.npa_file else {}
     if args.npa2 is not None:
         npa["npa2"] = args.npa2
@@ -221,7 +242,6 @@ def cmd_metrics(args, cfg):
         print("m_N  = not available (no NPA value imported)")
     print(f"m_A  = {m.algebraic_classical_ratio:.2f}%")
     if args.out:
-        seesaw_text = Path(args.seesaw_file).read_text() if args.seesaw_file else None
         _write(args.out, write_record(ineq, rec, m=m, seesaw_text=seesaw_text))
     return 0
 
@@ -331,7 +351,9 @@ def build_parser():
     p.add_argument("--npa-file", help="sidecar with npa2:/npa3: lines")
     p.add_argument("--npa2", type=float)
     p.add_argument("--npa3", type=float)
-    p.add_argument("--seesaw-file", help="copy state and settings into the record")
+    p.add_argument("--seesaw-file", help="seesaw output whose value is --qubit or --qutrit; "
+                                         "it is replayed, and its state and settings are "
+                                         "copied into the record")
     p.add_argument("--out")
 
     p = sub.add_parser("npa-export", help="write a sparse SDPA relaxation")

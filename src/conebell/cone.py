@@ -14,7 +14,13 @@ otherwise.  Non-integral input raises ValueError.
 constrained_facets is the constrained search that generalize runs on every
 branch: project the rays onto the kernel of the constraint rows (an integer
 matrix, one constraint per row), run the enumeration on the small projected
-cone, lift each candidate back and certify it with is_facet on the full cone.
+cone, lift all candidates back in one product, drop those that fail the
+caller's cheap test (the reduction check, in a search), and certify the
+rest on the full cone in one batch.  A rank mod p is at most the rational
+rank, and a valid, proper candidate has saturating rank at most
+rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1 makes it a
+facet; pivot_columns decides every other candidate, so every non-facet.
+is_facet is the one-candidate case.
 
 All arithmetic is exact, and the exact steps go through the two kernels of
 exactlinalg.  The DD's initial simplex comes from pivot_columns (which rows)
@@ -42,13 +48,26 @@ import numpy as np
 from .errors import CapExceededError, DegenerateVectorError
 from .exactlinalg import (_RAY_INT64_MAX, _primitive_rows, _products_overflow,
                           as_int_matrix, as_int_vector, integer_kernel_basis,
-                          pivot_columns, primitive_normalize, rank, vector_gcd)
+                          modular_ranks, pivot_columns, rank, vector_gcd)
 
 DD_CAP_DEFAULT = 5_000_000
 # entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
 # chunks only cost memory: four (3,3) DDs take about 0.5 s CPU from 2^13 to
 # 2^16 entries, at a peak RSS of 38.7 to 39.3 MB, and 0.7 s and 72 MB at 2^22
 _ADJACENCY_ENTRIES = 1 << 15
+# entries per padded stack of saturating rays in facet certification (2 MB
+# of int64).  Criteria 6 and 7 take about the same CPU time from 2^16 to
+# 2^20 entries, at a peak RSS of 110, 116 and 124 MB (criterion 6) and 85,
+# 88 and 115 MB (criterion 7); the I3322 search takes 49 s at 2^16 and 46 s
+# at 2^18
+_CERTIFY_ENTRIES = 1 << 18
+
+
+def _as_int_rows(data):
+    """A 2-d integer array: int64 for signed integer input, else exact Python
+    ints; a non-integral entry raises ValueError."""
+    arr = np.array(data)
+    return arr.astype(np.int64, copy=False) if arr.dtype.kind == "i" else as_int_matrix(arr)
 
 
 class Cone:
@@ -61,9 +80,7 @@ class Cone:
             raise ValueError("a cone needs at least one ray")
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"rays must be rows of length {self.dim}")
-        # signed integers become int64; anything else becomes exact Python
-        # ints, and a non-integral entry raises ValueError
-        arr = arr.astype(np.int64, copy=False) if arr.dtype.kind == "i" else as_int_matrix(arr)
+        arr = _as_int_rows(arr)
         if not (arr != 0).any(axis=1).all():
             raise DegenerateVectorError("zero ray")
         arr = _primitive_rows(arr)
@@ -79,9 +96,14 @@ class Cone:
 
     @property
     def rank(self):
-        """Dimension of the linear span of the rays (exact)."""
+        """Dimension of the linear span of the rays (exact).
+
+        The rank mod p is exact when it is as large as the shape allows;
+        otherwise pivot_columns decides.
+        """
         if self._rank is None:
-            self._rank = rank(self.rays)
+            bound = int(modular_ranks(self.rays[None])[0])
+            self._rank = bound if bound == min(self.rays.shape) else rank(self.rays)
         return self._rank
 
 
@@ -151,14 +173,54 @@ def project_rays(cone, basis):
     return Cone(k, img)
 
 
-def lift_back(b_tilde, basis):
-    """Pull a projected facet normal back: primitive(T @ b_tilde)."""
+def _lift(normals, basis):
+    """Pull projected facet normals back: the primitive rows of normals @ basis.T.
+
+    normals holds one normal per row; a non-integral entry raises ValueError.
+    """
+    b = _as_int_rows(normals)
     t = as_int_matrix(basis)
-    b = as_int_vector(b_tilde)
-    if len(b) != t.shape[1]:
+    if b.ndim != 2 or b.shape[1] != t.shape[1]:
         raise ValueError("normal length does not match basis column count")
-    lifted = t @ b
-    return primitive_normalize(lifted, keep_orientation=True)
+    return _primitive_rows(_exact_products(b, t.T))
+
+
+def _certify(cone, lifted):
+    """Facet test of each row of lifted, a nonempty integer matrix.
+
+    Returns (values, sat_rank, facet): values = rays @ lifted.T; sat_rank,
+    for the valid rows (values <= 0), the rank of the saturating rays capped
+    at rank(cone) - 1, and 0 for the others; facet, whether a row is valid,
+    proper and has sat_rank = rank(cone) - 1.  The saturating rays of the
+    valid rows go to modular_ranks in order of count, in zero-padded stacks
+    of about _CERTIFY_ENTRIES entries; a rank mod p that reaches the cap is
+    exact, and pivot_columns decides the rows below it.
+    """
+    rays = cone.rays
+    values = _exact_products(rays, lifted.T)
+    zero = values == 0
+    valid = ~(values > 0).any(axis=0)
+    target = cone.rank - 1
+    counts = zero.sum(axis=0)
+    todo = np.flatnonzero(valid)
+    todo = todo[np.argsort(counts[todo], kind="stable")]
+    sat_rank = np.zeros(lifted.shape[0], dtype=np.int64)
+    lo = 0
+    while lo < len(todo):
+        hi = lo + 1
+        while hi < len(todo) and (hi + 1 - lo) * counts[todo[hi]] * cone.dim <= _CERTIFY_ENTRIES:
+            hi += 1
+        chunk = todo[lo:hi]
+        size = counts[chunk]
+        cand, row = np.nonzero(zero[:, chunk].T)
+        stack = np.zeros((len(chunk), size.max(), cone.dim), dtype=rays.dtype)
+        stack[cand, np.arange(len(cand)) - np.repeat(np.cumsum(size) - size, size)] = rays[row]
+        sat_rank[chunk] = np.minimum(modular_ranks(stack), target)
+        lo = hi
+    for j in todo[sat_rank[todo] < target]:
+        sat_rank[j] = len(pivot_columns(rays[zero[:, j]], stop_at=target))
+    facet = valid & (values < 0).any(axis=0) & (sat_rank == target)
+    return values, sat_rank, facet
 
 
 def is_facet(candidate, cone):
@@ -166,24 +228,19 @@ def is_facet(candidate, cone):
 
     A valid inequality (nonpositive on every ray) is a facet iff some ray
     is strictly negative, so the face is proper, and its saturating rays
-    span a space of dimension rank(cone) - 1.
+    span a space of dimension rank(cone) - 1.  This is the one-candidate
+    case of the batched test that constrained_facets runs.
     """
     vec = as_int_vector(candidate)
     if len(vec) != cone.dim:
         raise ValueError("candidate length does not match cone dimension")
     if vector_gcd(vec) == 0:
         raise DegenerateVectorError("zero candidate")
-    values = _exact_products(cone.rays, vec)
-    sat = tuple(np.nonzero(values == 0)[0].tolist())
-    if (values > 0).any():
-        return FacetCertificate(valid=False, facet=False, saturating=sat,
-                                saturating_rank=0, cone_rank=cone.rank)
-    target = cone.rank - 1
-    sub = cone.rays[list(sat)] if sat else cone.rays[:0]
-    sat_rank = rank(sub, stop_at=target) if len(sat) else 0
-    proper = len(sat) < len(values)
-    return FacetCertificate(valid=True, facet=proper and sat_rank == target, saturating=sat,
-                            saturating_rank=sat_rank, cone_rank=cone.rank)
+    values, sat_rank, facet = _certify(cone, vec[None])
+    values = values[:, 0]
+    return FacetCertificate(valid=not (values > 0).any(), facet=bool(facet[0]),
+                            saturating=tuple(np.flatnonzero(values == 0).tolist()),
+                            saturating_rank=int(sat_rank[0]), cone_rank=cone.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +410,25 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
     return facets
 
 
-def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT):
+def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT, accept=None):
     """Facet normals of the cone that lie in the kernel of the constraints.
 
     Projects the rays onto an integer kernel basis, enumerates facets of the
-    projected cone (cap bounds its intermediate rays), lifts each candidate
-    back, and keeps the ones certified as facets of the original cone.
+    projected cone (cap bounds its intermediate rays) and lifts all of them
+    back in one product.  accept, if given, is a test of one lifted normal
+    that runs first, so that only the candidates it keeps are certified.
+    Certification is one batched test on the full cone (see _certify).
     Returns the certified lifted normals in the projected cone's facet order.
     """
     basis = integer_kernel_basis(constraint_rows, columns=cone.dim)
     if basis.shape[1] == 0:
         return []
-    lifted = (lift_back(f.vector, basis)
-              for f in enumerate_facets_dd(project_rays(cone, basis), cap=cap))
-    return [b for b in lifted if is_facet(b, cone).facet]
+    facets = enumerate_facets_dd(project_rays(cone, basis), cap=cap)
+    if not facets:
+        return []
+    lifted = _lift([f.vector for f in facets], basis)
+    if accept is not None:
+        lifted = lifted[[bool(accept(row)) for row in lifted]]
+        if not len(lifted):
+            return []
+    return list(lifted[_certify(cone, lifted)[2]])

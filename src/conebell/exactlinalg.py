@@ -1,8 +1,9 @@
 """Exact integer linear algebra on dense arrays.
 
-All results are exact over the rationals.  Matrices are numpy arrays, either
-int64 (the fast path) or dtype=object holding arbitrary-precision Python
-integers.  Two elimination kernels do every exact step:
+All results are exact over the rationals, except the lower bounds of
+modular_ranks.  Matrices are numpy arrays, either int64 (the fast path) or
+dtype=object holding arbitrary-precision Python integers.  Two elimination
+kernels do every exact step:
 
 - pivot_columns: fraction-free Gaussian elimination.  rank() counts its
   pivots, and the double description in cone picks its initial simplex
@@ -18,6 +19,19 @@ value.  _products_overflow(A, B, k) is true once that reaches _INT64_LIMIT =
 to Python ints.  An elimination or DD update x * u - y * v is the case
 k = 2; a dot product of length n is the case k = n.
 
+Facet certification asks whether a rank reaches a known maximum, so a lower
+bound that reaches it settles the question.  modular_ranks gives one for a
+whole stack of matrices at once: the rank over GF(p), p = 2^31 - 1, never
+exceeds the rational rank, since a minor that is nonzero mod p is a nonzero
+integer.  A matrix with more rows than columns enters as its Gram matrix
+A^T A, whose rational rank is that of A, when float64 computes it exactly:
+its entries are sums of m products of at most max|a|^2 each, and every
+integer below _FLOAT_EXACT = 2^53 is a float64.  One vectorized elimination
+step serves the whole stack; every update x * u - y * v of residues below p
+is a sum of two products below 2^62, the case k = 2 of the bound.  A rank
+mod p below the maximum is no answer, and the caller falls back to
+pivot_columns.
+
 The public functions are pure and leave their inputs unchanged; callers may
 parallelize freely.
 """
@@ -30,6 +44,11 @@ import numpy as np
 from .errors import DegenerateVectorError
 
 _INT64_LIMIT = 1 << 62
+# a prime below 2^31, so a product of two residues stays below 2^62
+_PRIME = (1 << 31) - 1
+# integers below 2^53 are exact in float64, and so is a sum of products
+# whose absolute values add up to less than that
+_FLOAT_EXACT = 1 << 53
 # DD rays with larger entries are kept as Python ints: their products with
 # the constraint rows would soon fail the bound anyway.
 _RAY_INT64_MAX = 1 << 40
@@ -167,6 +186,60 @@ def pivot_columns(mat, stop_at=None):
 def rank(mat, stop_at=None):
     """Exact rank over the rationals: the number of pivot columns."""
     return len(pivot_columns(mat, stop_at=stop_at))
+
+
+def modular_ranks(stack):
+    """Rank over GF(p) of each matrix of a (B, m, n) integer stack.
+
+    Each is a lower bound of the matrix's rational rank, and equal to it
+    unless p divides the minors that show it.  Zero rows pad a stack without
+    changing any rank.  When m > n and the entries are small enough for an
+    exact float64 product, each matrix is replaced by its Gram matrix A^T A,
+    which has the same rational rank and only n rows.  The elimination is
+    fraction-free with full pivoting: each step takes a nonzero entry of
+    each matrix's block as pivot, or finds the block zero and the rank
+    complete, and replaces the block by the pivot's Schur complement scaled
+    by the pivot, one row and one column smaller.
+    """
+    b, m, n = stack.shape
+    if stack.size:
+        hi = int(np.abs(stack).max())
+        if m > n and m * hi * hi < _FLOAT_EXACT:
+            f = stack.astype(np.float64)
+            stack = np.matmul(f.transpose(0, 2, 1), f).astype(np.int64)
+    a = np.remainder(stack, _PRIME).astype(np.int64)
+    ranks = np.zeros(b, dtype=np.int64)
+    idx = np.arange(b)
+    while a.shape[1] and a.shape[2]:
+        col = a[:, :, 0] != 0
+        has = col.any(axis=1)
+        row = col.argmax(axis=1)
+        miss = np.flatnonzero(~has)
+        if miss.size:
+            # no pivot in the first column: bring the column of the block's
+            # first nonzero entry to the front, if the block has one
+            width = a.shape[2]
+            block = (a[miss] != 0).reshape(len(miss), -1)
+            found = block.any(axis=1)
+            at = block.argmax(axis=1)
+            fix = miss[found]
+            src = at[found] % width
+            first = a[fix, :, 0].copy()
+            a[fix, :, 0] = a[fix, :, src]
+            a[fix, :, src] = first
+            row[fix] = at[found] // width
+            has[fix] = True
+        if not has.any():
+            break
+        ranks += has
+        # the pivot row leaves the block, and the first row takes its place;
+        # a matrix without a pivot has a zero block, which stays zero
+        pivot = a[idx, row]
+        a[idx, row] = a[:, 0]
+        rest = a[:, 1:, 1:] * pivot[:, None, :1]
+        rest -= a[:, 1:, :1] * pivot[:, None, 1:]
+        a = np.remainder(rest, _PRIME, out=rest)
+    return ranks
 
 
 def _xgcd(a, b):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, ParseError
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-9
@@ -308,7 +308,6 @@ def write_seesaw_result(ineq, result, cfg):
 
 
 def parse_seesaw_result(text):
-    from .errors import ParseError
     from .inequality import parse_inequality
     ineq_lines = []
     data = {"observables": {}}
@@ -336,5 +335,45 @@ def parse_seesaw_result(text):
             data["trace"] = line[6:].strip()
         else:
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
+    for key in ("dim", "value", "state"):
+        if key not in data:
+            raise ParseError(f"seesaw file has no {key}: line")
     data["inequality"] = parse_inequality("\n".join(ineq_lines))
     return data
+
+
+def replay_seesaw_result(data):
+    """Recompute the value of a parsed seesaw file from its own state and
+    observables.
+
+    Raises InvariantViolationError unless the file has one observable per
+    party and setting, each with a +-1 spectrum, a state of unit norm on the
+    file's dimension, and bell_value reproduces its value: line within
+    EIGENVALUE_TOL.  Returns that value.
+    """
+    ineq, d, psi = data["inequality"], data["dim"], data["state"]
+    sc = ineq.scenario
+    observables = []
+    for p in range(sc.parties):
+        party = []
+        for s in range(1, sc.settings[p] + 1):
+            obs = data["observables"].get((p, s))
+            if obs is None or obs.shape != (d, d):
+                raise InvariantViolationError(f"no {d}x{d} observable for party {p} setting {s}")
+            try:
+                assert_valid_observable(obs)
+            except ValueError as exc:
+                raise InvariantViolationError(f"party {p} setting {s}: {exc}") from None
+            party.append(obs)
+        observables.append(party)
+    if len(data["observables"]) != sum(sc.settings):
+        raise InvariantViolationError("observables for settings outside the scenario")
+    if psi.shape != (d ** sc.parties,) or abs(np.linalg.norm(psi) - 1.0) > EIGENVALUE_TOL:
+        raise InvariantViolationError(
+            f"state of length {len(psi)} and norm {np.linalg.norm(psi)} is not a unit "
+            f"vector of dimension {d ** sc.parties}")
+    value = bell_value(ineq, observables, psi)
+    if abs(value - data["value"]) > EIGENVALUE_TOL:
+        raise InvariantViolationError(
+            f"state and observables give the value {value!r}, the file says {data['value']!r}")
+    return value

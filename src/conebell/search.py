@@ -309,13 +309,15 @@ def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
     # the last reduction's extended behaviors first, the symmetry rows last
     rows = np.vstack([build_extended_behaviors(spec.lower, xi, target, embed=spec.embed)
                       for spec, xi in zip(reductions[::-1], xi_combo[::-1])] + [sym])
-    survivors = []
-    for lifted in constrained_facets(cone, rows, cap=dd_cap):
+
+    def reduces(lifted):
         ineq = from_cone_normal(target, lifted)
-        if all(verify_reduction(ineq, xi, spec.lower, embed=spec.embed)
-               for spec, xi in zip(reductions, xi_combo)):
-            survivors.append((ineq, xi_combo))
-    return survivors
+        return all(verify_reduction(ineq, xi, spec.lower, embed=spec.embed)
+                   for spec, xi in zip(reductions, xi_combo))
+
+    # the reduction check is cheap, so it runs before facet certification
+    return [(from_cone_normal(target, lifted), xi_combo)
+            for lifted in constrained_facets(cone, rows, cap=dd_cap, accept=reduces)]
 
 
 def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
@@ -325,7 +327,7 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     For each joint choice of deterministic outcomes, tightness on the
     extended behaviors and invariance under the symmetry generators are
     imposed, the projected cone's facets are enumerated, candidates are
-    lifted back, facet-checked, and reduction-verified.  Survivors from all
+    lifted back, reduction-verified, and the survivors facet-checked.  Survivors from all
     branches are merged into equivalence classes.
     """
     for spec in reductions:

@@ -127,6 +127,93 @@ def test_record_includes_state_settings_and_metrics(tmp_path, capsys):
     assert rebuilt == text
 
 
+@pytest.fixture(scope="module")
+def seesaw_files(tmp_path_factory):
+    """Seesaw outputs for CHSH at d = 2 and d = 3, and their values."""
+    tmp = tmp_path_factory.mktemp("seesaw")
+    ineq = tmp / "chsh.ineq"
+    ineq.write_text(write_inequality(catalog.chsh()))
+    files = {}
+    for dim in (2, 3):
+        out = tmp / f"seesaw{dim}.txt"
+        assert main(["seesaw", "--ineq", str(ineq), "--dim", str(dim), "--restarts", "2",
+                     "--survivors", "1", "--out", str(out)]) == 0
+        value = next(float(line.split(":")[1]) for line in out.read_text().splitlines()
+                     if line.startswith("value:"))
+        files[dim] = (out.read_text(), value)
+    return ineq, files
+
+
+def _metrics_with_seesaw(tmp_path, ineq, text, qubit, qutrit):
+    path = tmp_path / "seesaw.txt"
+    path.write_text(text)
+    record = tmp_path / "record.txt"
+    return main(["metrics", "--ineq", str(ineq), "--qubit", repr(qubit), "--qutrit", repr(qutrit),
+                 "--seesaw-file", str(path), "--out", str(record)])
+
+
+def _edit_line(text, prefix, edit):
+    return "\n".join(edit(line) if line.startswith(prefix) else line
+                     for line in text.splitlines()) + "\n"
+
+
+def _scale_numbers(factor):
+    def edit(line):
+        head, row = line.split(":", 1)
+        return head + ": " + " ".join(repr(float(x) * factor) for x in row.split())
+    return edit
+
+
+def test_metrics_replays_a_good_seesaw_file(tmp_path, seesaw_files, capsys):
+    ineq, files = seesaw_files
+    (text2, v2), (text3, v3) = files[2], files[3]
+    assert abs(v2 - 2 * 2 ** 0.5) < 1e-6
+    assert _metrics_with_seesaw(tmp_path, ineq, text2, v2, v3) == 0
+    assert "state:" in (tmp_path / "record.txt").read_text()
+    # a d = 3 file is checked against --qutrit
+    assert _metrics_with_seesaw(tmp_path, ineq, text3, v2, v3) == 0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # another inequality than --ineq
+    (lambda t: t.replace("bound: 2", "bound: 3"), "another inequality"),
+    # an observable whose spectrum is not +-1
+    (lambda t: _edit_line(t, "observable 1 2:", _scale_numbers(0.5)), "eigenvalues"),
+    # an observable for a setting the scenario does not have
+    (lambda t: t + "observable 0 3: 1 0 0 0 0 0 -1 0\n", "outside the scenario"),
+    # a state that is not a unit vector
+    (lambda t: _edit_line(t, "state:", _scale_numbers(1.01)), "norm"),
+    # a value the state and observables do not give
+    (lambda t: _edit_line(t, "value:", lambda line: "value: 2.8"), "the file says"),
+    # a dimension the bounds have no slot for
+    (lambda t: _edit_line(t, "dim:", lambda line: "dim: 4"), "not 2 or 3"),
+])
+def test_metrics_rejects_a_corrupted_seesaw_file(tmp_path, seesaw_files, capsys, corrupt, message):
+    ineq, files = seesaw_files
+    (text, v2), (_, v3) = files[2], files[3]
+    assert _metrics_with_seesaw(tmp_path, ineq, corrupt(text), v2, v3) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "record.txt").exists()
+
+
+def test_metrics_rejects_a_seesaw_value_other_than_the_bound(tmp_path, seesaw_files, capsys):
+    ineq, files = seesaw_files
+    (text2, v2), (text3, v3) = files[2], files[3]
+    # --qubit is not the d = 2 file's value
+    assert _metrics_with_seesaw(tmp_path, ineq, text2, v2 - 1e-3, v3) == 4
+    assert "--qubit" in capsys.readouterr().err
+    # --qutrit is not the d = 3 file's value
+    assert _metrics_with_seesaw(tmp_path, ineq, text3, v2, v3 + 1e-3) == 4
+    assert "--qutrit" in capsys.readouterr().err
+
+
+def test_metrics_needs_a_complete_seesaw_file(tmp_path, seesaw_files):
+    ineq, files = seesaw_files
+    (text, v2), (_, v3) = files[2], files[3]
+    missing = "\n".join(line for line in text.splitlines() if not line.startswith("state:"))
+    assert _metrics_with_seesaw(tmp_path, ineq, missing, v2, v3) == 2
+
+
 def test_report_command(tmp_path, capsys):
     rec = tmp_path / "rec1.txt"
     rec.write_text(write_inequality(catalog.i3322_generalization(400), comments=False)

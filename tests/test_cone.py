@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conebell import catalog
-from conebell.cone import (DD_CAP_DEFAULT, Cone, _dd_extreme_rays, constrained_facets,
-                           enumerate_facets_dd, is_facet, lift_back, lift_polytope,
+from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _dd_extreme_rays, _lift,
+                           constrained_facets, enumerate_facets_dd, is_facet, lift_polytope,
                            project_rays)
 from conebell.errors import CapExceededError
-from conebell.exactlinalg import integer_kernel_basis, rank, vector_gcd
+from conebell.exactlinalg import (_PRIME, integer_kernel_basis, pivot_columns, rank,
+                                  vector_gcd)
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 
@@ -286,20 +289,23 @@ def test_non_integral_candidates_are_rejected():
     with pytest.raises(ValueError):
         is_facet([1.9] + [0] * (cone.dim - 1), cone)
     with pytest.raises(ValueError):
-        lift_back([0.5, 1.5], integer_kernel_basis(np.array([[1, 1, 0]], dtype=object)))
+        _lift([[0.5, 1.5]], integer_kernel_basis(np.array([[1, 1, 0]], dtype=object)))
 
 
-def test_lift_back_identity_and_kernel_property():
-    assert tuple(lift_back([0, 1, -1], np.eye(3, dtype=object))) == (0, 1, -1)
+def test_lift_identity_and_kernel_property():
+    assert _lift([[0, 1, -1]], np.eye(3, dtype=object)).tolist() == [[0, 1, -1]]
     g = np.array([[1, 2, 3]], dtype=object)
     t = integer_kernel_basis(g)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        b = rng.integers(-5, 6, size=t.shape[1])
-        if not b.any():
-            continue
-        lifted = lift_back(b, t)
-        assert (g @ lifted == 0).all()
+    b = rng.integers(-5, 6, size=(20, t.shape[1]))
+    b = b[b.any(axis=1)]
+    lifted = _lift(b, t)
+    assert (g @ lifted.T == 0).all()
+    # row by row, the lift is the primitive vector in the direction of T b
+    for row, vec in zip(lifted, b):
+        image = t @ vec.astype(object)
+        g_row = vector_gcd(image)
+        assert row.tolist() == [x // g_row for x in image]
 
 
 def test_projection_preserves_saturating_sets():
@@ -323,9 +329,9 @@ def test_projection_preserves_saturating_sets():
     sources, dropped = _projection_sources(cone, basis, projected)
     assert dropped, "the saturation rows send some vertices to zero"
     rays = cone.rays.astype(object)
-    for facet in enumerate_facets_dd(projected):
-        lifted = lift_back(facet.vector, basis)
-        vals = rays @ lifted
+    facets = enumerate_facets_dd(projected)
+    for facet, lifted in zip(facets, _lift([f.vector for f in facets], basis)):
+        vals = rays @ lifted.astype(object)
         sat_sources = {i for i, v in enumerate(vals) if v == 0}
         mapped = set(dropped)
         for j in facet.saturating:
@@ -358,3 +364,95 @@ def test_theorem_pipeline_matches_filtered_enumeration():
         got = constrained_facets(cone, g)
         assert {tuple(int(x) for x in vec) for vec in got} == expected
         checked += 1
+
+
+def test_certify_falls_back_where_the_rank_drops_mod_p(monkeypatch):
+    # every 2x2 minor of the first two rays is 0 or p, so their rank is 1
+    # mod p and 2 over the rationals
+    p = _PRIME
+    cone = Cone(3, np.array([[1, 1, 0], [1, 1 + p, 0], [0, 0, 1]], dtype=np.int64))
+    calls = []
+
+    def exact(mat, stop_at=None):
+        calls.append(len(mat))
+        return pivot_columns(mat, stop_at=stop_at)
+
+    monkeypatch.setattr("conebell.cone.pivot_columns", exact)
+    assert cone.rank == 3
+    cert = is_facet([0, 0, -1], cone)
+    assert cert.facet and cert.saturating == (0, 1) and cert.saturating_rank == 2
+    assert calls == [2]
+
+
+@st.composite
+def cones_with_candidates(draw):
+    """A random full-dimensional cone and a candidate matrix mixing its
+    facets, sums of two facets (valid faces, mostly not facets) and small
+    random vectors (mostly invalid)."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = draw(st.integers(2, 5))
+    cone = Cone(dim + 1, random_full_dim_vertices(rng, dim, draw(st.integers(dim + 2, 10))))
+    facets = np.array([f.vector for f in enumerate_facets_dd(cone)], dtype=np.int64)
+    pairs = rng.integers(0, len(facets), size=(4, 2))
+    rows = [facets, facets[pairs[:, 0]] + facets[pairs[:, 1]],
+            rng.integers(-2, 3, size=(4, dim + 1))]
+    cand = np.vstack(rows)
+    return cone, cand[cand.any(axis=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones_with_candidates(), st.sampled_from([1, 1 << 18]))
+def test_batched_certification_matches_exact_rank(case, entries):
+    cone, cand = case
+    target = sympy_rank(cone.rays) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("conebell.cone._CERTIFY_ENTRIES", entries)
+        values, sat_rank, facet = _certify(cone, cand)
+    rays = cone.rays.astype(object)
+    for j, vec in enumerate(cand):
+        vals = rays @ vec.astype(object)
+        assert values[:, j].tolist() == vals.tolist()
+        valid = all(v <= 0 for v in vals)
+        sat = rays[[v == 0 for v in vals]]
+        expected = min(sympy_rank(sat) if len(sat) else 0, target) if valid else 0
+        assert sat_rank[j] == expected
+        assert facet[j] == (valid and any(v < 0 for v in vals) and expected == target)
+        assert is_facet(vec, cone).facet == facet[j]
+
+
+def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch):
+    from conebell.constraints import XiAssignment, build_extended_behaviors
+
+    target = Scenario((2, 2, 2))
+    three_party = lift_polytope(enumerate_vertices(target))
+    two_party = lift_polytope(enumerate_vertices(Scenario((2, 2))))
+    rng = np.random.default_rng(5)
+    random_cone = Cone(6, random_full_dim_vertices(rng, 5, 14))
+    cases = [(three_party, build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)),
+                                                    target)),
+             (two_party, np.zeros((0, two_party.dim), dtype=np.int64)),
+             (random_cone, np.array([[0, 1, -1, 0, 0, 0]], dtype=np.int64))]
+
+    def output():
+        return [[vec.tolist() for vec in constrained_facets(cone, rows)] for cone, rows in cases]
+
+    expected = output()
+    assert all(expected)
+    # one candidate per padded stack
+    monkeypatch.setattr("conebell.cone._CERTIFY_ENTRIES", 1)
+    assert output() == expected
+
+
+def test_cone_rank_matches_sympy():
+    rng = np.random.default_rng(8)
+    p = _PRIME
+    cones = [lift_polytope(enumerate_vertices(Scenario((3, 2)))),
+             Cone(4, rng.integers(-3, 4, size=(3, 4))),
+             # rank 2, but 1 mod p: Cone.rank falls back to pivot_columns
+             Cone(3, np.array([[1, 1, 0], [1, 1 + p, 0], [2, 2, 0]], dtype=np.int64)),
+             # Python ints, too large for the Gram matrix in float64
+             Cone(3, np.array([[p ** 2, 1, 0], [0, p ** 2, 1], [1, 0, p ** 2], [1, 1, 1]],
+                              dtype=object))]
+    for cone in cones:
+        assert cone.rank == sympy_rank(cone.rays)

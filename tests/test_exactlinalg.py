@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conebell.errors import DegenerateVectorError
-from conebell.exactlinalg import (as_int_matrix, as_int_vector, integer_kernel_basis,
-                                  pivot_columns, primitive_normalize, rank, vector_gcd)
+from conebell.exactlinalg import (_PRIME, as_int_matrix, as_int_vector, integer_kernel_basis,
+                                  modular_ranks, pivot_columns, primitive_normalize, rank,
+                                  vector_gcd)
 from conebell.scenario import Scenario, enumerate_vertices
 
 from .reference import sympy_nullity, sympy_pivots, sympy_rank
@@ -127,3 +128,62 @@ def test_pivot_columns_match_sympy(mat, stop):
     assert pivot_columns(mat) == expected
     assert rank(mat) == len(expected)
     assert pivot_columns(mat, stop_at=stop) == expected[:stop]
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(B, m, n) stacks of low-rank matrices, int64 or object, with zero
+    padding rows and sometimes more rows than columns."""
+    count, rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 9)), draw(st.integers(1, 6))
+    spread = draw(st.sampled_from([2, 2 ** 20, 2 ** 40]))
+    dtype = draw(st.sampled_from([np.int64, object]))
+    stack = np.zeros((count, rows, cols), dtype=object)
+    for b in range(count):
+        inner = draw(st.integers(1, cols))
+        used = draw(st.integers(0, rows))
+        left = np.array([[draw(st.integers(-spread, spread)) for _ in range(inner)]
+                         for _ in range(used)], dtype=object).reshape(used, inner)
+        right = np.array([[draw(st.integers(-2, 2)) for _ in range(cols)]
+                          for _ in range(inner)], dtype=object)
+        stack[b, :used] = left @ right
+    if dtype is np.int64 and np.abs(stack).max(initial=0) < 2 ** 62:
+        stack = stack.astype(np.int64)
+    return stack
+
+
+def _sympy_ranks(stack):
+    return [sympy_rank(mat) if mat.size else 0 for mat in stack]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_stacks())
+def test_modular_ranks_match_sympy(stack):
+    # a random matrix keeps its rank mod p except with probability about 1/p
+    assert modular_ranks(stack).tolist() == _sympy_ranks(stack)
+
+
+def test_modular_ranks_never_exceed_the_rational_rank():
+    p = _PRIME
+    stack = np.array([
+        [[p, 0, 0], [0, 1, 0], [0, 0, 0]],            # an entry equal to p
+        [[1, 1, 0], [1, 1 + p, 0], [0, 0, 1]],        # a 2x2 minor equal to p
+        [[2 * p, 4 * p, 0], [3 * p, 5 * p, 0], [0, 0, 7]],  # multiples of p
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1]],            # singular over Q and mod p
+    ], dtype=object)
+    assert modular_ranks(stack).tolist() == [1, 2, 1, 2]
+    assert _sympy_ranks(stack) == [2, 3, 3, 2]
+    # padded with zero rows, so m > n, but too large for a float64 Gram matrix
+    padded = np.concatenate([stack, np.zeros((4, 2, 3), dtype=object)], axis=1)
+    assert modular_ranks(padded).tolist() == [1, 2, 1, 2]
+    assert modular_ranks(stack.astype(np.int64)).tolist() == [1, 2, 1, 2]
+    # a column whose squares sum to 2p: its Gram matrix is 0 mod p
+    column = np.array([[[65535], [362], [5]]], dtype=np.int64)
+    assert int((column[0].T @ column[0])[0, 0]) == 2 * p
+    assert modular_ranks(column).tolist() == [0]
+
+
+def test_modular_ranks_of_many_rows_use_the_gram_matrix():
+    # 16 x 9 lifted CHSH vertices: rank 9, and the Gram matrix is exact
+    mat = enumerate_vertices(Scenario((2, 2)))
+    stack = np.stack([mat, mat * 0, np.vstack([mat[:5], np.zeros((11, 9), dtype=np.int64)])])
+    assert modular_ranks(stack).tolist() == [9, 0, sympy_rank(mat[:5])]
