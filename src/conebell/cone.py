@@ -14,9 +14,9 @@ otherwise.  Non-integral input raises ValueError.
 constrained_facets is the constrained search that generalize runs on every
 branch: project the rays onto the kernel of the constraint rows (an integer
 matrix, one constraint per row), run the enumeration on the small projected
-cone, lift all candidates back in one product, drop those that fail the
-caller's cheap test (the reduction check, in a search), and certify the
-rest on the full cone in one batch.  A rank mod p is at most the rational
+cone, lift all candidates back in one product, keep the rows of the
+caller's cheap mask over that matrix (the reduction check, in a search),
+and certify them on the full cone in one batch.  A rank mod p is at most the rational
 rank, and a valid, proper candidate has saturating rank at most
 rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1 makes it a
 facet; pivot_columns decides every other candidate, so every non-facet.
@@ -415,8 +415,9 @@ def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT, accept=None):
 
     Projects the rays onto an integer kernel basis, enumerates facets of the
     projected cone (cap bounds its intermediate rays) and lifts all of them
-    back in one product.  accept, if given, is a test of one lifted normal
-    that runs first, so that only the candidates it keeps are certified.
+    back in one product.  accept, if given, takes that matrix (one lifted
+    normal per row) and returns a bool mask of the rows to keep; it runs
+    first, so that only the candidates it keeps are certified.
     Certification is one batched test on the full cone (see _certify).
     Returns the certified lifted normals in the projected cone's facet order.
     """
@@ -428,7 +429,7 @@ def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT, accept=None):
         return []
     lifted = _lift([f.vector for f in facets], basis)
     if accept is not None:
-        lifted = lifted[[bool(accept(row)) for row in lifted]]
+        lifted = lifted[accept(lifted)]
         if not len(lifted):
             return []
     return list(lifted[_certify(cone, lifted)[2]])

@@ -3,9 +3,17 @@
 Two row sources: saturation by extended behaviors and invariance under
 relabeling symmetries.  Both are int64 matrices over the lifted coordinate
 space, one constraint per row, so a normal b satisfies a constraint iff
-row . b = 0.  The extended behaviors are themselves vertices of the target
-scenario, selected as rows of enumerate_vertices(target); a search stacks
-them with the symmetry rows into one matrix.
+row . b = 0; a search stacks them into one matrix.
+
+Both come from linear maps that act on each party's axis of the coordinate
+array alone, so each map is np.kron of one small block per party followed
+by a permutation of the party axes (_coordinate_map).  A relabeling's
+matrix P has per party the signed permutation of settings 1..m that fixes
+setting 0, and the symmetry rows are the nonzero rows of I - P^T.  The
+embedding of a lower inequality has the identity on each embedded party and
+the column (1, xi_1, ..., xi_m) on each extra party; it maps the lower
+scenario's saturating vertices to the extended behaviors, and its transpose
+maps a target normal to its reduction (see search.verify_reduction).
 """
 from __future__ import annotations
 
@@ -49,48 +57,38 @@ class Relabeling:
             if len(self.sign_flips[i]) != m or any(s not in (-1, 1) for s in self.sign_flips[i]):
                 raise ValueError(f"sign flips for party {i} must be +-1 per setting")
 
-    def apply_to_tuple(self, t):
-        """Image setting tuple and sign of one coordinate."""
-        u = [0] * len(t)
-        sign = 1
-        for i, s in enumerate(t):
-            if s == 0:
-                continue
-            u[self.party_map[i]] = self.setting_maps[i][s - 1]
-            sign *= self.sign_flips[i][s - 1]
-        return tuple(u), sign
+
+def _coordinate_map(blocks, order):
+    """int64 matrix that applies blocks[p] to party axis p of the image.
+
+    blocks[p] has one row per setting 0..m_p of image party p.  The columns
+    of np.kron(*blocks) form an array with one axis per block, and column
+    axis k of the result is its axis order[k], a permutation of the parties;
+    an axis of length 1 (a one-column block) drops out.
+    """
+    mat = np.ones((1, 1), dtype=np.int64)
+    for block in blocks:
+        mat = np.kron(mat, block)
+    cols = mat.reshape((len(mat),) + tuple(block.shape[1] for block in blocks))
+    return cols.transpose((0,) + tuple(1 + p for p in order)).reshape(len(mat), -1)
 
 
-def permutation_data(r, scenario):
-    """Arrays (image_index, sign) describing the signed coordinate permutation."""
-    r.validate(scenario)
-    d1 = scenario.dimension + 1
-    image = np.zeros(d1, dtype=np.int64)
-    sign = np.zeros(d1, dtype=np.int64)
-    for idx, t in enumerate(scenario.index_tuples()):
-        u, s = r.apply_to_tuple(t)
-        image[idx] = scenario.index_of(u)
-        sign[idx] = s
-    return image, sign
-
-
-def relabeling_matrix(r, scenario):
+def _relabeling_map(r, scenario):
     """Signed permutation matrix P with (P c)[image] = sign * c[source]."""
-    image, sign = permutation_data(r, scenario)
-    d1 = scenario.dimension + 1
-    p = np.zeros((d1, d1), dtype=object)
-    for src in range(d1):
-        p[image[src], src] = int(sign[src])
-    return p
+    r.validate(scenario)
+    blocks = [None] * scenario.parties
+    for i, m in enumerate(scenario.settings):
+        block = np.zeros((m + 1, m + 1), dtype=np.int64)
+        block[0, 0] = 1
+        block[r.setting_maps[i], np.arange(1, m + 1)] = r.sign_flips[i]
+        blocks[r.party_map[i]] = block
+    return _coordinate_map(blocks, r.party_map)
 
 
 def apply_relabeling(r, scenario, coefficients):
     """Transform a coefficient (or vertex coordinate) vector."""
-    image, sign = permutation_data(r, scenario)
-    src = np.array(list(coefficients), dtype=object)
-    out = np.zeros(len(src), dtype=object)
-    out[image] = sign.astype(object) * src
-    return tuple(int(x) for x in out)
+    p = _relabeling_map(r, scenario).astype(object)
+    return tuple(int(x) for x in p @ np.array(list(coefficients), dtype=object))
 
 
 @dataclass(frozen=True)
@@ -117,50 +115,52 @@ def parse_xi_label(text):
     return XiAssignment(tuple(values))
 
 
+def _embedding_map(lower_scenario, xi, target, embed):
+    """int64 matrix M from lower to target coordinates that embeds the lower
+    scenario on the target parties embed and fixes xi on the others.
+
+    Row t, column s is the product of xi over the extra parties' settings in
+    t when t restricted to embed is s, else 0.  M maps a lower vertex to its
+    extended behavior; a target normal b reduces to b @ M.
+    """
+    extras = tuple(i for i in range(target.parties) if i not in embed)
+    if tuple(target.settings[i] for i in embed) != lower_scenario.settings:
+        raise ValueError("embedded parties do not match the lower scenario's settings")
+    if len(xi.values) != len(extras):
+        raise ValueError(f"xi supplies {len(xi.values)} parties, need {len(extras)}")
+    blocks = [np.eye(m + 1, dtype=np.int64) for m in target.settings]
+    for v, party in zip(xi.values, extras):
+        if len(v) != target.settings[party]:
+            raise ValueError(f"xi for party {party} has {len(v)} settings, need {target.settings[party]}")
+        blocks[party] = np.array((1,) + v, dtype=np.int64)[:, None]
+    return _coordinate_map(blocks, tuple(embed) + extras)
+
+
 def build_extended_behaviors(lower, xi, target, embed=None):
     """Extended behaviors: lower-scenario saturating vertices plus fixed outcomes.
 
     The lower inequality occupies the target parties listed in ``embed``
     (defaults to the leading parties); xi supplies one outcome tuple for each
-    remaining party, in party order.  Returns one row of
-    enumerate_vertices(target) per saturating vertex of the lower
-    inequality, in lower-vertex order; each row is a tightness constraint.
+    remaining party, in party order.  Returns one target vertex per
+    saturating vertex of the lower inequality, in lower-vertex order, as the
+    rows of an int64 matrix; each row is a tightness constraint.
     """
-    n = target.parties
     if embed is None:
         embed = tuple(range(lower.scenario.parties))
-    extras = tuple(i for i in range(n) if i not in embed)
-    if tuple(target.settings[i] for i in embed) != lower.scenario.settings:
-        raise ValueError("embedded parties do not match the lower scenario's settings")
-    if len(xi.values) != len(extras):
-        raise ValueError(f"xi supplies {len(xi.values)} parties, need {len(extras)}")
-    for v, party in zip(xi.values, extras):
-        if len(v) != target.settings[party]:
-            raise ValueError(f"xi for party {party} has {len(v)} settings, need {target.settings[party]}")
+    emb = _embedding_map(lower.scenario, xi, target, embed)
     saturators = np.nonzero(lower.saturating_vertex_mask())[0]
     if not len(saturators):
         raise ValueError("the inequality has no saturating vertices, so it cannot define a facet")
-    # a vertex row is the mixed-radix number of its per-party assignment
-    # indices (see enumerate_vertices)
-    digits = [None] * n
-    lower_digits = np.unravel_index(saturators, [1 << m for m in lower.scenario.settings])
-    for party, idx in zip(embed, lower_digits):
-        digits[party] = idx
-    for party, v in zip(extras, xi.values):
-        digits[party] = np.ravel_multi_index(tuple(int(x > 0) for x in v), (2,) * len(v))
-    rows = np.ravel_multi_index(digits, [1 << m for m in target.settings])
-    return enumerate_vertices(target)[rows]
+    return enumerate_vertices(lower.scenario)[saturators] @ emb.T
 
 
 def symmetry_rows(generators, scenario):
-    """Rows of (I - P) per generator, zero rows dropped, as a (k, D+1) int64
-    matrix; its kernel is the invariant subspace."""
+    """Rows of I - P^T per generator, zero rows dropped, as a (k, D+1) int64
+    matrix; its kernel, that of I - P, is the invariant subspace."""
     d1 = scenario.dimension + 1
     blocks = [np.zeros((0, d1), dtype=np.int64)]
     for gen in generators:
-        image, sign = permutation_data(gen, scenario)
-        rows = np.eye(d1, dtype=np.int64)
-        rows[np.arange(d1), image] -= sign
+        rows = np.eye(d1, dtype=np.int64) - _relabeling_map(gen, scenario).T
         blocks.append(rows[rows.any(axis=1)])
     return np.vstack(blocks)
 

@@ -10,7 +10,7 @@ significant; index 0 is the constant coordinate.
 Vertices are the local deterministic behaviors.  enumerate_vertices returns
 them as the rows of one int64 matrix, in lifted form with the leading
 coordinate 1; every later stage (cones, extended behaviors, constraint rows)
-selects or stacks rows of such matrices.  Scenario is immutable after
+works on such matrices.  Scenario is immutable after
 construction and safe to share across threads.
 """
 from __future__ import annotations

@@ -27,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DD_CAP_DEFAULT, constrained_facets, is_facet, lift_polytope
-from .constraints import (Relabeling, XiAssignment, apply_relabeling,
+from .cone import (DD_CAP_DEFAULT, _exact_products, constrained_facets, is_facet,
+                   lift_polytope)
+from .constraints import (Relabeling, XiAssignment, _embedding_map, apply_relabeling,
                           build_extended_behaviors, parse_xi_label, symmetry_rows)
 from .errors import CapExceededError, ParseError
+from .exactlinalg import _primitive_rows
 from .inequality import (Inequality, from_cone_normal, parse_inequality,
                          term_count, write_inequality)
 from .scenario import Scenario, enumerate_vertices
@@ -191,60 +193,32 @@ def classify(ineqs, witnesses=None, group=None, cap=ORBIT_CAP_DEFAULT):
 # reductions
 
 
-def _proportional_positive(a, b):
-    """True iff a = q*b for some positive rational q (integer vectors)."""
-    lead = None
-    for x, y in zip(a, b):
-        if (x == 0) != (y == 0):
-            return False
-        if x != 0 and lead is None:
-            if (x > 0) != (y > 0):
-                return False
-            lead = (x, y)
-    if lead is None:
-        return False
-    lx, ly = lead
-    return all(x * ly == y * lx for x, y in zip(a, b))
+def _reduction_mask(normals, xi, lower, embed, target):
+    """Bool mask of the rows of normals, target normals in cone orientation,
+    that substituting xi turns into a positive multiple of lower's normal.
 
-
-def reduce_with_xi(candidate, xi, embed=None):
-    """Substitute deterministic outcomes for the non-embedded parties.
-
-    Returns the reduced coefficient vector (bound first) on the sub-scenario
-    of the embedded parties, constants folded into the bound.
+    One product with the embedding map reduces every row at once; a row
+    passes when its primitive form is that of lower's normal.
+    verify_reduction is the one-candidate case.
     """
-    sc = candidate.scenario
-    n = sc.parties
-    if embed is None:
-        embed = tuple(range(n - len(xi.values)))
-    extras = tuple(i for i in range(n) if i not in embed)
-    if len(extras) != len(xi.values):
-        raise ValueError("xi does not cover the non-embedded parties")
-    lower_sc = Scenario(tuple(sc.settings[i] for i in embed))
-    reduced = [0] * (lower_sc.dimension + 1)
-    reduced[0] = candidate.bound
-    xi_of = {party: vals for party, vals in zip(extras, xi.values)}
-    for t, coeff in candidate.nonzero_terms():
-        sign = 1
-        for party in extras:
-            s = t[party]
-            if s != 0:
-                sign *= xi_of[party][s - 1]
-        low_t = tuple(t[i] for i in embed)
-        idx = lower_sc.index_of(low_t)
-        if idx == 0:
-            reduced[0] -= coeff * sign
-        else:
-            reduced[idx] += coeff * sign
-    return lower_sc, tuple(reduced)
+    reduced = _primitive_rows(_exact_products(
+        normals, _embedding_map(lower.scenario, xi, target, embed)))
+    want = np.array(lower.primitive().cone_normal().tolist())
+    return (reduced == want).all(axis=1)
 
 
 def verify_reduction(candidate, xi, lower, embed=None):
-    """True iff substituting xi turns candidate into lower, up to positive scale."""
-    lower_sc, reduced = reduce_with_xi(candidate, xi, embed=embed)
-    if lower_sc.settings != lower.scenario.settings:
+    """True iff substituting xi turns candidate into lower, up to positive scale.
+
+    The non-embedded parties take xi in party order; embed defaults to the
+    leading parties.
+    """
+    sc = candidate.scenario
+    if embed is None:
+        embed = tuple(range(sc.parties - len(xi.values)))
+    if tuple(sc.settings[i] for i in embed) != lower.scenario.settings:
         return False
-    return _proportional_positive(reduced, lower.coefficients)
+    return bool(_reduction_mask(candidate.cone_normal()[None], xi, lower, embed, sc)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +285,10 @@ def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
                       for spec, xi in zip(reductions[::-1], xi_combo[::-1])] + [sym])
 
     def reduces(lifted):
-        ineq = from_cone_normal(target, lifted)
-        return all(verify_reduction(ineq, xi, spec.lower, embed=spec.embed)
-                   for spec, xi in zip(reductions, xi_combo))
+        mask = np.ones(len(lifted), dtype=bool)
+        for spec, xi in zip(reductions, xi_combo):
+            mask &= _reduction_mask(lifted, xi, spec.lower, spec.embed, target)
+        return mask
 
     # the reduction check is cheap, so it runs before facet certification
     return [(from_cone_normal(target, lifted), xi_combo)

@@ -3,8 +3,9 @@
 Facet enumeration here goes through ray subsets and sympy nullspaces, a
 completely different route from the double description code under test.
 Ranks, pivots and the rays of a simplex come from sympy's own elimination.
-Extended behaviors are built assignment by assignment, with one product of
-outcomes per coordinate, where conebell selects rows of its vertex matrix.
+Relabelings and reductions move one setting tuple at a time, and extended
+behaviors are built assignment by assignment, with one product of outcomes
+per coordinate, where conebell multiplies by one per-party kron matrix.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
 whole coefficient tensor at once.  The moment-matrix oracle canonicalizes
@@ -16,8 +17,9 @@ import math
 import numpy as np
 import sympy
 
-from conebell.constraints import Relabeling, apply_relabeling
+from conebell.constraints import Relabeling
 from conebell.npa import MomentProblem, canonical_monomial
+from conebell.scenario import Scenario
 
 
 def _primitive(vec):
@@ -117,11 +119,51 @@ def full_relabeling_group(scenario, group=None):
             yield Relabeling(pp, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
 
 
+def reference_relabel(r, scenario, coefficients):
+    """Coefficient vector with relabeling r applied one setting tuple at a time."""
+    out = [0] * len(coefficients)
+    for idx, t in enumerate(scenario.index_tuples()):
+        image = [0] * len(t)
+        sign = 1
+        for p, s in enumerate(t):
+            if s:
+                image[r.party_map[p]] = r.setting_maps[p][s - 1]
+                sign *= r.sign_flips[p][s - 1]
+        out[scenario.index_of(image)] = sign * coefficients[idx]
+    return tuple(out)
+
+
 def brute_force_canonical(ineq, group=None):
     """Orbit minimum by exhaustive group enumeration (small scenarios only)."""
     prim = ineq.primitive()
-    return min(apply_relabeling(g, prim.scenario, prim.coefficients)
+    return min(reference_relabel(g, prim.scenario, prim.coefficients)
                for g in full_relabeling_group(prim.scenario, group))
+
+
+def reference_reduce(candidate, xi, embed=None):
+    """Substitute deterministic outcomes for the non-embedded parties, term by term.
+
+    Returns the sub-scenario of the embedded parties and the reduced
+    coefficient vector on it (bound first), constants folded into the bound.
+    """
+    sc = candidate.scenario
+    n = sc.parties
+    if embed is None:
+        embed = tuple(range(n - len(xi.values)))
+    extras = tuple(i for i in range(n) if i not in embed)
+    assert len(extras) == len(xi.values)
+    lower_sc = Scenario(tuple(sc.settings[i] for i in embed))
+    reduced = [0] * (lower_sc.dimension + 1)
+    reduced[0] = candidate.bound
+    xi_of = dict(zip(extras, xi.values))
+    for t, coeff in candidate.nonzero_terms():
+        sign = math.prod(xi_of[p][t[p] - 1] for p in extras if t[p])
+        idx = lower_sc.index_of(tuple(t[i] for i in embed))
+        if idx == 0:
+            reduced[0] -= coeff * sign
+        else:
+            reduced[idx] += coeff * sign
+    return lower_sc, tuple(reduced)
 
 
 def reference_extended_behaviors(lower, xi, target, embed=None):

@@ -1,34 +1,45 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conebell import catalog
 from conebell.constraints import (Relabeling, XiAssignment, apply_relabeling,
                                   build_extended_behaviors, parse_relabeling,
-                                  party_swap, relabeling_matrix, symmetry_rows)
+                                  party_swap, symmetry_rows)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, rank
+from conebell.inequality import Inequality
 from conebell.scenario import Scenario, enumerate_vertices
+from conebell.search import _reduction_mask, verify_reduction
 
-from .reference import full_relabeling_group, reference_extended_behaviors
+from .reference import reference_extended_behaviors, reference_reduce, reference_relabel
+
+
+def _relabeling_matrix(rel, sc):
+    """The matrix of apply_relabeling: column j is the image of unit vector j."""
+    d1 = sc.dimension + 1
+    return np.array([apply_relabeling(rel, sc, e) for e in np.eye(d1, dtype=np.int64)],
+                    dtype=object).T
 
 
 def test_relabeling_matrix_identity():
     sc = Scenario((2, 2))
-    p = relabeling_matrix(Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1))), sc)
+    p = _relabeling_matrix(Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1))), sc)
     assert (p == np.eye(9, dtype=object)).all()
 
 
 def test_sign_flip_matrix_single_party():
     sc = Scenario((1,))
     rel = Relabeling((0,), ((1,),), ((-1,),))
-    p = relabeling_matrix(rel, sc)
+    p = _relabeling_matrix(rel, sc)
     assert (p == np.diag(np.array([1, -1], dtype=object))).all()
 
 
 def test_relabeling_matrices_are_signed_permutations():
     rng = np.random.default_rng(1)
     sc = Scenario((2, 3, 2))
-    gens = list(full_relabeling_group(Scenario((2,))))
+    verts = enumerate_vertices(sc)
     for _ in range(25):
         # random relabeling of the mixed scenario: parties 0 and 2 may swap
         swap = bool(rng.integers(2))
@@ -39,15 +50,17 @@ def test_relabeling_matrices_are_signed_permutations():
             sms.append(perm)
             sfs.append(tuple(int(x) for x in rng.choice([-1, 1], size=m)))
         rel = Relabeling(pm, tuple(sms), tuple(sfs))
-        p = relabeling_matrix(rel, sc)
+        p = _relabeling_matrix(rel, sc)
         absd = np.vectorize(abs)(p)
         assert (absd.sum(axis=0) == 1).all() and (absd.sum(axis=1) == 1).all()
         # vertices map bijectively onto vertices
-        verts = enumerate_vertices(sc).astype(object)
-        images = {tuple(int(x) for x in p @ v) for v in verts}
-        assert images == {tuple(int(x) for x in v) for v in verts}
+        images = {apply_relabeling(rel, sc, v) for v in verts.tolist()}
+        assert images == set(map(tuple, verts.tolist()))
         # the constant coordinate stays fixed
         assert p[0, 0] == 1
+        # the same map, one setting tuple at a time
+        c = [int(x) * 10 ** 20 for x in rng.integers(-3, 4, size=len(p))]
+        assert apply_relabeling(rel, sc, c) == reference_relabel(rel, sc, c)
 
 
 def test_party_permutation_requires_equal_settings():
@@ -94,8 +107,8 @@ def test_symmetry_kernel_is_pointwise_invariant():
     sc = Scenario((2, 2))
     gens = [party_swap(sc, 0, 1)]
     t = integer_kernel_basis(symmetry_rows(gens, sc), columns=9)
-    p = relabeling_matrix(gens[0], sc)
-    assert ((p @ t) == t).all()
+    for col in t.T.tolist():
+        assert apply_relabeling(gens[0], sc, col) == tuple(col)
 
 
 def test_extended_behaviors_chsh_count():
@@ -139,6 +152,8 @@ def test_extended_behaviors_validation():
     (catalog.mermin, (2, 2, 2, 2), (3, 1, 0)),
 ])
 def test_extended_behaviors_match_brute_force(lower, target, embed):
+    # the same embedding gives the extended behaviors and the reduction
+    # check, so both are compared with the term-by-term oracles
     lower, target = lower(), Scenario(target)
     used = embed if embed is not None else tuple(range(lower.scenario.parties))
     extras = [p for p in range(target.parties) if p not in used]
@@ -150,6 +165,67 @@ def test_extended_behaviors_match_brute_force(lower, target, embed):
         want = reference_extended_behaviors(lower, xi, target, embed=embed)
         assert got.dtype == np.int64
         assert got.tolist() == want
+
+        candidates = _reduction_candidates(lower, xi, target, used, extras, rng)
+        verdicts = []
+        for coeffs in candidates:
+            cand = Inequality(target, coeffs)
+            lower_sc, reduced = reference_reduce(cand, xi, embed=used)
+            assert lower_sc == lower.scenario
+            verdict = verify_reduction(cand, xi, lower, embed=embed)
+            assert type(verdict) is bool
+            assert verdict == _positive_multiple(reduced, lower.coefficients)
+            verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert not any(reference_reduce(Inequality(target, candidates[-1]), xi, embed=used)[1])
+        normals = np.array([Inequality(target, c).cone_normal() for c in candidates])
+        for mat in (normals.astype(np.int64), normals * 10 ** 20):
+            mask = _reduction_mask(mat, xi, lower, used, target)
+            assert mask.dtype == bool and mask.tolist() == verdicts
+
+
+def _positive_multiple(a, b):
+    """a = q b for a rational q > 0: every 2x2 minor of (a, b) is zero and
+    a . b > 0."""
+    return all(x * v == y * u for (x, u), (y, v) in itertools.combinations(zip(a, b), 2)) \
+        and sum(x * u for x, u in zip(a, b)) > 0
+
+
+def _reduction_candidates(lower, xi, target, used, extras, rng):
+    """Coefficient vectors for the reduction check: random ones, lifts of
+    lower scaled by 1, 2 and -1 and one with another bound, and two that use
+    the first extra party, the last of which reduces to the zero vector."""
+    def lift(terms):
+        coeffs = [0] * (target.dimension + 1)
+        for t, c in terms.items():
+            full = [0] * target.parties
+            for p, s in zip(used, t):
+                full[p] = s
+            for p, s in zip(extras, t[len(used):]):
+                full[p] = s
+            coeffs[target.index_of(full)] += c
+        return coeffs
+
+    lower_terms = dict(lower.nonzero_terms())
+    pad = (0,) * len(extras)
+    candidates = [rng.integers(-2, 3, size=target.dimension + 1).tolist() for _ in range(4)]
+    # the last one misses lower in the bound alone
+    for q, bound in ((1, lower.bound), (2, 2 * lower.bound), (-1, -lower.bound),
+                     (1, lower.bound + 1)):
+        coeffs = lift({t + pad: q * c for t, c in lower_terms.items()})
+        coeffs[0] = bound
+        candidates.append(coeffs)
+    # a copy of each term on setting 1 of the first extra party, which
+    # substitutes xi_1 for it: with coefficient xi_1 c every term doubles, and
+    # with -xi_1 c (and bound 0) every term cancels, so the reduction is zero
+    on_extra = (1,) + (0,) * (len(extras) - 1)
+    x = xi.values[0][0]
+    for sign, bound in ((1, 2 * lower.bound), (-1, 0)):
+        coeffs = lift({**{t + pad: c for t, c in lower_terms.items()},
+                       **{t + on_extra: sign * x * c for t, c in lower_terms.items()}})
+        coeffs[0] = bound
+        candidates.append(coeffs)
+    return candidates
 
 
 def test_chsh_extension_kernel_dimension_matches_independent_nullspace():
