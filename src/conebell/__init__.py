@@ -14,7 +14,7 @@ from .cone import (Cone, FacetCertificate, FacetNormal, constrained_facets,
                    enumerate_facets_dd, is_facet, lift_polytope, project_rays)
 from .constraints import (Relabeling, XiAssignment, build_extended_behaviors,
                           parse_relabeling, symmetry_rows)
-from .search import (EquivalenceClass, GroupSpec, ReductionSpec, canonical_form,
+from .search import (EquivalenceClass, ReductionSpec, canonical_form,
                      classify, generalize, generalize_multi, verify_reduction)
 from .quantum import (BoundsRecord, Metrics, SeesawConfig, SeesawResult,
                       bell_operator, metrics, seesaw)

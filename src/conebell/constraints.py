@@ -223,13 +223,3 @@ def parse_relabeling(text, scenario):
     rel.validate(scenario)
     return rel
 
-
-def party_swap(scenario, i, j):
-    """Relabeling exchanging parties i and j (equal setting counts)."""
-    party_map = list(range(scenario.parties))
-    party_map[i], party_map[j] = j, i
-    rel = Relabeling(tuple(party_map),
-                     tuple(tuple(range(1, m + 1)) for m in scenario.settings),
-                     tuple((1,) * m for m in scenario.settings))
-    rel.validate(scenario)
-    return rel

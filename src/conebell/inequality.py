@@ -12,7 +12,7 @@ are kept primitive with a positive bound.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +36,6 @@ class Inequality:
     @property
     def bound(self):
         return self.coefficients[0]
-
-    def coefficient(self, setting_tuple):
-        return self.coefficients[self.scenario.index_of(setting_tuple)]
 
     def bell_vector(self):
         """Bell-expression coefficients with the constant slot zeroed."""
@@ -97,20 +94,22 @@ def from_terms(scenario, bound, terms):
 # symmetric (multiset) notation
 
 
-def _equal_setting_orbit(scenario, t):
-    """Orbit of a setting tuple under permutations of equal-setting parties."""
-    groups = {}
-    for i, m in enumerate(scenario.settings):
-        groups.setdefault(m, []).append(i)
-    orbit = set()
-    perms_per_group = [itertools.permutations(idxs) for idxs in groups.values()]
-    for combo in itertools.product(*perms_per_group):
-        img = list(t)
-        for idxs, perm in zip(groups.values(), combo):
-            for src, dst in zip(idxs, perm):
-                img[dst] = t[src]
-        orbit.add(tuple(img))
-    return orbit
+@functools.lru_cache(maxsize=None)
+def _term_orbits(settings):
+    """Read-only int64 array: coordinate -> its orbit's representative.
+
+    Orbits are those of permutations of equal-setting parties; the
+    representative's setting tuple is sorted in descending order within each
+    group of equal-setting parties.
+    """
+    shape = tuple(m + 1 for m in settings)
+    tuples = np.indices(shape).reshape(len(shape), -1)
+    for m in set(settings):
+        group = [p for p, mp in enumerate(settings) if mp == m]
+        tuples[group] = -np.sort(-tuples[group], axis=0)
+    rep = np.ravel_multi_index(tuples, shape)
+    rep.flags.writeable = False
+    return rep
 
 
 def expand_symmetric_terms(scenario, bound, terms):
@@ -120,48 +119,35 @@ def expand_symmetric_terms(scenario, bound, terms):
     under permutations of equal-setting parties.  Two terms may not touch the
     same orbit.
     """
-    coeffs = {}
-    for t, c in terms.items():
-        for img in _equal_setting_orbit(scenario, t):
-            if img in coeffs:
-                raise ValueError(f"terms overlap on tuple {img}")
-            coeffs[img] = c
-    return from_terms(scenario, bound, coeffs)
+    rep = _term_orbits(scenario.settings).tolist()
+    by_orbit = {rep[scenario.index_of(t)]: c for t, c in terms.items()}
+    if len(by_orbit) < len(terms):
+        raise ValueError("two terms touch the same orbit")
+    if 0 in by_orbit:
+        raise ValueError("the all-zero tuple is the bound, pass it separately")
+    return Inequality(scenario, (bound,) + tuple(by_orbit.get(r, 0) for r in rep[1:]))
 
 
 def symmetric_terms(ineq):
     """Collapse to multiset notation; None if not symmetric under party swaps.
 
     Only permutations among equal-setting parties are considered.  The
-    representative key is the tuple sorted in descending order.
+    representative key is the tuple sorted in descending order within each
+    group of equal-setting parties.
     """
     sc = ineq.scenario
-    seen = set()
-    out = {}
-    for t, c in ineq.nonzero_terms():
-        if t in seen:
-            continue
-        orbit = _equal_setting_orbit(sc, t)
-        vals = {ineq.coefficient(u) for u in orbit}
-        if len(vals) != 1:
-            return None
-        rep = tuple(sorted(t, reverse=True))
-        out[rep] = c
-        seen.update(orbit)
-    return out
+    rep = _term_orbits(sc.settings)
+    c = np.array(ineq.coefficients, dtype=object)
+    if not (c == c[rep]).all():
+        return None
+    reps = sorted(set(rep[1:][c[1:] != 0].tolist()))
+    return {sc.tuple_of(r): ineq.coefficients[r] for r in reps}
 
 
 def term_count(ineq):
     """Number of distinct terms, orbits of equal-setting party permutations."""
-    sc = ineq.scenario
-    seen = set()
-    count = 0
-    for t, _ in ineq.nonzero_terms():
-        if t in seen:
-            continue
-        seen.update(_equal_setting_orbit(sc, t))
-        count += 1
-    return count
+    c = np.array(ineq.coefficients, dtype=object)
+    return len(set(_term_orbits(ineq.scenario.settings)[1:][c[1:] != 0].tolist()))
 
 
 def _term_name(t):

@@ -62,10 +62,6 @@ class Scenario:
     def tuple_of(self, index):
         return tuple(int(x) for x in np.unravel_index(index, self.shape))
 
-    def index_tuples(self):
-        """All setting tuples in coordinate order (the all-zero tuple first)."""
-        return list(itertools.product(*[range(m + 1) for m in self.settings]))
-
     def header(self):
         return f"scenario: n={self.parties} settings=" + ",".join(str(m) for m in self.settings)
 
@@ -110,7 +106,8 @@ def enumerate_vertices(scenario, cap=VERTEX_CAP_DEFAULT):
     """All lifted vertices as the rows of an int64 matrix.
 
     Row order is lexicographic over the concatenated assignments with -1
-    before +1; column order matches Scenario.index_tuples().  A party's
+    before +1; columns are the setting-tuple coordinates (Scenario.index_of),
+    the all-zero tuple first.  A party's
     assignment index reads its outcomes as binary digits (+1 as 1, setting 1
     most significant), and a vertex's row is the mixed-radix number of these
     indices with radix 2^m_i per party, the first party most significant.

@@ -14,7 +14,7 @@ every (surviving state, free party, candidate), and one lex-min selection.
 Blocks are compared as int64 codes, the rank of each value in the sorted set
 of the coefficients and their negations, so the comparison is exact for any
 Python-int coefficient; the result is built from the coefficients
-themselves.
+themselves.  relabeling_orbit lists an orbit from the same per-party tables.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ import numpy as np
 
 from .cone import (DD_CAP_DEFAULT, _exact_products, constrained_facets, is_facet,
                    lift_polytope)
-from .constraints import (Relabeling, XiAssignment, _embedding_map, apply_relabeling,
-                          build_extended_behaviors, parse_xi_label, symmetry_rows)
+from .constraints import (XiAssignment, _embedding_map, build_extended_behaviors,
+                          parse_xi_label, symmetry_rows)
 from .errors import CapExceededError, ParseError
 from .exactlinalg import _primitive_rows
 from .inequality import (Inequality, from_cone_normal, parse_inequality,
@@ -44,15 +44,6 @@ _GATHER_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    """Which relabeling group factors participate in canonicalization."""
-
-    party_permutations: bool = True
-    setting_permutations: bool = True
-    sign_flips: bool = True
-
-
-@dataclass(frozen=True)
 class EquivalenceClass:
     canonical: Inequality
     members_found: int
@@ -60,16 +51,16 @@ class EquivalenceClass:
 
 
 @functools.lru_cache(maxsize=None)
-def _slot_table(m, group):
-    """Candidate table of one setting slot: read-only int64 arrays (src, neg).
+def _slot_table(m):
+    """One party's relabelings as read-only int64 arrays (src, neg).
 
     Row k maps image setting s to source setting src[k, s] and negates it
-    when neg[k, s] is 1; column 0 is the fixed setting 0.  Row 0 is the
+    when neg[k, s] is 1; column 0 is the fixed setting 0.  The m! 2^m rows
+    are every setting permutation with every outcome flip, row 0 the
     identity.
     """
-    perms = list(itertools.permutations(range(1, m + 1))) if group.setting_permutations \
-        else [tuple(range(1, m + 1))]
-    flips = list(itertools.product((0, 1), repeat=m)) if group.sign_flips else [(0,) * m]
+    perms = list(itertools.permutations(range(1, m + 1)))
+    flips = list(itertools.product((0, 1), repeat=m))
     src = np.array([(0,) + perm for perm in perms for _ in flips], dtype=np.int64)
     neg = np.array([(0,) + flip for _ in perms for flip in flips], dtype=np.int64)
     src.flags.writeable = neg.flags.writeable = False
@@ -87,7 +78,7 @@ def _lex_min_rows(blocks):
     return rows
 
 
-def _lex_min_vector(coeffs, scenario, group, cap):
+def _lex_min_vector(coeffs, scenario, cap):
     """Lexicographically minimal coefficient vector over the relabeling orbit.
 
     Image slots are processed from the least significant party upward, which
@@ -118,17 +109,15 @@ def _lex_min_vector(coeffs, scenario, group, cap):
     budget = cap
     for slot in range(n - 1, -1, -1):
         m = scenario.settings[slot]
-        parties = np.array([p for p in range(n) if scenario.settings[p] == m]
-                           if group.party_permutations else [slot])
+        parties = np.array([p for p in range(n) if scenario.settings[p] == m])
         state_of, k = np.nonzero((used[:, None] >> parties) & 1 == 0)
         party_of = parties[k]
-        budget -= len(state_of) * (math.factorial(m) if group.setting_permutations else 1) \
-            * (2 ** m if group.sign_flips else 1)
+        budget -= len(state_of) * math.factorial(m) << m
         if budget < 0:
             raise CapExceededError(
                 f"canonical form search exceeded the cap of {cap} evaluations; "
-                "restrict the group")
-        src, neg = _slot_table(m, group)
+                "raise the cap")
+        src, neg = _slot_table(m)
         width = states.shape[1]
         step = max(1, _GATHER_ENTRIES // (src.size * width))
         best, kept = None, []
@@ -150,16 +139,14 @@ def _lex_min_vector(coeffs, scenario, group, cap):
     return tuple(-coeffs[u - size] if u >= size else coeffs[u] for u in states[0].tolist())
 
 
-def canonical_form(ineq, group=None, cap=ORBIT_CAP_DEFAULT):
+def canonical_form(ineq, cap=ORBIT_CAP_DEFAULT):
     """Canonical representative of the relabeling class (lex-min, primitive)."""
-    if group is None:
-        group = GroupSpec()
     prim = ineq.primitive()
-    vec = _lex_min_vector(prim.coefficients, prim.scenario, group, cap)
+    vec = _lex_min_vector(prim.coefficients, prim.scenario, cap)
     return Inequality(prim.scenario, vec)
 
 
-def classify(ineqs, witnesses=None, group=None, cap=ORBIT_CAP_DEFAULT):
+def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT):
     """Group inequalities by canonical form.
 
     Member counts reflect the inputs as given.  witnesses, when passed, is a
@@ -167,14 +154,12 @@ def classify(ineqs, witnesses=None, group=None, cap=ORBIT_CAP_DEFAULT):
     class.  Classes are ordered by simplicity: distinct-term count of the
     canonical form, then the canonical coefficient vector.
     """
-    if group is None:
-        group = GroupSpec()
     cache = {}
     buckets = {}
     for pos, ineq in enumerate(ineqs):
         key = ineq.primitive().coefficients
         if key not in cache:
-            cache[key] = canonical_form(ineq, group=group, cap=cap)
+            cache[key] = canonical_form(ineq, cap=cap)
         canon = cache[key]
         entry = buckets.setdefault(canon.coefficients, [canon, 0, set()])
         entry[1] += 1
@@ -242,29 +227,36 @@ class ReductionSpec:
 
 
 def relabeling_orbit(ineq, cap=ORBIT_CAP_DEFAULT):
-    """All distinct relabeled variants of an inequality (bound kept positive)."""
+    """All distinct relabeled variants of an inequality (bound kept positive).
+
+    The orbit is closed one group factor at a time on coefficient arrays of
+    the scenario's shape: each party's axis is gathered with every row of
+    its _slot_table, then the axes of equal-setting parties are transposed;
+    every stage keeps the distinct arrays.  Entries stay Python ints.
+    """
     sc = ineq.scenario
-    n = sc.parties
-    perms = [p for p in itertools.permutations(range(n))
-             if all(sc.settings[p[i]] == sc.settings[i] for i in range(n))]
-    group_size = len(perms)
-    for m in sc.settings:
-        group_size *= len(list(itertools.permutations(range(m)))) * (1 << m)
+    group_size = math.prod(math.factorial(sc.settings.count(m)) for m in set(sc.settings)) \
+        * math.prod(math.factorial(m) << m for m in sc.settings)
     if group_size > cap:
         raise CapExceededError(
             f"relabeling group has {group_size} elements, above the cap of {cap}")
-    per_party = []
-    for m in sc.settings:
-        opts = [(sp, sf) for sp in itertools.permutations(range(1, m + 1))
-                for sf in itertools.product((1, -1), repeat=m)]
-        per_party.append(opts)
-    out = {}
-    for pp in perms:
-        for combo in itertools.product(*per_party):
-            rel = Relabeling(pp, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-            vec = apply_relabeling(rel, sc, ineq.coefficients)
-            out.setdefault(vec, Inequality(sc, vec))
-    return [out[key] for key in sorted(out)]
+
+    def distinct(arrays):
+        rows = dict.fromkeys(map(tuple, arrays.reshape(-1, sc.dimension + 1).tolist()))
+        return np.array(list(rows), dtype=object).reshape((-1,) + sc.shape)
+
+    vecs = np.array(ineq.coefficients, dtype=object).reshape((1,) + sc.shape)
+    for p, m in enumerate(sc.settings):
+        src, neg = _slot_table(m)
+        sign = (1 - 2 * neg).astype(object).reshape(src.shape + (1,) * (sc.parties - 1 - p))
+        vecs = distinct(np.moveaxis(np.take(vecs, src, axis=p + 1) * sign, p + 1, 1))
+    # transpositions (i j), i < j, in order of j generate each symmetric group
+    for j in range(sc.parties):
+        for i in range(j):
+            if sc.settings[i] == sc.settings[j]:
+                vecs = distinct(np.concatenate([vecs, vecs.swapaxes(i + 1, j + 1)]))
+    vecs = sorted(map(tuple, vecs.reshape(len(vecs), -1).tolist()))
+    return [Inequality(sc, vec) for vec in vecs]
 
 
 def _xi_space(target, reductions):

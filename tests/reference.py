@@ -3,9 +3,10 @@
 Facet enumeration here goes through ray subsets and sympy nullspaces, a
 completely different route from the double description code under test.
 Ranks, pivots and the rays of a simplex come from sympy's own elimination.
-Relabelings and reductions move one setting tuple at a time, and extended
-behaviors are built assignment by assignment, with one product of outcomes
-per coordinate, where conebell multiplies by one per-party kron matrix.
+Relabelings and reductions move one setting tuple at a time, term orbits
+are sets of permuted tuples, and extended behaviors are built assignment by
+assignment, with one product of outcomes per coordinate, where conebell
+multiplies by one per-party kron matrix or gathers per-party tables.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
 whole coefficient tensor at once.  The moment-matrix oracle canonicalizes
@@ -95,25 +96,30 @@ def sympy_nullity(mat, cols):
     return cols - sympy_rank(arr)
 
 
-def full_relabeling_group(scenario, group=None):
-    """Every local relabeling of the scenario, for brute-force orbit checks.
+def index_tuples(scenario):
+    """All setting tuples in coordinate order (the all-zero tuple first)."""
+    return list(itertools.product(*[range(m + 1) for m in scenario.settings]))
 
-    group, a conebell.search.GroupSpec, drops the factors it switches off.
-    """
+
+def party_swap(scenario, i, j):
+    """Relabeling exchanging parties i and j (equal setting counts)."""
+    party_map = list(range(scenario.parties))
+    party_map[i], party_map[j] = j, i
+    rel = Relabeling(tuple(party_map),
+                     tuple(tuple(range(1, m + 1)) for m in scenario.settings),
+                     tuple((1,) * m for m in scenario.settings))
+    rel.validate(scenario)
+    return rel
+
+
+def full_relabeling_group(scenario):
+    """Every local relabeling of the scenario, for brute-force orbit checks."""
     n = scenario.parties
     perms = [p for p in itertools.permutations(range(n))
              if all(scenario.settings[p[i]] == scenario.settings[i] for i in range(n))]
-    if group is not None and not group.party_permutations:
-        perms = [tuple(range(n))]
-    per_party = []
-    for m in scenario.settings:
-        setting_maps = list(itertools.permutations(range(1, m + 1)))
-        flips = list(itertools.product((1, -1), repeat=m))
-        if group is not None and not group.setting_permutations:
-            setting_maps = [tuple(range(1, m + 1))]
-        if group is not None and not group.sign_flips:
-            flips = [(1,) * m]
-        per_party.append([(sp, sf) for sp in setting_maps for sf in flips])
+    per_party = [[(sp, sf) for sp in itertools.permutations(range(1, m + 1))
+                  for sf in itertools.product((1, -1), repeat=m)]
+                 for m in scenario.settings]
     for pp in perms:
         for combo in itertools.product(*per_party):
             yield Relabeling(pp, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
@@ -122,7 +128,7 @@ def full_relabeling_group(scenario, group=None):
 def reference_relabel(r, scenario, coefficients):
     """Coefficient vector with relabeling r applied one setting tuple at a time."""
     out = [0] * len(coefficients)
-    for idx, t in enumerate(scenario.index_tuples()):
+    for idx, t in enumerate(index_tuples(scenario)):
         image = [0] * len(t)
         sign = 1
         for p, s in enumerate(t):
@@ -133,11 +139,51 @@ def reference_relabel(r, scenario, coefficients):
     return tuple(out)
 
 
-def brute_force_canonical(ineq, group=None):
+def brute_force_canonical(ineq):
     """Orbit minimum by exhaustive group enumeration (small scenarios only)."""
     prim = ineq.primitive()
     return min(reference_relabel(g, prim.scenario, prim.coefficients)
-               for g in full_relabeling_group(prim.scenario, group))
+               for g in full_relabeling_group(prim.scenario))
+
+
+def equal_setting_orbit(scenario, t):
+    """Orbit of a setting tuple under permutations of equal-setting parties."""
+    groups = {}
+    for i, m in enumerate(scenario.settings):
+        groups.setdefault(m, []).append(i)
+    orbit = set()
+    for combo in itertools.product(*[itertools.permutations(idxs) for idxs in groups.values()]):
+        img = list(t)
+        for idxs, perm in zip(groups.values(), combo):
+            for src, dst in zip(idxs, perm):
+                img[dst] = t[src]
+        orbit.add(tuple(img))
+    return orbit
+
+
+def reference_symmetric_terms(ineq):
+    """(term count, multiset terms or None) from one orbit set per nonzero term.
+
+    A multiset key is the term's tuple sorted in descending order within each
+    group of equal-setting parties.
+    """
+    sc = ineq.scenario
+    seen = set()
+    terms = {}
+    symmetric = True
+    for t, c in ineq.nonzero_terms():
+        if t in seen:
+            continue
+        orbit = equal_setting_orbit(sc, t)
+        seen.update(orbit)
+        symmetric &= all(ineq.coefficients[sc.index_of(u)] == c for u in orbit)
+        key = list(t)
+        for m in set(sc.settings):
+            group = [p for p in range(sc.parties) if sc.settings[p] == m]
+            for p, s in zip(group, sorted((t[p] for p in group), reverse=True)):
+                key[p] = s
+        terms[tuple(key)] = c
+    return len(terms), terms if symmetric else None
 
 
 def reference_reduce(candidate, xi, embed=None):
@@ -181,7 +227,7 @@ def reference_extended_behaviors(lower, xi, target, embed=None):
 
     def coords(scenario, assignment):
         return [math.prod(assignment[p][s - 1] for p, s in enumerate(t) if s)
-                for t in scenario.index_tuples()]
+                for t in index_tuples(scenario)]
 
     out = []
     for gamma in itertools.product(*[itertools.product((-1, 1), repeat=m)

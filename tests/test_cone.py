@@ -13,7 +13,7 @@ from conebell.exactlinalg import (_PRIME, integer_kernel_basis, pivot_columns, r
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 
-from .reference import (random_full_dim_vertices, reference_facets, sympy_rank,
+from .reference import (party_swap, random_full_dim_vertices, reference_facets, sympy_rank,
                         sympy_simplex_rays)
 
 
@@ -312,8 +312,7 @@ def test_projection_preserves_saturating_sets():
     """A projected facet saturates projected ray i exactly when its lift
     saturates every source ray mapped onto i (zero-image rays always do)."""
     from conebell import catalog
-    from conebell.constraints import (XiAssignment, build_extended_behaviors,
-                                      party_swap, symmetry_rows)
+    from conebell.constraints import XiAssignment, build_extended_behaviors, symmetry_rows
 
     target = Scenario((2, 2, 2))
     verts = enumerate_vertices(target)

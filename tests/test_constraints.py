@@ -6,14 +6,15 @@ import pytest
 from conebell import catalog
 from conebell.constraints import (Relabeling, XiAssignment, apply_relabeling,
                                   build_extended_behaviors, parse_relabeling,
-                                  party_swap, symmetry_rows)
+                                  symmetry_rows)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, rank
 from conebell.inequality import Inequality
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import _reduction_mask, verify_reduction
 
-from .reference import reference_extended_behaviors, reference_reduce, reference_relabel
+from .reference import (party_swap, reference_extended_behaviors, reference_reduce,
+                        reference_relabel)
 
 
 def _relabeling_matrix(rel, sc):

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 
 from conebell import catalog
 from conebell.errors import ParseError
-from conebell.inequality import (algebraic_bound, expand_symmetric_terms, from_cone_normal,
-                                 from_terms, parse_inequality, render,
+from conebell.inequality import (Inequality, algebraic_bound, expand_symmetric_terms,
+                                 from_cone_normal, from_terms, parse_inequality, render,
                                  render_symmetric, symmetric_terms, term_count,
                                  write_inequality)
 from conebell.scenario import Scenario
+
+from .reference import equal_setting_orbit, reference_symmetric_terms
 
 
 FIXTURE_BOUNDS = [
@@ -87,6 +90,47 @@ def test_term_count_matches_symmetric_notation():
     assert term_count(catalog.i3322_generalization(400)) == 14
     # CHSH is swap-symmetric: (11) + (12) - (22)
     assert term_count(catalog.chsh()) == 3
+
+
+def _random_vectors(sc, rng, count):
+    """Random vectors on sc, every other one constant on each term orbit."""
+    for k in range(count):
+        vec = [int(x) for x in rng.integers(-2, 3, size=sc.dimension + 1)]
+        if k % 2:
+            first = {}
+            vec = [first.setdefault(min(equal_setting_orbit(sc, sc.tuple_of(i))), x)
+                   for i, x in enumerate(vec)]
+        yield Inequality(sc, tuple(vec))
+
+
+@pytest.mark.parametrize("settings", [(2, 2, 2), (3, 3, 2), (2, 3)])
+def test_term_orbits_match_orbit_sets(settings):
+    rng = np.random.default_rng(sum(settings))
+    for ineq in _random_vectors(Scenario(settings), rng, 40):
+        count, terms = reference_symmetric_terms(ineq)
+        assert term_count(ineq) == count
+        assert symmetric_terms(ineq) == terms
+
+
+@pytest.mark.parametrize("ineq", [catalog.hybrid_generalization(k) for k in (1, 47, 198, 314)]
+                         + [from_terms(Scenario((3, 2)), 2,
+                                       {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1})])
+def test_symmetric_terms_round_trip_mixed_settings(ineq):
+    terms = symmetric_terms(ineq)
+    assert terms is not None
+    assert expand_symmetric_terms(ineq.scenario, ineq.bound, terms) == ineq
+
+
+def test_symmetric_keys_sort_within_equal_setting_parties():
+    # A1B3C2 on (3,3,2): only A and B may trade settings, so C keeps its 2
+    ineq = expand_symmetric_terms(Scenario((3, 3, 2)), 1, {(1, 3, 2): 1})
+    assert dict(ineq.nonzero_terms()) == {(1, 3, 2): 1, (3, 1, 2): 1}
+    assert symmetric_terms(ineq) == {(3, 1, 2): 1}
+    assert render_symmetric(ineq) == "(312) <= 1"
+    with pytest.raises(ValueError, match="orbit"):
+        expand_symmetric_terms(ineq.scenario, 1, {(1, 3, 2): 1, (3, 1, 2): 2})
+    with pytest.raises(ValueError, match="bound"):
+        expand_symmetric_terms(ineq.scenario, 1, {(0, 0, 0): 1})
 
 
 def test_render_contains_bound():

@@ -8,6 +8,8 @@ from conebell.errors import CapExceededError, ParseError
 from conebell.scenario import (Scenario, behavior_dimension, enumerate_vertices,
                                parse_scenario_header, vertex_count)
 
+from .reference import index_tuples
+
 
 def test_behavior_dimension():
     assert behavior_dimension(Scenario((2, 2))) == 8
@@ -60,7 +62,7 @@ def test_coordinates_are_products_of_assignments():
     # row k belongs to the k-th assignment in lex order, -1 before +1
     assignments = list(itertools.product(
         *[list(itertools.product((-1, 1), repeat=m)) for m in sc.settings]))
-    tuples = sc.index_tuples()
+    tuples = index_tuples(sc)
     for _ in range(200):
         k = int(rng.integers(len(verts)))
         idx = int(rng.integers(1, len(tuples)))

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from conebell import catalog, search
-from conebell.constraints import (XiAssignment, apply_relabeling, parse_relabeling,
-                                  party_swap)
+from conebell.constraints import XiAssignment, apply_relabeling, parse_relabeling
 from conebell.errors import CapExceededError
 from conebell.inequality import Inequality, from_terms
 from conebell.scenario import Scenario
-from conebell.search import (GroupSpec, canonical_form, classify, generalize,
+from conebell.search import (canonical_form, classify, generalize,
                              parse_class_list, relabeling_orbit,
                              verify_reduction, write_class_list)
 
-from .reference import brute_force_canonical, full_relabeling_group
+from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
+                        reference_relabel)
 
 
 def test_canonical_form_idempotent():
@@ -23,11 +23,8 @@ def test_canonical_form_idempotent():
 
 
 def _oracle_cases():
-    """(inequality, GroupSpec) pairs for the brute-force canonical-form oracle."""
+    """Inequalities for the brute-force canonical-form oracle."""
     rng = np.random.default_rng(42)
-    full = GroupSpec()
-    restricted = [GroupSpec(party_permutations=False), GroupSpec(setting_permutations=False),
-                  GroupSpec(sign_flips=False)]
     for settings, count in [((2, 2), 8), ((1, 2), 8), ((2, 1, 1), 8), ((2, 2, 2), 4),
                             ((3, 2), 4), ((1, 1, 1, 1), 6)]:
         sc = Scenario(settings)
@@ -36,42 +33,37 @@ def _oracle_cases():
             if k % 2:  # sparse and small: many tied partial relabelings
                 vec = [x % 2 * (-1) ** i for i, x in enumerate(vec)]
             vec[0] = abs(vec[0]) + 1
-            ineq = Inequality(sc, tuple(vec))
-            yield ineq, full
-            yield ineq, restricted[k % 3]
+            yield Inequality(sc, tuple(vec))
     # coefficients above 2**63, with ties among their magnitudes
     big = 2 ** 64 + 3
     sc = Scenario((2, 2))
     for k in range(6):
         vec = [int(x) for x in rng.choice([-big, big, -(2 ** 70), 1, 0], size=sc.dimension + 1)]
         vec[0] = 2 ** 80 + k
-        yield Inequality(sc, tuple(vec)), full
-        yield Inequality(sc, tuple(vec)), restricted[k % 3]
+        yield Inequality(sc, tuple(vec))
     # Mermin and vectors invariant under the cyclic party shift
     mermin = catalog.mermin()
-    for group in [full] + restricted:
-        yield mermin, group
+    yield mermin
     sc = mermin.scenario
     shift = parse_relabeling("perm:ABC->BCA", sc)
-    for k in range(3):
+    for _ in range(3):
         vec = [int(x) for x in rng.integers(-1, 2, size=sc.dimension + 1)]
         once = apply_relabeling(shift, sc, vec)
         twice = apply_relabeling(shift, sc, once)
         sym = [a + b + c for a, b, c in zip(vec, once, twice)]
         sym[0] = abs(sym[0]) + 3
         assert apply_relabeling(shift, sc, sym) == tuple(sym)
-        yield Inequality(sc, tuple(sym)), full
-        yield Inequality(sc, tuple(sym)), restricted[k]
+        yield Inequality(sc, tuple(sym))
 
 
 def test_canonical_form_matches_brute_force(monkeypatch):
-    for ineq, group in _oracle_cases():
-        want = brute_force_canonical(ineq, group)
-        assert canonical_form(ineq, group=group).coefficients == want, (ineq, group)
+    for ineq in _oracle_cases():
+        want = brute_force_canonical(ineq)
+        assert canonical_form(ineq).coefficients == want, ineq
         # one (state, party) pair per gather: ties are merged across chunks
         with monkeypatch.context() as patch:
             patch.setattr(search, "_GATHER_ENTRIES", 1)
-            assert canonical_form(ineq, group=group).coefficients == want, (ineq, group)
+            assert canonical_form(ineq).coefficients == want, ineq
 
 
 def test_canonical_form_orbit_invariance():
@@ -95,16 +87,29 @@ def test_chsh_variants_share_canonical_form():
     assert all(canonical_form(v).coefficients == canon for v in variants)
 
 
-def test_canonical_form_group_restriction():
-    sc = Scenario((2, 2))
-    ineq = from_terms(sc, 1, {(0, 1): 1})
-    # without sign flips the +1 cannot turn negative, so lex-min pushes it to
-    # the latest reachable marginal slot
-    no_flip = canonical_form(ineq, group=GroupSpec(sign_flips=False))
-    assert no_flip.coefficient((2, 0)) == 1
-    assert all(c >= 0 for c in no_flip.coefficients)
-    full = canonical_form(ineq)
-    assert full.coefficient((0, 1)) == -1
+def _orbit_cases():
+    chsh_32 = from_terms(Scenario((3, 2)), 2, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1})
+    sc = Scenario((2, 1, 1))
+    vec = [int(x) for x in np.random.default_rng(5).integers(-2, 3, size=sc.dimension + 1)]
+    vec[0] = 2 ** 70  # exact beyond int64
+    return [catalog.chsh(), chsh_32, catalog.gyni(), Inequality(sc, tuple(vec))]
+
+
+@pytest.mark.parametrize("ineq", _orbit_cases())
+def test_relabeling_orbit_matches_brute_force(ineq):
+    sc = ineq.scenario
+    want = sorted({reference_relabel(g, sc, ineq.coefficients)
+                   for g in full_relabeling_group(sc)})
+    assert [v.coefficients for v in relabeling_orbit(ineq)] == want
+
+
+def test_relabeling_orbit_cap_counts_group_elements():
+    """cap bounds the group size: 2 (8 * 8) = 128 for CHSH."""
+    assert len(relabeling_orbit(catalog.chsh(), cap=128)) == 8
+    with pytest.raises(CapExceededError):
+        relabeling_orbit(catalog.chsh(), cap=127)
+    with pytest.raises(CapExceededError, match="294912"):
+        relabeling_orbit(catalog.i4422(), cap=1000)
 
 
 def test_canonical_cap():
