@@ -92,6 +92,8 @@ def _parse_parties(text, scenario):
         ch = ch.strip()
         if len(ch) != 1 or ch not in _PARTY_LETTERS[:scenario.parties]:
             raise ParseError(f"bad party name {ch!r}")
+        if _PARTY_LETTERS.index(ch) in out:
+            raise ParseError(f"party {ch!r} named twice")
         out.append(_PARTY_LETTERS.index(ch))
     return tuple(out)
 

@@ -22,9 +22,9 @@ rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1 makes it a
 facet; pivot_columns decides every other candidate, so every non-facet.
 is_facet is the one-candidate case.
 
-All arithmetic is exact, and the exact steps go through the two kernels of
-exactlinalg.  The DD's initial simplex comes from pivot_columns (which rows)
-and integer_kernel_basis (one kernel per ray); it enters the DD as int64
+All arithmetic is exact, and the exact steps go through the one elimination
+of exactlinalg.  The DD's initial simplex comes from pivot_columns (which
+rows) and one integer_kernel_basis (every ray); it enters the DD as int64
 when its entries are at most 2^40.  The insertions then run on int64 arrays
 and promote to Python-int object arrays before a product could reach the
 bound that exactlinalg defines.
@@ -46,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DegenerateVectorError
-from .exactlinalg import (_RAY_INT64_MAX, _primitive_rows, _products_overflow,
-                          as_int_matrix, as_int_vector, integer_kernel_basis,
-                          modular_ranks, pivot_columns, rank, vector_gcd)
+from .exactlinalg import (_RAY_INT64_MAX, _as_int_rows, _primitive_rows,
+                          _products_overflow, as_int_matrix, as_int_vector,
+                          integer_kernel_basis, modular_ranks, pivot_columns, rank,
+                          vector_gcd)
 
 DD_CAP_DEFAULT = 5_000_000
 # entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
@@ -61,13 +62,6 @@ _ADJACENCY_ENTRIES = 1 << 15
 # 88 and 115 MB (criterion 7); the I3322 search takes 49 s at 2^16 and 46 s
 # at 2^18
 _CERTIFY_ENTRIES = 1 << 18
-
-
-def _as_int_rows(data):
-    """A 2-d integer array: int64 for signed integer input, else exact Python
-    ints; a non-integral entry raises ValueError."""
-    arr = np.array(data)
-    return arr.astype(np.int64, copy=False) if arr.dtype.kind == "i" else as_int_matrix(arr)
 
 
 class Cone:
@@ -266,10 +260,11 @@ def _dd_extreme_rays(a, cap):
 
     a must have full column rank.  Returns (rays, zerosets) where bit i of a
     ray's zero set means constraint row i is satisfied with equality.
-    The initial simplex is the first r independent rows in lexicographic
-    order (the pivots of pivot_columns).  Its ray j spans the integer kernel
-    of the other r - 1 rows and lies on the negative side of row j.  The
-    remaining rows are then inserted in lexicographic order.
+    The initial simplex is the first r independent rows b in lexicographic
+    order (the pivots of pivot_columns).  One kernel of [b | -I] gives all
+    its rays: free column j solves b x = L e_j with L > 0, so the primitive
+    form of -x, ray j, lies on the negative side of row j and on the other
+    r - 1 rows.  The remaining rows are then inserted in lexicographic order.
     """
     m, r = a.shape
     order = sorted(range(m), key=lambda i: tuple(int(x) for x in a[i]))
@@ -280,10 +275,8 @@ def _dd_extreme_rays(a, cap):
     rest_ids = [i for i in order if i not in basis]
 
     b = a[basis_ids]
-    init = np.empty((r, r), dtype=object)
-    for j in range(r):
-        y = integer_kernel_basis(np.delete(b, j, axis=0), columns=r)[:, 0]
-        init[j] = -y if b[j].astype(object) @ y > 0 else y
+    x = integer_kernel_basis(np.hstack([b, -np.eye(r, dtype=b.dtype)]))[:r]
+    init = _primitive_rows(-x.T)
     state = _DDState(m, r)
     state.rays = init if np.abs(init).max() > _RAY_INT64_MAX else init.astype(np.int64)
     state.zero = np.zeros((r, state.words), dtype=np.uint64)

@@ -123,6 +123,10 @@ def _embedding_map(lower_scenario, xi, target, embed):
     t when t restricted to embed is s, else 0.  M maps a lower vertex to its
     extended behavior; a target normal b reduces to b @ M.
     """
+    bad = sorted({p for p in embed if embed.count(p) > 1 or not 0 <= p < target.parties})
+    if bad:
+        raise ValueError(f"embedded parties {bad} are repeated or not among the "
+                         f"target's {target.parties} parties")
     extras = tuple(i for i in range(target.parties) if i not in embed)
     if tuple(target.settings[i] for i in embed) != lower_scenario.settings:
         raise ValueError("embedded parties do not match the lower scenario's settings")

@@ -2,22 +2,23 @@
 
 All results are exact over the rationals, except the lower bounds of
 modular_ranks.  Matrices are numpy arrays, either int64 (the fast path) or
-dtype=object holding arbitrary-precision Python integers.  Two elimination
-kernels do every exact step:
+dtype=object holding arbitrary-precision Python integers.  One elimination,
+the fraction-free Gaussian elimination of _echelon, does every exact step:
 
-- pivot_columns: fraction-free Gaussian elimination.  rank() counts its
-  pivots, and the double description in cone picks its initial simplex
-  from them.
-- integer_kernel_basis: unimodular reduction to a primitive integer basis of
-  the kernel.  It gives the constraint kernels of the projection, the span
-  of a lower-dimensional cone, and each ray of the DD's initial simplex.
+- pivot_columns returns its pivots.  rank() counts them, and the double
+  description in cone picks its initial simplex rows from them.
+- integer_kernel_basis reads a kernel off its reduced form, one primitive
+  column per free column.  It gives the constraint kernels of the
+  projection, the span of a lower-dimensional cone, and the DD's initial
+  simplex, all of whose rays come from one kernel.
 
 One bound keeps int64 arithmetic exact, here and in cone.  A sum of k
 products a * b with |a| <= A and |b| <= B is at most k * A * B in absolute
 value.  _products_overflow(A, B, k) is true once that reaches _INT64_LIMIT =
 2^62, which is below the int64 limit 2^63 - 1, and the caller then switches
 to Python ints.  An elimination or DD update x * u - y * v is the case
-k = 2; a dot product of length n is the case k = n.
+k = 2; a dot product of length n is the case k = n; the lcm scaling of a
+kernel column is the case k = 1.
 
 Facet certification asks whether a rank reaches a known maximum, so a lower
 bound that reaches it settles the question.  modular_ranks gives one for a
@@ -40,8 +41,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import DegenerateVectorError
 
 _INT64_LIMIT = 1 << 62
 # a prime below 2^31, so a product of two residues stays below 2^62
@@ -81,6 +80,15 @@ def as_int_matrix(data, columns=None):
     return _as_ints(arr)
 
 
+def _as_int_rows(data, columns=None):
+    """A 2-d integer array: int64 for signed integer input, else exact Python
+    ints (see as_int_matrix); a non-integral entry raises ValueError."""
+    arr = np.array(data)
+    if arr.dtype.kind == "i" and arr.ndim == 2:
+        return arr.astype(np.int64, copy=False)
+    return as_int_matrix(arr, columns=columns)
+
+
 def as_int_vector(data):
     arr = np.array(data, dtype=object)
     if arr.ndim != 1:
@@ -96,28 +104,6 @@ def vector_gcd(v):
         if g == 1:
             break
     return g
-
-
-def primitive_normalize(v, keep_orientation=False):
-    """Divide by the gcd of the entries and canonicalize the sign.
-
-    By default the sign is fixed so the first nonzero entry is positive.
-    With keep_orientation=True the given orientation is preserved, which is
-    what rays and valid-inequality normals need.
-    """
-    v = as_int_vector(v)
-    g = vector_gcd(v)
-    if g == 0:
-        raise DegenerateVectorError("cannot normalize the zero vector")
-    if g > 1:
-        v = v // g
-    if not keep_orientation:
-        for x in v:
-            if x != 0:
-                if x < 0:
-                    v = -v
-                break
-    return v
 
 
 def _primitive_rows(rows):
@@ -137,22 +123,21 @@ def _primitive_rows(rows):
     return rows
 
 
-def pivot_columns(mat, stop_at=None):
-    """Pivot column indices of an echelon form of mat, in increasing order.
+def _echelon(mat, stop_at=None, reduced=False):
+    """(echelon form, pivot columns) of mat by fraction-free elimination.
 
-    Column j is a pivot iff it is not in the span of columns 0..j-1, so the
-    pivots are the greedy first independent columns and their count is the
-    rank.  With stop_at the scan ends once that many pivots are found (at
-    least one, if mat is nonzero), which gives a prefix of the full list.
-
-    Fraction-free Gaussian elimination: every row update is pivot * row -
-    entry * pivot_row, divided by the gcd of the result.  An int64 matrix
-    switches to Python ints at the first update that could reach the bound
-    and continues from where it is, since row operations keep the pivots.
+    Row i of the echelon form has its pivot in column pivots[i], and the rows
+    below the pivots are zero.  Every row update is pivot * row - entry *
+    pivot_row, divided by the gcd of the result; reduced=True applies it to
+    the rows above the pivot as well, so each pivot column is zero outside
+    its pivot row.  With stop_at the scan ends once that many pivots are
+    found (at least one, if mat is nonzero).  An int64 matrix switches to
+    Python ints at the first update that could reach the bound and continues
+    from where it is, since row operations keep the pivots.
     """
     m = np.array(mat)
     if m.size == 0:
-        return []
+        return m, []
     if m.dtype != object:
         m = m.astype(np.int64, copy=False)
     rows, cols = m.shape
@@ -171,7 +156,9 @@ def pivot_columns(mat, stop_at=None):
         pivots.append(col)
         if stop_at is not None and len(pivots) >= stop_at:
             break
-        tgt = r + 1 + np.nonzero(m[r + 1:, col] != 0)[0]
+        lo = 0 if reduced else r + 1
+        tgt = lo + np.nonzero(m[lo:, col] != 0)[0]
+        tgt = tgt[tgt != r]
         if not tgt.size:
             continue
         if m.dtype != object:
@@ -180,7 +167,18 @@ def pivot_columns(mat, stop_at=None):
                 m = m.astype(object)
         upd = m[tgt] * m[r, col] - np.outer(m[tgt, col], m[r])
         m[tgt] = _primitive_rows(upd)
-    return pivots
+    return m, pivots
+
+
+def pivot_columns(mat, stop_at=None):
+    """Pivot column indices of an echelon form of mat, in increasing order.
+
+    Column j is a pivot iff it is not in the span of columns 0..j-1, so the
+    pivots are the greedy first independent columns and their count is the
+    rank.  With stop_at the scan ends once that many pivots are found (at
+    least one, if mat is nonzero), which gives a prefix of the full list.
+    """
+    return _echelon(mat, stop_at=stop_at)[1]
 
 
 def rank(mat, stop_at=None):
@@ -242,58 +240,28 @@ def modular_ranks(stack):
     return ranks
 
 
-def _xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
 def integer_kernel_basis(mat, columns=None):
-    """Integer basis of the rational kernel of ``mat``.
+    """Primitive integer columns that span the rational kernel of ``mat``.
 
-    Returns a (N x K) object matrix T with mat @ T = 0 exactly, K = N - rank.
-    The columns form a basis of the saturated kernel lattice (each column is
-    primitive) because only unimodular row operations are used: we reduce
-    [mat.T | I] and read the kernel off the rows whose mat.T part vanished.
-    An empty result (K = 0) is returned as an (N x 0) matrix.
+    Returns an (N x K) matrix T with mat @ T = 0 exactly, K = N - rank; an
+    empty kernel gives an (N x 0) matrix.  columns gives N for a matrix
+    without rows.  T is read off the reduced echelon form R of _echelon, with
+    pivot p_i in column c_i of row i and L the lcm of the |p_i|: free column
+    f gives x_f = L, x at c_i = -(L / p_i) R[i, f] and zero elsewhere, each
+    divided by its gcd.  Its entries are int64 for int64 input while the
+    bound allows, else Python ints.
     """
-    g = as_int_matrix(mat, columns=columns)
-    nrows, n = g.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=object)
-    aug = np.hstack([g.T, np.eye(n, dtype=object)])
-    pr = 0
-    for col in range(nrows):
-        live = [i for i in range(pr, n) if aug[i, col] != 0]
-        if not live:
-            continue
-        i0 = min(live, key=lambda i: abs(int(aug[i, col])))
-        for j in live:
-            if j == i0:
-                continue
-            a, b = int(aug[i0, col]), int(aug[j, col])
-            if b % a == 0:
-                aug[j] = aug[j] - (b // a) * aug[i0]
-            else:
-                gg, x, y = _xgcd(a, b)
-                new_i0 = x * aug[i0] + y * aug[j]
-                aug[j] = (a // gg) * aug[j] - (b // gg) * aug[i0]
-                aug[i0] = new_i0
-        if i0 != pr:
-            aug[[pr, i0]] = aug[[i0, pr]]
-        pr += 1
-    kernel_rows = aug[pr:, nrows:]
-    t = kernel_rows.T.copy()
-    for k in range(t.shape[1]):
-        gk = vector_gcd(t[:, k])
-        assert gk == 1, "unimodular reduction must produce primitive columns"
-    return t
+    red, pivots = _echelon(_as_int_rows(mat, columns=columns), reduced=True)
+    n = red.shape[1]
+    free = sorted(set(range(n)) - set(pivots))
+    t = np.zeros((len(free), n), dtype=red.dtype)
+    t[np.arange(len(free)), free] = 1
+    if pivots and free:
+        p = red[np.arange(len(pivots)), pivots]
+        lcm = math.lcm(*(int(x) for x in p))
+        rest = red[:len(pivots), free]
+        if red.dtype != object and _products_overflow(lcm, int(np.abs(rest).max()) or 1, 1):
+            t, rest, p = (x.astype(object) for x in (t, rest, p))
+        t *= lcm
+        t[:, pivots] = -(rest * (lcm // p)[:, None]).T
+    return _primitive_rows(t).T

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
-from .exactlinalg import as_int_vector, primitive_normalize, vector_gcd
+from .errors import DegenerateVectorError, ParseError
+from .exactlinalg import as_int_vector, vector_gcd
 from .scenario import _PARTY_LETTERS, Scenario, enumerate_vertices, parse_scenario_header
 
 
@@ -64,14 +64,19 @@ class Inequality:
         return self.values_on_vertices() == self.bound
 
     def nonzero_terms(self):
-        return [(self.scenario.tuple_of(i), c)
-                for i, c in enumerate(self.coefficients) if i > 0 and c != 0]
+        """(setting tuple, coefficient) of each nonzero term, bound excluded."""
+        idx = [i for i, c in enumerate(self.coefficients) if i and c]
+        axes = np.unravel_index(np.array(idx, dtype=np.intp), self.scenario.shape)
+        return [(t, self.coefficients[i]) for t, i in zip(zip(*(a.tolist() for a in axes)), idx)]
 
 
 def from_cone_normal(scenario, normal):
     """Inequality from a <=0-oriented lifted normal; bound is made positive."""
-    vec = primitive_normalize(as_int_vector(normal), keep_orientation=True)
-    coeffs = [int(x) for x in vec]
+    vec = as_int_vector(normal)
+    g = vector_gcd(vec)
+    if g == 0:
+        raise DegenerateVectorError("cannot normalize the zero vector")
+    coeffs = [int(x) // g for x in vec]
     coeffs[0] = -coeffs[0]
     if coeffs[0] < 0:
         raise ValueError("normal has negative bound after reorientation; not valid on the local polytope")
@@ -158,8 +163,13 @@ def _term_name(t):
 
 def render(ineq):
     """One-line human rendering: '<A1B1> + <A1B2> ... <= 2'."""
+    return _render_terms(ineq.nonzero_terms(), ineq.bound)
+
+
+def _render_terms(terms, bound):
+    """render for a list of (setting tuple, coefficient) terms."""
     pieces = []
-    for t, c in ineq.nonzero_terms():
+    for t, c in terms:
         mag = abs(c)
         coef = "" if mag == 1 else f"{mag} "
         sign = "-" if c < 0 else "+"
@@ -170,7 +180,7 @@ def render(ineq):
         body = " ".join(pieces)
         if body.startswith("+ "):
             body = body[2:]
-    return f"{body} <= {ineq.bound}"
+    return f"{body} <= {bound}"
 
 
 def render_symmetric(ineq):
@@ -199,14 +209,15 @@ def render_symmetric(ineq):
 def write_inequality(ineq, comments=True):
     """Serialize to the line format; deterministic and round-trip stable."""
     lines = []
+    terms = ineq.nonzero_terms()
     if comments:
-        lines.append(f"# {render(ineq)}")
+        lines.append(f"# {_render_terms(terms, ineq.bound)}")
         sym = render_symmetric(ineq)
         if sym is not None:
             lines.append(f"# symmetric: {sym}")
     lines.append(ineq.scenario.header())
     lines.append(f"bound: {ineq.bound}")
-    for t, c in ineq.nonzero_terms():
+    for t, c in terms:
         lines.append(",".join(str(s) for s in t) + f": {c}")
     return "\n".join(lines) + "\n"
 

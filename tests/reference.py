@@ -89,6 +89,22 @@ def sympy_simplex_rays(a):
     return [_primitive(scaled.row(i)) for i in range(m.rows)]
 
 
+def sympy_nullspace_rays(a):
+    """Extreme rays of {y : a y <= 0} for a square nonsingular a, one sympy
+    nullspace per row.
+
+    Ray i spans the nullspace of a without row i, primitive and oriented so
+    that a_i . y < 0.
+    """
+    m = sympy.Matrix(np.array(a, dtype=object).tolist())
+    rays = []
+    for i in range(m.rows):
+        (vec,) = m.extract([k for k in range(m.rows) if k != i], list(range(m.cols))).nullspace()
+        vec = vec * sympy.ilcm(1, *(x.q for x in vec))
+        rays.append(_primitive(-vec if (m.row(i) * vec)[0] > 0 else vec))
+    return rays
+
+
 def sympy_nullity(mat, cols):
     arr = np.array(mat, dtype=object)
     if arr.size == 0:

@@ -7,6 +7,7 @@ reproduction runs) are excluded from the default run; select them with
 three parties (~35 s) and the hybrid CHSH+I3322 search (~60 s), report count
 mismatches against the published figures as findings.
 """
+import hashlib
 import time
 
 import numpy as np
@@ -21,7 +22,7 @@ from conebell.quantum import BoundsRecord, SeesawConfig, metrics, seesaw
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import (canonical_form, classify, generalize,
                              generalize_multi, relabeling_orbit, ReductionSpec,
-                             verify_reduction)
+                             verify_reduction, write_class_list)
 
 from .reference import party_swap, random_full_dim_vertices
 
@@ -29,6 +30,12 @@ from .reference import party_swap, random_full_dim_vertices
 def _verdict(number, passed, detail):
     print(f"ACCEPTANCE {number} {'PASS' if passed else 'FAIL'}: {detail}")
     assert passed, detail
+
+
+def _digest(classes):
+    """SHA-256 of the class list file, members and witnesses included: the
+    searches below must reproduce it byte for byte."""
+    return hashlib.sha256(write_class_list(classes).encode()).hexdigest()
 
 
 def _classify_scenario(settings):
@@ -113,9 +120,11 @@ def test_criterion_5_chsh_generalization_contains_mermin():
     canons = {cl.canonical.coefficients for cl in classes}
     mermin_found = canonical_form(catalog.mermin()).coefficients in canons
     reduction = verify_reduction(catalog.mermin(), XiAssignment(((1, 1),)), catalog.chsh())
-    _verdict(5, mermin_found and reduction,
+    digest = _digest(classes) == \
+        "5aab262fc3466fb219b02948d82aa5541d524d2ddcd2640d8abefecdcb1b5907"
+    _verdict(5, mermin_found and reduction and digest,
              f"{len(classes)} classes contain Mermin; unit outcomes on the third "
-             "party recover CHSH exactly")
+             "party recover CHSH exactly; the class list matches its digest")
 
 
 def _i4422_symmetries(which):
@@ -142,7 +151,8 @@ def test_criterion_6_i4422_generalizations():
                          for fx in catalog.i4422_generalizations())
     ok = (empty == [] and len(classes) == 13
           and bounds == [15, 15, 19, 19, 23, 38, 38, 51, 51, 55, 55, 76, 76]
-          and fixtures_match)
+          and fixtures_match and _digest(classes)
+          == "8439bf23f4e75a331aab9db27f87f8f5410ee10b4df7dc6f2ae8d4e5efec5fa7")
     _verdict(6, ok, f"first symmetry choice empty; second gives {len(classes)} classes "
                     f"with bounds {bounds}, all matching the published list")
 
@@ -179,7 +189,8 @@ def test_criterion_7_gyni_generalizations():
     classes = generalize(catalog.gyni(), (2,), _gyni_symmetries())
     canons = {cl.canonical.coefficients for cl in classes}
     product = canonical_form(_gyni_product_form()).coefficients in canons
-    ok = len(classes) == 23 and product
+    ok = (len(classes) == 23 and product and _digest(classes)
+          == "84685fd97b498479a62c6a4d43c6910177f576df071df7d067f5487051921429")
     _verdict(7, ok, f"GYNI to four parties: {len(classes)} classes; the degenerate "
                     "product-form class is present")
 
@@ -195,6 +206,7 @@ def test_criterion_7_finding_i3322_full_run():
           "full group (the canonicalization here is verified against brute-force "
           "orbit minima).")
     assert len(classes) == 3049
+    assert _digest(classes) == "1b08cd7477557b04d4388590fe30974f41b6bbd1ef2a0de15d46827c4dda8929"
 
 
 @pytest.mark.long
@@ -213,6 +225,7 @@ def test_criterion_7_finding_hybrid_full_run():
           "CHSH must be demanded up to relabeling (sweep_orbit); with the exact "
           "printed CHSH form the run yields 242 classes.")
     assert exemplars and len(classes) == 475
+    assert _digest(classes) == "e233ae40bdb1b51214ad6ba106750faaed949f7ce5dfd6fafa5ef547cc52aaa1"
 
 
 def test_criterion_8_seesaw_reference_values():

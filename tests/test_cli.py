@@ -233,6 +233,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line" in err
 
 
+def test_generalize_rejects_a_repeated_party(chsh_file, capsys):
+    assert main(["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}@A,A"]) == 2
+    assert "named twice" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["seesaw", "--ineq", str(tmp_path / "nope.ineq")]) == 2
 

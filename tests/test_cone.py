@@ -14,7 +14,7 @@ from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 
 from .reference import (party_swap, random_full_dim_vertices, reference_facets, sympy_rank,
-                        sympy_simplex_rays)
+                        sympy_nullspace_rays, sympy_simplex_rays)
 
 
 def _projection_sources(cone, basis, projected):
@@ -179,6 +179,28 @@ def test_dd_of_square_system_is_the_simplex():
             (row,) = [i for i in range(n) if not int(z[0]) >> i & 1]
             got[row] = tuple(int(x) for x in ray)
         assert got == dict(enumerate(sympy_simplex_rays(a)))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 7))
+    spread = draw(st.sampled_from([5, 2 ** 20, 2 ** 31]))
+    return np.array([[draw(st.integers(-spread, spread)) for _ in range(n)] for _ in range(n)],
+                    dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_dd_simplex_rays_are_the_per_row_nullspaces(a):
+    # a square system is its initial simplex, in lexicographic row order
+    n = a.shape[0]
+    if sympy_rank(a) < n:
+        return
+    order = sorted(range(n), key=lambda i: tuple(a[i]))
+    rays, zero = _dd_extreme_rays(a, DD_CAP_DEFAULT)
+    expected = sympy_nullspace_rays(a)
+    assert [tuple(int(x) for x in ray) for ray in rays] == [expected[i] for i in order]
+    assert [int(z[0]) for z in zero] == [(1 << n) - 1 - (1 << i) for i in order]
 
 
 def test_dd_order_independence():

@@ -11,7 +11,7 @@ from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, rank
 from conebell.inequality import Inequality
 from conebell.scenario import Scenario, enumerate_vertices
-from conebell.search import _reduction_mask, verify_reduction
+from conebell.search import ReductionSpec, _reduction_mask, generalize_multi, verify_reduction
 
 from .reference import (party_swap, reference_extended_behaviors, reference_reduce,
                         reference_relabel)
@@ -140,6 +140,15 @@ def test_extended_behaviors_validation():
         Scenario((2, 2)), 3, {(1, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="facet"):
         build_extended_behaviors(loose, XiAssignment(((1, 1),)), Scenario((2, 2, 2)))
+
+
+def test_embedding_rejects_repeated_or_missing_parties():
+    chsh, target = catalog.chsh(), Scenario((2, 2, 2))
+    for embed, named in [((0, 0), r"\[0\]"), ((0, 5), r"\[5\]"), ((-1, 1), r"\[-1\]")]:
+        with pytest.raises(ValueError, match=named):
+            build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, embed=embed)
+    with pytest.raises(ValueError, match=r"\[5\]"):
+        generalize_multi(target, [ReductionSpec(chsh, (0, 5))], [])
 
 
 @pytest.mark.parametrize("lower, target, embed", [

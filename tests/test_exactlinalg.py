@@ -3,10 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conebell.errors import DegenerateVectorError
 from conebell.exactlinalg import (_PRIME, as_int_matrix, as_int_vector, integer_kernel_basis,
-                                  modular_ranks, pivot_columns, primitive_normalize, rank,
-                                  vector_gcd)
+                                  modular_ranks, pivot_columns, rank, vector_gcd)
 from conebell.scenario import Scenario, enumerate_vertices
 
 from .reference import sympy_nullity, sympy_pivots, sympy_rank
@@ -38,25 +36,6 @@ def test_rank_survives_large_entries():
     assert rank(mat2) == 1
 
 
-matrices = st.integers(-6, 6)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.data())
-def test_kernel_basis_properties(rows, cols, data):
-    g = np.array([[data.draw(matrices) for _ in range(cols)] for _ in range(rows)],
-                 dtype=object)
-    t = integer_kernel_basis(g)
-    assert t.shape[0] == cols
-    assert t.shape[1] == sympy_nullity(g, cols)
-    prod = g @ t
-    assert not prod.any()
-    if t.shape[1]:
-        assert rank(t) == t.shape[1]
-        for k in range(t.shape[1]):
-            assert vector_gcd(t[:, k]) == 1
-
-
 def test_kernel_of_empty_system_is_identity():
     t = integer_kernel_basis(np.zeros((0, 3), dtype=object), columns=3)
     assert t.shape == (3, 3)
@@ -80,15 +59,6 @@ def test_rank_matches_float_svd_on_well_conditioned():
         assert rank(m.astype(object)) == np.linalg.matrix_rank(m.astype(float))
 
 
-def test_primitive_normalize():
-    assert tuple(primitive_normalize([2, 4, -6])) == (1, 2, -3)
-    assert tuple(primitive_normalize([0, 0, 5])) == (0, 0, 1)
-    assert tuple(primitive_normalize([-3, 6])) == (1, -2)
-    assert tuple(primitive_normalize([-3, 6], keep_orientation=True)) == (-1, 2)
-    with pytest.raises(DegenerateVectorError):
-        primitive_normalize([0, 0, 0])
-
-
 def test_as_int_rejects_non_integral_entries():
     assert as_int_vector([2.0, -3]).tolist() == [2, -3]
     assert as_int_matrix(np.array([[1.0, 2.0]])).tolist() == [[1, 2]]
@@ -110,6 +80,31 @@ def low_rank_matrices(draw):
                       for _ in range(inner)], dtype=object)
     mat = left @ right
     return mat if draw(st.booleans()) else mat.astype(np.int64)
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    return np.array([[draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)],
+                    dtype=object)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices(), low_rank_matrices()))
+# the lcm of the pivots 2^31 + 11 and 2^31 - 1 times an entry 2^31 passes
+# the int64 bound, so the kernel columns are scaled in Python ints
+@example(np.array([[(1 << 31) + 11, 0, 1 << 31], [0, (1 << 31) - 1, 1 << 31]], dtype=np.int64))
+def test_kernel_basis_properties(g):
+    cols = g.shape[1]
+    t = integer_kernel_basis(g)
+    assert t.shape[0] == cols
+    assert t.shape[1] == sympy_nullity(g, cols)
+    prod = g.astype(object) @ t.astype(object)
+    assert not prod.any()
+    if t.shape[1]:
+        assert rank(t) == t.shape[1]
+        for k in range(t.shape[1]):
+            assert vector_gcd(t[:, k]) == 1
 
 
 @settings(max_examples=200, deadline=None)

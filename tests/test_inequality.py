@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conebell import catalog
-from conebell.errors import ParseError
+from conebell.errors import DegenerateVectorError, ParseError
 from conebell.inequality import (Inequality, algebraic_bound, expand_symmetric_terms,
                                  from_cone_normal, from_terms, parse_inequality, render,
                                  render_symmetric, symmetric_terms, term_count,
@@ -64,6 +64,18 @@ def test_cone_normal_orientation():
     vals = verts.astype(object) @ normal
     assert all(v <= 0 for v in vals)
     assert from_cone_normal(chsh.scenario, normal).coefficients == chsh.coefficients
+
+
+def test_from_cone_normal_normalizes():
+    chsh = catalog.chsh()
+    # a scaled normal keeps its orientation and loses the common factor
+    assert from_cone_normal(chsh.scenario, 6 * chsh.cone_normal()).coefficients \
+        == chsh.coefficients
+    with pytest.raises(DegenerateVectorError):
+        from_cone_normal(chsh.scenario, [0] * 9)
+    # a normal that is positive on the zero vertex has a negative bound
+    with pytest.raises(ValueError, match="negative bound"):
+        from_cone_normal(chsh.scenario, -3 * chsh.cone_normal())
 
 
 def test_symmetric_expansion_round_trip():
