@@ -11,16 +11,17 @@ int64 when the input is int64 (lift_polytope of an enumerate_vertices
 matrix, or a projection whose products fit int64), Python-int objects
 otherwise.  Non-integral input raises ValueError.
 
-constrained_facets is the constrained search that generalize runs on every
-branch: project the rays onto the kernel of the constraint rows (an integer
-matrix, one constraint per row), run the enumeration on the small projected
-cone, lift all candidates back in one product, keep the rows of the
-caller's cheap mask over that matrix (the reduction check, in a search),
-and certify them on the full cone in one batch.  A rank mod p is at most the rational
-rank, and a valid, proper candidate has saturating rank at most
-rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1 makes it a
-facet; pivot_columns decides every other candidate, so every non-facet.
-is_facet is the one-candidate case.
+constrained_facets is the constrained search that generalize_multi runs on
+every branch: project the rays onto the kernel of the constraint rows (an
+integer matrix, one constraint per row), run the enumeration on the small
+projected cone, lift all candidates back in one product, keep the rows of
+the caller's cheap mask over that matrix (the reduction check, in a
+search), and certify them on the full cone in one batch.  A rank mod p is
+at most the rational rank, and a valid, proper candidate has saturating
+rank at most rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1
+makes it a facet; pivot_columns decides every other candidate, so every
+non-facet.  generalize_multi certifies each lower inequality on its own
+scenario with the same batched test.
 
 All arithmetic is exact, and the exact steps go through the one elimination
 of exactlinalg.  The DD's initial simplex comes from pivot_columns (which
@@ -47,9 +48,8 @@ import numpy as np
 
 from .errors import CapExceededError, DegenerateVectorError
 from .exactlinalg import (_RAY_INT64_MAX, _as_int_rows, _primitive_rows,
-                          _products_overflow, as_int_matrix, as_int_vector,
-                          integer_kernel_basis, modular_ranks, pivot_columns, rank,
-                          vector_gcd)
+                          _products_overflow, integer_kernel_basis, modular_ranks,
+                          pivot_columns, rank)
 
 DD_CAP_DEFAULT = 5_000_000
 # entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
@@ -109,20 +109,6 @@ class FacetNormal:
     saturating: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FacetCertificate:
-    """Outcome of a facet test, with the rank evidence."""
-
-    valid: bool
-    facet: bool
-    saturating: tuple[int, ...]
-    saturating_rank: int
-    cone_rank: int
-
-    def __bool__(self):
-        return self.facet
-
-
 def lift_polytope(vertices):
     """Cone over lifted polytope vertices (leading coordinate 1).
 
@@ -154,7 +140,7 @@ def project_rays(cone, basis):
     Zero images are dropped; Cone reduces the rest to primitive form and
     merges duplicates in first-seen order.
     """
-    t = as_int_matrix(basis)
+    t = _as_int_rows(basis)
     if t.shape[0] != cone.dim:
         raise ValueError(f"basis has {t.shape[0]} rows, cone dimension is {cone.dim}")
     k = t.shape[1]
@@ -173,7 +159,7 @@ def _lift(normals, basis):
     normals holds one normal per row; a non-integral entry raises ValueError.
     """
     b = _as_int_rows(normals)
-    t = as_int_matrix(basis)
+    t = _as_int_rows(basis)
     if b.ndim != 2 or b.shape[1] != t.shape[1]:
         raise ValueError("normal length does not match basis column count")
     return _primitive_rows(_exact_products(b, t.T))
@@ -215,26 +201,6 @@ def _certify(cone, lifted):
         sat_rank[j] = len(pivot_columns(rays[zero[:, j]], stop_at=target))
     facet = valid & (values < 0).any(axis=0) & (sat_rank == target)
     return values, sat_rank, facet
-
-
-def is_facet(candidate, cone):
-    """Exact facet test with certificate.
-
-    A valid inequality (nonpositive on every ray) is a facet iff some ray
-    is strictly negative, so the face is proper, and its saturating rays
-    span a space of dimension rank(cone) - 1.  This is the one-candidate
-    case of the batched test that constrained_facets runs.
-    """
-    vec = as_int_vector(candidate)
-    if len(vec) != cone.dim:
-        raise ValueError("candidate length does not match cone dimension")
-    if vector_gcd(vec) == 0:
-        raise DegenerateVectorError("zero candidate")
-    values, sat_rank, facet = _certify(cone, vec[None])
-    values = values[:, 0]
-    return FacetCertificate(valid=not (values > 0).any(), facet=bool(facet[0]),
-                            saturating=tuple(np.flatnonzero(values == 0).tolist()),
-                            saturating_rank=int(sat_rank[0]), cone_rank=cone.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ setting 0, and the symmetry rows are the nonzero rows of I - P^T.  The
 embedding of a lower inequality has the identity on each embedded party and
 the column (1, xi_1, ..., xi_m) on each extra party; it maps the lower
 scenario's saturating vertices to the extended behaviors, and its transpose
-maps a target normal to its reduction (see search.verify_reduction).
+maps a target normal to its reduction (see search._reduction_mask).
 """
 from __future__ import annotations
 
@@ -83,12 +83,6 @@ def _relabeling_map(r, scenario):
         block[r.setting_maps[i], np.arange(1, m + 1)] = r.sign_flips[i]
         blocks[r.party_map[i]] = block
     return _coordinate_map(blocks, r.party_map)
-
-
-def apply_relabeling(r, scenario, coefficients):
-    """Transform a coefficient (or vertex coordinate) vector."""
-    p = _relabeling_map(r, scenario).astype(object)
-    return tuple(int(x) for x in p @ np.array(list(coefficients), dtype=object))
 
 
 @dataclass(frozen=True)

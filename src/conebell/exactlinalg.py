@@ -68,25 +68,19 @@ def _as_ints(arr):
     return out
 
 
-def as_int_matrix(data, columns=None):
-    """Coerce to a 2-d object array of Python ints; (0, columns) if empty."""
-    arr = np.array(data, dtype=object)
+def _as_int_rows(data, columns=None):
+    """A 2-d integer array: int64 for signed integer input, else exact Python
+    ints; (0, columns) if empty.  A non-integral entry raises ValueError."""
+    arr = np.array(data)
+    if arr.dtype.kind == "i" and arr.ndim == 2:
+        return arr.astype(np.int64, copy=False)
     if arr.size == 0:
         if columns is None:
             raise ValueError("empty matrix needs an explicit column count")
         return np.zeros((0, columns), dtype=object)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    return _as_ints(arr)
-
-
-def _as_int_rows(data, columns=None):
-    """A 2-d integer array: int64 for signed integer input, else exact Python
-    ints (see as_int_matrix); a non-integral entry raises ValueError."""
-    arr = np.array(data)
-    if arr.dtype.kind == "i" and arr.ndim == 2:
-        return arr.astype(np.int64, copy=False)
-    return as_int_matrix(arr, columns=columns)
+    return _as_ints(arr.astype(object, copy=False))
 
 
 def as_int_vector(data):

@@ -65,9 +65,14 @@ class Inequality:
 
     def nonzero_terms(self):
         """(setting tuple, coefficient) of each nonzero term, bound excluded."""
-        idx = [i for i, c in enumerate(self.coefficients) if i and c]
-        axes = np.unravel_index(np.array(idx, dtype=np.intp), self.scenario.shape)
-        return [(t, self.coefficients[i]) for t, i in zip(zip(*(a.tolist() for a in axes)), idx)]
+        return _terms_at(self, [i for i, c in enumerate(self.coefficients) if i and c])
+
+
+def _terms_at(ineq, idx):
+    """(setting tuple, coefficient) at each coordinate of the list idx, with
+    one np.unravel_index for all of them."""
+    axes = np.unravel_index(np.array(idx, dtype=np.intp), ineq.scenario.shape)
+    return [(t, ineq.coefficients[i]) for t, i in zip(zip(*(a.tolist() for a in axes)), idx)]
 
 
 def from_cone_normal(scenario, normal):
@@ -140,13 +145,11 @@ def symmetric_terms(ineq):
     representative key is the tuple sorted in descending order within each
     group of equal-setting parties.
     """
-    sc = ineq.scenario
-    rep = _term_orbits(sc.settings)
+    rep = _term_orbits(ineq.scenario.settings)
     c = np.array(ineq.coefficients, dtype=object)
     if not (c == c[rep]).all():
         return None
-    reps = sorted(set(rep[1:][c[1:] != 0].tolist()))
-    return {sc.tuple_of(r): ineq.coefficients[r] for r in reps}
+    return dict(_terms_at(ineq, sorted(set(rep[1:][c[1:] != 0].tolist()))))
 
 
 def term_count(ineq):
@@ -166,20 +169,16 @@ def render(ineq):
     return _render_terms(ineq.nonzero_terms(), ineq.bound)
 
 
-def _render_terms(terms, bound):
-    """render for a list of (setting tuple, coefficient) terms."""
+def _render_terms(terms, bound, label=lambda t: f"<{_term_name(t)}>"):
+    """render for a list of (setting tuple, coefficient) terms, each tuple
+    written as label(tuple)."""
     pieces = []
     for t, c in terms:
         mag = abs(c)
         coef = "" if mag == 1 else f"{mag} "
         sign = "-" if c < 0 else "+"
-        pieces.append(f"{sign} {coef}<{_term_name(t)}>")
-    if not pieces:
-        body = "0"
-    else:
-        body = " ".join(pieces)
-        if body.startswith("+ "):
-            body = body[2:]
+        pieces.append(f"{sign} {coef}{label(t)}")
+    body = " ".join(pieces).removeprefix("+ ") or "0"
     return f"{body} <= {bound}"
 
 
@@ -188,18 +187,8 @@ def render_symmetric(ineq):
     terms = symmetric_terms(ineq)
     if terms is None:
         return None
-    pieces = []
-    for t in sorted(terms):
-        c = terms[t]
-        mag = abs(c)
-        coef = "" if mag == 1 else f"{mag} "
-        sign = "-" if c < 0 else "+"
-        label = "".join(str(s) for s in t)
-        pieces.append(f"{sign} {coef}({label})")
-    body = " ".join(pieces)
-    if body.startswith("+ "):
-        body = body[2:]
-    return f"{body} <= {ineq.bound}"
+    return _render_terms(sorted(terms.items()), ineq.bound,
+                         label=lambda t: "(" + "".join(map(str, t)) + ")")
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,6 @@ class Scenario:
             raise ValueError(f"invalid setting tuple {t} for scenario {self.settings}")
         return int(np.ravel_multi_index(t, self.shape))
 
-    def tuple_of(self, index):
-        return tuple(int(x) for x in np.unravel_index(index, self.shape))
-
     def header(self):
         return f"scenario: n={self.parties} settings=" + ",".join(str(m) for m in self.settings)
 

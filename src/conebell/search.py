@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (DD_CAP_DEFAULT, _exact_products, constrained_facets, is_facet,
+from .cone import (DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets,
                    lift_polytope)
 from .constraints import (XiAssignment, _embedding_map, build_extended_behaviors,
                           parse_xi_label, symmetry_rows)
@@ -35,7 +35,7 @@ from .errors import CapExceededError, ParseError
 from .exactlinalg import _primitive_rows
 from .inequality import (Inequality, from_cone_normal, parse_inequality,
                          term_count, write_inequality)
-from .scenario import Scenario, enumerate_vertices
+from .scenario import enumerate_vertices
 
 ORBIT_CAP_DEFAULT = 10_000_000
 # entries of one canonical-form gather (8 MB of int64); a slot whose rows are
@@ -183,27 +183,14 @@ def _reduction_mask(normals, xi, lower, embed, target):
     that substituting xi turns into a positive multiple of lower's normal.
 
     One product with the embedding map reduces every row at once; a row
-    passes when its primitive form is that of lower's normal.
-    verify_reduction is the one-candidate case.
+    passes when its primitive form is that of lower's normal.  embed lists
+    the target parties that lower occupies; xi fixes the others in party
+    order.
     """
     reduced = _primitive_rows(_exact_products(
         normals, _embedding_map(lower.scenario, xi, target, embed)))
     want = np.array(lower.primitive().cone_normal().tolist())
     return (reduced == want).all(axis=1)
-
-
-def verify_reduction(candidate, xi, lower, embed=None):
-    """True iff substituting xi turns candidate into lower, up to positive scale.
-
-    The non-embedded parties take xi in party order; embed defaults to the
-    leading parties.
-    """
-    sc = candidate.scenario
-    if embed is None:
-        embed = tuple(range(sc.parties - len(xi.values)))
-    if tuple(sc.settings[i] for i in embed) != lower.scenario.settings:
-        return False
-    return bool(_reduction_mask(candidate.cone_normal()[None], xi, lower, embed, sc)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +286,7 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     """
     for spec in reductions:
         lower_cone = lift_polytope(enumerate_vertices(spec.lower.scenario))
-        if not is_facet(spec.lower.cone_normal(), lower_cone):
+        if not _certify(lower_cone, spec.lower.cone_normal()[None])[2][0]:
             raise ValueError("a lower inequality is not facet-defining on its scenario")
     for gen in symmetry:
         gen.validate(target)
@@ -351,13 +338,6 @@ def _set_worker_context(*context):
 
 def _worker_branch(job):
     return _branch(*_worker_context, *job)
-
-
-def generalize(lower, extra_settings, symmetry, **kwargs):
-    """Extend an inequality by extra parties appended after the existing ones."""
-    target = Scenario(lower.scenario.settings + tuple(extra_settings))
-    spec = ReductionSpec(lower=lower, embed=tuple(range(lower.scenario.parties)))
-    return generalize_multi(target, [spec], symmetry, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conebell import catalog
 from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _dd_extreme_rays, _lift,
-                           constrained_facets, enumerate_facets_dd, is_facet, lift_polytope,
+                           constrained_facets, enumerate_facets_dd, lift_polytope,
                            project_rays)
 from conebell.errors import CapExceededError
 from conebell.exactlinalg import (_PRIME, integer_kernel_basis, pivot_columns, rank,
@@ -250,11 +250,20 @@ def test_dd_cap():
         enumerate_facets_dd(cone, cap=4)
 
 
+def _certify_one(cone, normal):
+    """(valid, facet, saturating ray indices, saturating rank) of one normal
+    from the batched test."""
+    values, sat_rank, facet = _certify(cone, np.array([normal]))
+    values = values[:, 0]
+    return (not (values > 0).any(), bool(facet[0]), np.flatnonzero(values == 0).tolist(),
+            int(sat_rank[0]))
+
+
 def test_is_facet_chsh_certificate():
     cone = lift_polytope(enumerate_vertices(Scenario((2, 2))))
-    cert = is_facet(catalog.chsh().cone_normal(), cone)
-    assert cert.facet and cert.valid
-    assert cert.saturating_rank == 8 and len(cert.saturating) == 8
+    valid, facet, saturating, sat_rank = _certify_one(cone, catalog.chsh().cone_normal())
+    assert facet and valid
+    assert sat_rank == 8 and len(saturating) == 8
 
 
 def test_is_facet_valid_but_not_facet():
@@ -262,28 +271,29 @@ def test_is_facet_valid_but_not_facet():
     sc = Scenario((2, 2))
     cone = lift_polytope(enumerate_vertices(sc))
     weak = from_terms(sc, 2, {(1, 1): 1, (1, 2): 1})
-    cert = is_facet(weak.cone_normal(), cone)
-    assert cert.valid and not cert.facet
-    assert cert.saturating_rank < 8
+    valid, facet, _, sat_rank = _certify_one(cone, weak.cone_normal())
+    assert valid and not facet
+    assert sat_rank < 8
 
 
 def test_is_facet_invalid_inequality_distinct_outcome():
     sc = Scenario((2, 2))
     cone = lift_polytope(enumerate_vertices(sc))
     invalid = from_terms(sc, 1, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1})
-    cert = is_facet(invalid.cone_normal(), cone)
-    assert not cert.valid and not cert.facet
+    valid, facet, _, sat_rank = _certify_one(cone, invalid.cone_normal())
+    assert not valid and not facet and sat_rank == 0
 
 
 def test_is_facet_rejects_improper_face():
     # every ray saturates [0, 0, 1], so the face is the whole cone
-    cert = is_facet([0, 0, 1], Cone(3, np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)))
-    assert cert.valid and not cert.facet
+    cone = Cone(3, np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64))
+    valid, facet, _, _ = _certify_one(cone, [0, 0, 1])
+    assert valid and not facet
 
 
 def test_is_facet_mermin_on_three_party_cone():
     cone = lift_polytope(enumerate_vertices(Scenario((2, 2, 2))))
-    assert is_facet(catalog.mermin().cone_normal(), cone).facet
+    assert _certify_one(cone, catalog.mermin().cone_normal())[1]
 
 
 def test_non_integral_rays_are_rejected():
@@ -307,9 +317,6 @@ def test_cone_dedup_keeps_first_seen_order():
 
 def test_non_integral_candidates_are_rejected():
     # int() would truncate these to integral vectors and judge those instead
-    cone = lift_polytope(enumerate_vertices(Scenario((2, 2))))
-    with pytest.raises(ValueError):
-        is_facet([1.9] + [0] * (cone.dim - 1), cone)
     with pytest.raises(ValueError):
         _lift([[0.5, 1.5]], integer_kernel_basis(np.array([[1, 1, 0]], dtype=object)))
 
@@ -400,8 +407,8 @@ def test_certify_falls_back_where_the_rank_drops_mod_p(monkeypatch):
 
     monkeypatch.setattr("conebell.cone.pivot_columns", exact)
     assert cone.rank == 3
-    cert = is_facet([0, 0, -1], cone)
-    assert cert.facet and cert.saturating == (0, 1) and cert.saturating_rank == 2
+    valid, facet, saturating, sat_rank = _certify_one(cone, [0, 0, -1])
+    assert valid and facet and saturating == [0, 1] and sat_rank == 2
     assert calls == [2]
 
 
@@ -439,7 +446,10 @@ def test_batched_certification_matches_exact_rank(case, entries):
         expected = min(sympy_rank(sat) if len(sat) else 0, target) if valid else 0
         assert sat_rank[j] == expected
         assert facet[j] == (valid and any(v < 0 for v in vals) and expected == target)
-        assert is_facet(vec, cone).facet == facet[j]
+        # a batch of one gives the same verdict
+        one = _certify(cone, cand[j:j + 1])
+        assert (one[0][:, 0] == values[:, j]).all() and one[1][0] == sat_rank[j]
+        assert one[2][0] == facet[j]
 
 
 def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conebell.exactlinalg import (_PRIME, as_int_matrix, as_int_vector, integer_kernel_basis,
+from conebell.exactlinalg import (_PRIME, _as_int_rows, as_int_vector, integer_kernel_basis,
                                   modular_ranks, pivot_columns, rank, vector_gcd)
 from conebell.scenario import Scenario, enumerate_vertices
 
@@ -61,11 +61,14 @@ def test_rank_matches_float_svd_on_well_conditioned():
 
 def test_as_int_rejects_non_integral_entries():
     assert as_int_vector([2.0, -3]).tolist() == [2, -3]
-    assert as_int_matrix(np.array([[1.0, 2.0]])).tolist() == [[1, 2]]
+    assert _as_int_rows(np.array([[1.0, 2.0]])).tolist() == [[1, 2]]
+    assert _as_int_rows(np.array([[1, 2]])).dtype == np.int64
+    assert _as_int_rows([[2 ** 70, 1.0]]).tolist() == [[2 ** 70, 1]]
+    assert _as_int_rows([], columns=3).shape == (0, 3)
     with pytest.raises(ValueError):
         as_int_vector([1.9, 0])
     with pytest.raises(ValueError):
-        as_int_matrix([[1, 0.5]])
+        _as_int_rows([[1, 0.5]])
 
 
 @st.composite

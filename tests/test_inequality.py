@@ -110,7 +110,7 @@ def _random_vectors(sc, rng, count):
         vec = [int(x) for x in rng.integers(-2, 3, size=sc.dimension + 1)]
         if k % 2:
             first = {}
-            vec = [first.setdefault(min(equal_setting_orbit(sc, sc.tuple_of(i))), x)
+            vec = [first.setdefault(min(equal_setting_orbit(sc, np.unravel_index(i, sc.shape))), x)
                    for i, x in enumerate(vec)]
         yield Inequality(sc, tuple(vec))
 
@@ -149,6 +149,15 @@ def test_render_contains_bound():
     assert render(catalog.chsh()).endswith("<= 2")
     sym = render_symmetric(catalog.i3322_generalization(1))
     assert sym is not None and sym.endswith("<= 8")
+
+
+def test_renderings_share_term_formatting():
+    # signs, magnitudes and the dropped leading "+" are written alike
+    ineq = expand_symmetric_terms(Scenario((2, 2)), 3, {(1, 1): -2, (2, 1): 1})
+    assert render(ineq) == "- 2 <A1B1> + <A1B2> + <A2B1> <= 3"
+    assert render_symmetric(ineq) == "- 2 (11) + (21) <= 3"
+    constant = Inequality(Scenario((2, 2)), (1,) + (0,) * 8)
+    assert render(constant) == render_symmetric(constant) == "0 <= 1"
 
 
 def test_file_round_trip_fixtures():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conebell import catalog, search
-from conebell.constraints import XiAssignment, apply_relabeling, parse_relabeling
+from conebell.constraints import XiAssignment, parse_relabeling
 from conebell.errors import CapExceededError
 from conebell.inequality import Inequality, from_terms
 from conebell.scenario import Scenario
-from conebell.search import (canonical_form, classify, generalize,
-                             parse_class_list, relabeling_orbit,
-                             verify_reduction, write_class_list)
+from conebell.search import (ReductionSpec, _reduction_mask, canonical_form, classify,
+                             generalize_multi, parse_class_list, relabeling_orbit,
+                             write_class_list)
 
 from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
                         reference_relabel)
@@ -48,11 +48,11 @@ def _oracle_cases():
     shift = parse_relabeling("perm:ABC->BCA", sc)
     for _ in range(3):
         vec = [int(x) for x in rng.integers(-1, 2, size=sc.dimension + 1)]
-        once = apply_relabeling(shift, sc, vec)
-        twice = apply_relabeling(shift, sc, once)
+        once = reference_relabel(shift, sc, vec)
+        twice = reference_relabel(shift, sc, once)
         sym = [a + b + c for a, b, c in zip(vec, once, twice)]
         sym[0] = abs(sym[0]) + 3
-        assert apply_relabeling(shift, sc, sym) == tuple(sym)
+        assert reference_relabel(shift, sc, sym) == tuple(sym)
         yield Inequality(sc, tuple(sym))
 
 
@@ -73,7 +73,7 @@ def test_canonical_form_orbit_invariance():
     canon = canonical_form(chsh).coefficients
     for _ in range(30):
         g = group[rng.integers(len(group))]
-        moved = Inequality(chsh.scenario, apply_relabeling(g, chsh.scenario, chsh.coefficients))
+        moved = Inequality(chsh.scenario, reference_relabel(g, chsh.scenario, chsh.coefficients))
         if moved.bound < 0:
             continue
         assert canonical_form(moved).coefficients == canon
@@ -145,9 +145,17 @@ def test_classify_singleton_and_counts():
     assert len(both) == 1 and both[0].members_found == 9
 
 
+def _reduces(candidates, xi, lower):
+    """The reduction check of a search, lower on the leading parties."""
+    normals = np.array([c.cone_normal() for c in candidates])
+    embed = tuple(range(lower.scenario.parties))
+    return _reduction_mask(normals, xi, lower, embed, candidates[0].scenario).tolist()
+
+
 def test_verify_reduction_mermin_to_chsh():
-    assert verify_reduction(catalog.mermin(), XiAssignment(((1, 1),)), catalog.chsh())
-    assert not verify_reduction(catalog.mermin(), XiAssignment(((1, -1),)), catalog.chsh())
+    mermin = catalog.mermin()
+    assert _reduces([mermin], XiAssignment(((1, 1),)), catalog.chsh()) == [True]
+    assert _reduces([mermin], XiAssignment(((1, -1),)), catalog.chsh()) == [False]
 
 
 def test_verify_reduction_trivial_lift():
@@ -156,7 +164,7 @@ def test_verify_reduction_trivial_lift():
     lifted = from_terms(target, 2, {(t[0], t[1], 0): c
                                     for t, c in chsh.nonzero_terms()})
     for xi in itertools.product((-1, 1), repeat=2):
-        assert verify_reduction(lifted, XiAssignment((xi,)), chsh)
+        assert _reduces([lifted], XiAssignment((xi,)), chsh) == [True]
 
 
 def test_verify_reduction_scale_freedom():
@@ -164,10 +172,9 @@ def test_verify_reduction_scale_freedom():
     target = Scenario((2, 2, 2))
     doubled = from_terms(target, 4, {(t[0], t[1], 0): 2 * c
                                      for t, c in chsh.nonzero_terms()})
-    assert verify_reduction(doubled, XiAssignment(((1, 1),)), chsh)
     flipped = from_terms(target, 2, {(t[0], t[1], 0): -c
                                      for t, c in chsh.nonzero_terms()})
-    assert not verify_reduction(flipped, XiAssignment(((1, 1),)), chsh)
+    assert _reduces([doubled, flipped], XiAssignment(((1, 1),)), chsh) == [True, False]
 
 
 def test_i4422_reduces_to_i3322():
@@ -196,11 +203,15 @@ def test_i4422_reduces_to_i3322():
     assert from_terms(small, bound, terms).coefficients == catalog.i3322().coefficients
 
 
-def test_generalize_chsh_contains_mermin():
-    chsh = catalog.chsh()
+def _chsh_to_three_parties(**kwargs):
+    """CHSH on parties A and B of (2,2,2), symmetric under all party swaps."""
     target = Scenario((2, 2, 2))
     sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
-    classes = generalize(chsh, (2,), sym)
+    return generalize_multi(target, [ReductionSpec(catalog.chsh(), (0, 1))], sym, **kwargs)
+
+
+def test_generalize_chsh_contains_mermin():
+    classes = _chsh_to_three_parties()
     canons = {cl.canonical.coefficients for cl in classes}
     assert canonical_form(catalog.mermin()).coefficients in canons
     for cl in classes:
@@ -210,36 +221,27 @@ def test_generalize_chsh_contains_mermin():
 def test_generalize_invariant_under_xi_order(monkeypatch):
     # the order in which deterministic-outcome choices are enumerated must not
     # change the class list: canonical forms, member counts or witnesses
-    chsh = catalog.chsh()
-    target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
-    forward = generalize(chsh, (2,), sym)
+    forward = _chsh_to_three_parties()
     xi_space = search._xi_space
     monkeypatch.setattr(search, "_xi_space", lambda *args: xi_space(*args)[::-1])
-    backward = generalize(chsh, (2,), sym)
+    backward = _chsh_to_three_parties()
     assert len(forward) == 6
     assert backward == forward
 
 
 def test_generalize_worker_pool_matches_sequential():
-    chsh = catalog.chsh()
-    target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
-    seq = generalize(chsh, (2,), sym, workers=1)
-    par = generalize(chsh, (2,), sym, workers=2)
+    seq = _chsh_to_three_parties(workers=1)
+    par = _chsh_to_three_parties(workers=2)
     assert [cl.canonical.coefficients for cl in seq] == \
         [cl.canonical.coefficients for cl in par]
     assert [cl.witnesses for cl in seq] == [cl.witnesses for cl in par]
 
 
 def test_generalize_worker_pool_reports_progress():
-    chsh = catalog.chsh()
-    target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
     reports = {1: [], 2: []}
     for workers, seen in reports.items():
-        generalize(chsh, (2,), sym, workers=workers,
-                   progress=lambda *args, seen=seen: seen.append(args))
+        _chsh_to_three_parties(workers=workers,
+                               progress=lambda *args, seen=seen: seen.append(args))
     assert reports[1] and reports[2] == reports[1]
     assert [done for done, _, _ in reports[1]] == list(range(1, len(reports[1]) + 1))
 
@@ -247,14 +249,11 @@ def test_generalize_worker_pool_reports_progress():
 def test_generalize_multi_rejects_non_facet_lower():
     weak = from_terms(Scenario((2, 2)), 2, {(1, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="facet"):
-        generalize(weak, (2,), [])
+        generalize_multi(Scenario((2, 2, 2)), [ReductionSpec(weak, (0, 1))], [])
 
 
 def test_class_list_round_trip():
-    chsh = catalog.chsh()
-    target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
-    classes = generalize(chsh, (2,), sym)
+    classes = _chsh_to_three_parties()
     text = write_class_list(classes)
     back = parse_class_list(text)
     assert [cl.canonical.coefficients for cl in back] == \
