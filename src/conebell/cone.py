@@ -13,10 +13,11 @@ otherwise.  Non-integral input raises ValueError.
 
 constrained_facets is the constrained search that generalize_multi runs on
 every branch: project the rays onto the kernel of the constraint rows (an
-integer matrix, one constraint per row), run the enumeration on the small
-projected cone, lift all candidates back in one product, keep the rows of
-the caller's cheap mask over that matrix (the reduction check, in a
-search), and certify them on the full cone in one batch.  A rank mod p is
+integer matrix, one constraint per row), run the double description (DD)
+core _polar, which enumerate_facets_dd shares, on the small projected cone,
+lift its normal matrix back in one product, keep the rows of the caller's
+cheap mask over that matrix (the reduction check, in a search), and
+certify them on the full cone in one batch.  A rank mod p is
 at most the rational rank, and a valid, proper candidate has saturating
 rank at most rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1
 makes it a facet; pivot_columns decides every other candidate, so every
@@ -25,10 +26,10 @@ scenario with the same batched test.
 
 All arithmetic is exact, and the exact steps go through the one elimination
 of exactlinalg.  The DD's initial simplex comes from pivot_columns (which
-rows) and one integer_kernel_basis (every ray); it enters the DD as int64
-when its entries are at most 2^40.  The insertions then run on int64 arrays
-and promote to Python-int object arrays before a product could reach the
-bound that exactlinalg defines.
+rows) and one integer_kernel_basis (every ray).  Its rays, the products with
+each inserted row and the combined rays stay int64 until exactlinalg's one
+bound, _products_overflow, says a sum of products could reach 2^62; from
+there they are Python-int object arrays.
 
 Each insertion finds the adjacent (positive, negative) ray pairs with the
 combinatorial test on zero sets, kept as bit words (bit i: constraint row i
@@ -47,9 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DegenerateVectorError
-from .exactlinalg import (_RAY_INT64_MAX, _as_int_rows, _primitive_rows,
-                          _products_overflow, integer_kernel_basis, modular_ranks,
-                          pivot_columns, rank)
+from .exactlinalg import (_as_int_rows, _primitive_rows, _products_overflow,
+                          integer_kernel_basis, modular_ranks, pivot_columns, rank)
 
 DD_CAP_DEFAULT = 5_000_000
 # entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
@@ -126,10 +126,10 @@ def lift_polytope(vertices):
 
 
 def _exact_products(mat, other):
-    """mat @ other for a nonempty integer matrix and a nonempty integer
-    vector or matrix: int64 when provably safe, else exact Python ints."""
+    """mat @ other for an integer matrix and an integer vector or matrix:
+    int64 when provably safe, else exact Python ints."""
     if mat.dtype != object and not _products_overflow(
-            int(np.abs(mat).max()), int(np.abs(other).max()), mat.shape[1]):
+            int(np.abs(mat).max(initial=0)), int(np.abs(other).max(initial=0)), mat.shape[1]):
         return mat @ other.astype(np.int64)
     return mat.astype(object, copy=False) @ other.astype(object, copy=False)
 
@@ -207,18 +207,11 @@ def _certify(cone, lifted):
 # double description
 
 
-class _DDState:
-    """Extreme rays of {y : A y <= 0} for the constraints inserted so far."""
-
-    def __init__(self, n_constraints, dim):
-        self.words = (n_constraints + 63) >> 6
-        self.rays = np.zeros((0, dim), dtype=np.int64)
-        self.zero = np.zeros((0, self.words), dtype=np.uint64)
-
-    def bit(self, i):
-        mask = np.zeros(self.words, dtype=np.uint64)
-        mask[i >> 6] = np.uint64(1) << np.uint64(i & 63)
-        return mask
+def _bit(words, i):
+    """Zero-set word vector with only bit i set."""
+    mask = np.zeros(words, dtype=np.uint64)
+    mask[i >> 6] = np.uint64(1) << np.uint64(i & 63)
+    return mask
 
 
 def _dd_extreme_rays(a, cap):
@@ -233,58 +226,35 @@ def _dd_extreme_rays(a, cap):
     r - 1 rows.  The remaining rows are then inserted in lexicographic order.
     """
     m, r = a.shape
-    order = sorted(range(m), key=lambda i: tuple(int(x) for x in a[i]))
+    order = sorted(range(m), key=a.tolist().__getitem__)
     basis_ids = [order[i] for i in pivot_columns(a[order].T, stop_at=r)]
     if len(basis_ids) < r:
         raise ValueError("constraint matrix does not have full column rank")
-    basis = set(basis_ids)
-    rest_ids = [i for i in order if i not in basis]
-
     b = a[basis_ids]
     x = integer_kernel_basis(np.hstack([b, -np.eye(r, dtype=b.dtype)]))[:r]
-    init = _primitive_rows(-x.T)
-    state = _DDState(m, r)
-    state.rays = init if np.abs(init).max() > _RAY_INT64_MAX else init.astype(np.int64)
-    state.zero = np.zeros((r, state.words), dtype=np.uint64)
-    for j in range(r):
-        for k, row_id in enumerate(basis_ids):
-            if k != j:
-                state.zero[j] |= state.bit(row_id)
-
-    for row_id in rest_ids:
-        if state.rays.shape[0] == 0:
-            break
-        vec = a[row_id]
-        values = _exact_products(state.rays, vec)
-        neg_v = values < 0
-        pos_v = values > 0
-        zer_v = values == 0
-        if not pos_v.any():
-            state.zero[zer_v] |= state.bit(row_id)
+    rays = _primitive_rows(-x.T)
+    words = (m + 63) >> 6
+    bits = np.array([_bit(words, i) for i in basis_ids])
+    zero = np.bitwise_or.reduce(bits) ^ bits
+    for i in [i for i in order if i not in basis_ids]:
+        values = _exact_products(rays, a[i])
+        bit = _bit(words, i)
+        # no (positive, negative) pair has bit i in its common zero set, so
+        # setting it first leaves the adjacency test unchanged
+        zero[values == 0] |= bit
+        if not (values > 0).any():
             continue
-        keep_rays = [state.rays[neg_v], state.rays[zer_v]]
-        keep_zero = [state.zero[neg_v], state.zero[zer_v] | state.bit(row_id)]
-        if neg_v.any():
-            new_rays, new_zero = _combine_adjacent(
-                state, values, pos_v, neg_v, row_id, r)
-            keep_rays.append(new_rays)
-            keep_zero.append(new_zero)
-        rays = [k for k in keep_rays if k.shape[0]]
-        if not rays:
-            state.rays = state.rays[:0]
-            state.zero = state.zero[:0]
-            break
-        if any(k.dtype == object for k in rays):
-            rays = [k.astype(object) for k in rays]
-        state.rays = np.vstack(rays)
-        state.zero = np.vstack([k for k in keep_zero if k.shape[0]])
-        if state.rays.shape[0] > cap:
+        new_rays, new_zero = _combine_adjacent(rays, zero, values, bit, r)
+        keep = values <= 0
+        rays = np.concatenate([rays[keep], new_rays])
+        zero = np.concatenate([zero[keep], new_zero])
+        if len(rays) > cap:
             raise CapExceededError(
                 f"double description exceeded the intermediate ray cap of {cap}")
-    return state.rays, state.zero
+    return rays, zero
 
 
-def _combine_adjacent(state, values, pos_v, neg_v, row_id, r):
+def _combine_adjacent(rays, zero, values, bit, r):
     """New extreme rays from adjacent (positive, negative) pairs.
 
     Two rays are adjacent when their common zero set has at least r - 2
@@ -296,77 +266,80 @@ def _combine_adjacent(state, values, pos_v, neg_v, row_id, r):
     the superset scan tests the common sets against the near rays alone.
     Both broadcasts go in chunks of at most _ADJACENCY_ENTRIES entries, or
     of one row where a row is longer.  Every new ray is one combination
-    values[p] * ray[n] - values[n] * ray[p].
+    values[p] * ray[n] - values[n] * ray[p]; bit is the inserted row's word.
     """
-    pos_idx = np.nonzero(pos_v)[0]
-    neg_idx = np.nonzero(neg_v)[0]
+    pos_idx = np.flatnonzero(values > 0)
+    neg_idx = np.flatnonzero(values < 0)
     swap = len(pos_idx) < len(neg_idx)
     outer, inner = (pos_idx, neg_idx) if swap else (neg_idx, pos_idx)
     # one contiguous row per word: reducing over a short word axis would cost
     # more than the AND it reduces
-    words = state.zero.T.copy()
-    pairs = []
+    words = zero.T.copy()
+    pairs = [(outer[:0], inner[:0], zero[:0])]
     step = max(1, _ADJACENCY_ENTRIES // words.shape[1])
     for lo in range(0, len(outer), step):
         o = outer[lo:lo + step]
         count = np.bitwise_count(words[0, o, None] & words[0])
-        for k in range(1, state.words):
+        for k in range(1, len(words)):
             count = np.add(count, np.bitwise_count(words[k, o, None] & words[k]),
                            dtype=np.int32)
         near = count >= r - 2
         oi, ii = np.nonzero(near[:, inner])
-        common = state.zero[o[oi]] & state.zero[inner[ii]]
+        common = zero[o[oi]] & zero[inner[ii]]
         near_words = words[:, near.any(axis=0)]
         keep = np.zeros(len(common), dtype=bool)
         sub = max(1, _ADJACENCY_ENTRIES // near_words.shape[1])
         for c in range(0, len(common), sub):
             z = common[c:c + sub].T[..., None]
             inside = (near_words[0] & z[0]) == z[0]
-            for k in range(1, state.words):
+            for k in range(1, len(words)):
                 inside &= (near_words[k] & z[k]) == z[k]
             keep[c:c + sub] = np.count_nonzero(inside, axis=1) == 2
         pairs.append((o[oi[keep]], inner[ii[keep]], common[keep]))
     o_i, i_i, common = (np.concatenate(x) for x in zip(*pairs))
-    if not len(o_i):
-        return state.rays[:0], state.zero[:0]
     p_i, n_i = (o_i, i_i) if swap else (i_i, o_i)
-    rays = state.rays
-    promote = rays.dtype == object or _products_overflow(
-        int(np.abs(values).max()), int(np.abs(rays).max()), 2)
-    if promote:
+    if rays.dtype != object and _products_overflow(
+            int(np.abs(values).max()), int(np.abs(rays).max()), 2):
         rays, values = rays.astype(object), values.astype(object)
-    arr = _primitive_rows(values[p_i, None] * rays[n_i] - values[n_i, None] * rays[p_i])
-    if arr.dtype != object and int(np.abs(arr).max()) > _RAY_INT64_MAX:
-        arr = arr.astype(object)
-    return arr, common | state.bit(row_id)
+    new = values[p_i, None] * rays[n_i] - values[n_i, None] * rays[p_i]
+    return _primitive_rows(new), common | bit
+
+
+def _polar(cone, cap):
+    """(normals, zero words) of the cone's facets, sorted by normal.
+
+    The normals are the extreme rays of the polar cone, in the cone's own
+    coordinates; bit i of a zero word says the normal saturates ray i.  A
+    cone that does not span its space is restricted to its span first: with
+    u an integer basis of the span, r -> r @ u is injective there, so the
+    projected cone keeps the ray order and the zero sets, and its facets lift
+    back through u.  cap bounds the DD's intermediate rays.
+    """
+    if cone.rank == cone.dim:
+        normals, zero = _dd_extreme_rays(cone.rays, cap)
+    else:
+        u = integer_kernel_basis(integer_kernel_basis(cone.rays).T)
+        normals, zero = _polar(project_rays(cone, u), cap)
+        if len(normals):
+            normals = _lift(normals, u)
+    order = sorted(range(len(normals)), key=normals.tolist().__getitem__)
+    return normals[order], zero[order]
 
 
 def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
     """Complete irredundant facet list of the conic hull of the rays.
 
-    Facets are the (rank-1)-dimensional faces; for a cone that does not span
-    the whole space the computation is carried out inside an integer basis of
-    the span, so lineality needs no special casing by the caller.  Output is
-    sorted by normal vector and independent of the input ray order.
+    Facets are the (rank-1)-dimensional faces; a cone that does not span the
+    whole space needs no special casing by the caller (see _polar).  Output
+    is sorted by normal vector and independent of the input ray order; cap
+    bounds the intermediate rays of the double description.
     """
-    w = cone.rays
-    r = cone.rank
-    u = None
-    if r < cone.dim:
-        perp = integer_kernel_basis(w)
-        u = integer_kernel_basis(perp.T)
-        assert u.shape[1] == r
-        w = w.astype(object) @ u
-    rays, zero = _dd_extreme_rays(w if w.dtype == object else w.astype(np.int64), cap)
-    if u is not None:
-        rays = _primitive_rows(rays.astype(object) @ u.T)
+    normals, zero = _polar(cone, cap)
     # bit i of a zero set is bit i & 63 of word i >> 6, so little-endian
     # bytes unpacked little-end first put row i at position i
     bits = np.unpackbits(zero.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    facets = [FacetNormal(vector=tuple(vec), saturating=tuple(np.flatnonzero(b).tolist()))
-              for vec, b in zip(rays.tolist(), bits)]
-    facets.sort(key=lambda f: f.vector)
-    return facets
+    return [FacetNormal(vector=tuple(vec), saturating=tuple(np.flatnonzero(b).tolist()))
+            for vec, b in zip(normals.tolist(), bits)]
 
 
 def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT, accept=None):
@@ -383,10 +356,10 @@ def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT, accept=None):
     basis = integer_kernel_basis(constraint_rows, columns=cone.dim)
     if basis.shape[1] == 0:
         return []
-    facets = enumerate_facets_dd(project_rays(cone, basis), cap=cap)
-    if not facets:
+    normals, _ = _polar(project_rays(cone, basis), cap)
+    if not len(normals):
         return []
-    lifted = _lift([f.vector for f in facets], basis)
+    lifted = _lift(normals, basis)
     if accept is not None:
         lifted = lifted[accept(lifted)]
         if not len(lifted):

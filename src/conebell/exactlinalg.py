@@ -12,13 +12,14 @@ the fraction-free Gaussian elimination of _echelon, does every exact step:
   projection, the span of a lower-dimensional cone, and the DD's initial
   simplex, all of whose rays come from one kernel.
 
-One bound keeps int64 arithmetic exact, here and in cone.  A sum of k
-products a * b with |a| <= A and |b| <= B is at most k * A * B in absolute
-value.  _products_overflow(A, B, k) is true once that reaches _INT64_LIMIT =
-2^62, which is below the int64 limit 2^63 - 1, and the caller then switches
-to Python ints.  An elimination or DD update x * u - y * v is the case
-k = 2; a dot product of length n is the case k = n; the lcm scaling of a
-kernel column is the case k = 1.
+One bound keeps int64 arithmetic exact, here and in cone, and no other
+threshold chooses between int64 and Python ints.  A sum of k products
+a * b with |a| <= A and |b| <= B is at most k * A * B in absolute value.
+_products_overflow(A, B, k) is true once that reaches _INT64_LIMIT = 2^62,
+which is below the int64 limit 2^63 - 1, and the caller then switches to
+Python ints.  An elimination or DD update x * u - y * v is the case k = 2;
+a dot product of length n, such as a DD ray against a constraint row, is
+the case k = n; the lcm scaling of a kernel column is the case k = 1.
 
 Facet certification asks whether a rank reaches a known maximum, so a lower
 bound that reaches it settles the question.  modular_ranks gives one for a
@@ -42,15 +43,13 @@ import math
 
 import numpy as np
 
+# the one int64 bound, applied by _products_overflow
 _INT64_LIMIT = 1 << 62
 # a prime below 2^31, so a product of two residues stays below 2^62
 _PRIME = (1 << 31) - 1
 # integers below 2^53 are exact in float64, and so is a sum of products
 # whose absolute values add up to less than that
 _FLOAT_EXACT = 1 << 53
-# DD rays with larger entries are kept as Python ints: their products with
-# the constraint rows would soon fail the bound anyway.
-_RAY_INT64_MAX = 1 << 40
 
 
 def _products_overflow(a_max, b_max, terms):
@@ -175,9 +174,9 @@ def pivot_columns(mat, stop_at=None):
     return _echelon(mat, stop_at=stop_at)[1]
 
 
-def rank(mat, stop_at=None):
+def rank(mat):
     """Exact rank over the rationals: the number of pivot columns."""
-    return len(pivot_columns(mat, stop_at=stop_at))
+    return len(pivot_columns(mat))
 
 
 def modular_ranks(stack):

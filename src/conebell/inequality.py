@@ -31,7 +31,10 @@ class Inequality:
         want = self.scenario.dimension + 1
         if len(self.coefficients) != want:
             raise ValueError(f"expected {want} coefficients, got {len(self.coefficients)}")
-        object.__setattr__(self, "coefficients", tuple(int(x) for x in self.coefficients))
+        coeffs = tuple(int(x) for x in self.coefficients)
+        if any(c != x for c, x in zip(coeffs, self.coefficients)):
+            raise ValueError("coefficients must be integers")
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def bound(self):
@@ -91,12 +94,12 @@ def from_cone_normal(scenario, normal):
 def from_terms(scenario, bound, terms):
     """Build from {setting tuple: coefficient} plus the classical bound."""
     coeffs = [0] * (scenario.dimension + 1)
-    coeffs[0] = int(bound)
+    coeffs[0] = bound
     for t, c in terms.items():
         idx = scenario.index_of(t)
         if idx == 0:
             raise ValueError("the all-zero tuple is the bound, pass it separately")
-        coeffs[idx] = int(c)
+        coeffs[idx] = c
     return Inequality(scenario, tuple(coeffs))
 
 

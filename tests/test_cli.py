@@ -30,6 +30,12 @@ def test_facets_command(tmp_path, capsys):
     assert "non-trivial facets: 8" in printed
     classes = parse_class_list(out.read_text())
     assert sorted(cl.members_found for cl in classes) == [8, 16]
+    # classify reads a class list as one member per class
+    again = tmp_path / "again.txt"
+    assert main(["classify", str(out), "--out", str(again)]) == 0
+    reclassified = parse_class_list(again.read_text())
+    assert [cl.canonical for cl in reclassified] == [cl.canonical for cl in classes]
+    assert [cl.members_found for cl in reclassified] == [1, 1]
 
 
 def test_generalize_command(tmp_path, chsh_file, capsys):
@@ -46,6 +52,25 @@ def test_generalize_command(tmp_path, chsh_file, capsys):
           "--symmetry", "perm:ABC->BAC", "--symmetry", "perm:ABC->CBA",
           "--quiet", "--out", str(out2)])
     assert out.read_text() == out2.read_text()
+
+
+def test_generalize_reduce_orbit_sweep(tmp_path, chsh_file, capsys):
+    # ?orbit sweeps the lower inequality over its relabelings: the same
+    # classes as without it, each found more often, and the same file with
+    # a worker pool
+    def run(suffix, workers):
+        out = tmp_path / f"gen{suffix}{workers}.txt"
+        assert main(["--workers", workers, "generalize", "--target", "2,2,2",
+                     "--reduce", f"{chsh_file}@A,B{suffix}", "--symmetry", "perm:ABC->BCA",
+                     "--quiet", "--out", str(out)]) == 0
+        return out.read_text()
+
+    swept = run("?orbit", "1")
+    assert run("?orbit", "2") == swept
+    classes = parse_class_list(swept)
+    assert [cl.members_found for cl in classes] == [4, 8, 8, 8, 8, 8]
+    assert [cl.canonical for cl in classes] == \
+        [cl.canonical for cl in parse_class_list(run("", "1"))]
 
 
 def test_classify_command(tmp_path):

@@ -135,8 +135,8 @@ def test_dd_across_word_boundary_and_on_python_ints():
     facets = enumerate_facets_dd(wide)
     assert any(min(f.saturating) < 64 <= max(f.saturating) for f in facets)
     assert {f.vector for f in facets} == reference_facets(wide.rays)
-    # entries near 10^6 put the simplex rays above 2^40, so every insertion
-    # combines Python-int rays
+    # entries near 10^6 take the kernel that gives the simplex rays over to
+    # Python ints, so every insertion combines Python-int rays
     big = Cone(4, random_full_dim_vertices(rng, 3, 8, spread=10 ** 6))
     assert _dd_extreme_rays(big.rays, DD_CAP_DEFAULT)[0].dtype == object
     assert {f.vector for f in enumerate_facets_dd(big)} == reference_facets(big.rays)
@@ -163,8 +163,8 @@ def test_dd_stays_on_int64_for_small_entries():
 
 def test_dd_of_square_system_is_the_simplex():
     # with as many constraints as dimensions the DD inserts nothing after
-    # its initial simplex; entries up to 10^6 give simplex rays above 2^40,
-    # which stay Python ints
+    # its initial simplex; entries up to 10^6, given as Python ints, give
+    # Python-int simplex rays
     rng = np.random.default_rng(5)
     cases = [rng.integers(-5, 6, size=(n, n)) for n in range(1, 7) for _ in range(4)]
     cases.append(rng.integers(-10 ** 6, 10 ** 6, size=(5, 5)).astype(object))

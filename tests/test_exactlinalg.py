@@ -24,8 +24,10 @@ def test_rank_of_lifted_chsh_vertices():
 
 
 def test_rank_early_stop():
+    # the DD's initial simplex takes the first r pivots and stops there
     mat = enumerate_vertices(Scenario((3, 2)))
-    assert rank(mat, stop_at=5) == 5
+    assert pivot_columns(mat, stop_at=5) == pivot_columns(mat)[:5]
+    assert len(pivot_columns(mat, stop_at=5)) == 5
 
 
 def test_rank_survives_large_entries():

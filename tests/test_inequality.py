@@ -78,6 +78,22 @@ def test_from_cone_normal_normalizes():
         from_cone_normal(chsh.scenario, -3 * chsh.cone_normal())
 
 
+def test_non_integral_coefficients_are_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        Inequality(Scenario((1,)), (1.9, 0.5))
+    with pytest.raises(ValueError, match="integers"):
+        from_terms(Scenario((2, 2)), 2.5, {(1, 1): 1})
+    with pytest.raises(ValueError, match="integers"):
+        from_terms(Scenario((2, 2)), 2, {(1, 1): 1.5})
+    # integral values of any integer type are kept, as Python ints
+    for one in (1, np.int64(1), np.int8(1), 1.0):
+        ineq = from_terms(Scenario((2, 2)), 2 * one, {(1, 1): one})
+        assert ineq == from_terms(Scenario((2, 2)), 2, {(1, 1): 1})
+        assert all(type(c) is int for c in ineq.coefficients)
+    big = Inequality(Scenario((1,)), (2 ** 70, np.int64(-3)))
+    assert big.coefficients == (2 ** 70, -3)
+
+
 def test_symmetric_expansion_round_trip():
     # (011) = <A1B1> + <B1C1> + <A1C1>
     sc = Scenario((3, 3, 3))

@@ -143,6 +143,12 @@ def test_classify_singleton_and_counts():
     assert len(classes) == 1 and classes[0].members_found == 1
     both = classify([catalog.chsh()] + relabeling_orbit(catalog.chsh()))
     assert len(both) == 1 and both[0].members_found == 9
+    # a non-primitive member counts towards the class of its primitive form
+    chsh = catalog.chsh()
+    doubled = Inequality(chsh.scenario, tuple(2 * c for c in chsh.coefficients))
+    scaled = classify([doubled, chsh])
+    assert len(scaled) == 1 and scaled[0].members_found == 2
+    assert scaled[0].canonical.bound == 2
 
 
 def _reduces(candidates, xi, lower):

@@ -1,10 +1,13 @@
-"""No public surface that only tests use.
+"""No public surface that only tests use, and no dead private code.
 
 Every public module-level function and class of conebell, and every public
 method of those classes, must be named in the code of the package or of
-bench/ somewhere besides its own definition.  Names are read off the parsed
+bench/ somewhere besides its own definition.  Every private module-level
+function, class and constant (dunders excepted) must be named in the code of
+the package besides its own definition.  Names are read off the parsed
 code, so a mention in a docstring, comment or string does not count, and
-neither does an import.  catalog is exempt: its functions are fixture data.
+neither does an import.  catalog is exempt from the public rule: its
+functions are fixture data.
 """
 import ast
 import pathlib
@@ -51,4 +54,33 @@ def test_every_public_definition_is_used_in_package_or_bench_code():
             if all(p == path and node.lineno <= line <= node.end_lineno
                    for p, line in named[node.name]):
                 unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
+def _private_definitions(tree):
+    """(name, node) of each private module-level function, class and
+    constant; dunders are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_definition_is_used_in_package_code():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    named = _named_at(trees)
+    unused = []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in named[name]):
+                unused.append(f"{path.stem}.{name}")
     assert unused == []
