@@ -16,14 +16,14 @@ from . import catalog
 from .cone import DD_CAP_DEFAULT, enumerate_facets_dd, lift_polytope
 from .constraints import parse_relabeling
 from .errors import CapExceededError, InvariantViolationError, ParseError
-from .inequality import (algebraic_bound, from_cone_normal, parse_inequality,
-                         render, write_inequality)
-from .quantum import (BoundsRecord, SeesawConfig, metrics, parse_seesaw_result,
-                      replay_seesaw_result, seesaw, write_seesaw_result)
+from .inequality import (algebraic_bound, from_cone_normal, parse_inequality, read_field,
+                         read_fields, render, write_inequality)
+from .quantum import (BoundsRecord, SeesawConfig, metrics, replay_seesaw_result, seesaw,
+                      write_seesaw_result)
 from .npa import export_sdpa
 from .scenario import VERTEX_CAP_DEFAULT, _PARTY_LETTERS, Scenario, enumerate_vertices
-from .search import (ORBIT_CAP_DEFAULT, ReductionSpec, canonical_form, classify,
-                     generalize_multi, parse_class_list, write_class_list)
+from .search import (ORBIT_CAP_DEFAULT, ReductionSpec, classify, generalize_multi,
+                     parse_class_list, write_class_list)
 
 DEFAULTS = {
     "workers": 1,
@@ -71,7 +71,8 @@ def cmd_facets(args, cfg):
     facets = enumerate_facets_dd(cone, cap=cfg["dd_cap"])
     ineqs = [from_cone_normal(scenario, f.vector) for f in facets]
     classes = classify(ineqs, cap=cfg["orbit_cap"])
-    trivial_canon = canonical_form(catalog.positivity(scenario)).coefficients
+    # positivity is its own canonical form (see its docstring)
+    trivial_canon = catalog.positivity(scenario).coefficients
     trivial = sum(cl.members_found for cl in classes
                   if cl.canonical.coefficients == trivial_canon)
     print(f"facets: {len(facets)}")
@@ -143,8 +144,11 @@ def cmd_classify(args, cfg):
     if first.startswith("class "):
         members = [cl.canonical for cl in parse_class_list(text)]
     else:
-        blocks = [b for b in text.split("\n\n") if b.strip()]
-        members = [parse_inequality(b) for b in blocks]
+        members, start = [], 1
+        for block in text.split("\n\n"):
+            if block.strip():
+                members.append(parse_inequality(block, start_line=start))
+            start += block.count("\n") + 2
     classes = classify(members, cap=cfg["orbit_cap"])
     print(f"classes: {len(classes)}")
     _write(args.out, write_class_list(classes))
@@ -165,19 +169,13 @@ def cmd_seesaw(args, cfg):
 
 
 def _parse_npa_sidecar(path):
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            key, val = line.split(":")
-            key = key.strip()
-            assert key in ("npa2", "npa3")
-            values[key] = float(val)
-        except (ValueError, AssertionError):
-            raise ParseError(f"malformed NPA line {line!r}", line=lineno) from None
-    return values
+    ineq, fields = read_fields(Path(path).read_text())
+    if ineq is not None:
+        raise ParseError("an NPA sidecar holds no inequality")
+    for key, (value, lineno) in fields.items():
+        if key not in ("npa2", "npa3"):
+            raise ParseError(f"malformed NPA line '{key}: {value}'", line=lineno)
+    return {key: read_field(field) for key, field in fields.items()}
 
 
 def write_record(ineq, rec, m=None, seesaw_text=None):
@@ -206,14 +204,10 @@ def _read_seesaw_file(path, ineq, qubit, qutrit, slack=1e-6):
     """Text of a seesaw file whose inequality is ineq and whose replayed
     value is the --qubit or --qutrit value, by its dim: line, within slack."""
     text = Path(path).read_text()
-    data = parse_seesaw_result(text)
-    if data["inequality"] != ineq:
+    file_ineq, dim, value = replay_seesaw_result(text)
+    if file_ineq != ineq:
         raise InvariantViolationError("the seesaw file is for another inequality than --ineq")
-    names = {2: ("qubit", qubit), 3: ("qutrit", qutrit)}
-    if data["dim"] not in names:
-        raise InvariantViolationError(f"seesaw file has dim {data['dim']}, not 2 or 3")
-    name, claimed = names[data["dim"]]
-    value = replay_seesaw_result(data)
+    name, claimed = {2: ("qubit", qubit), 3: ("qutrit", qutrit)}[dim]
     if abs(value - claimed) > slack:
         raise InvariantViolationError(
             f"--{name} {claimed!r} differs from the seesaw file's value {value!r}")
@@ -259,35 +253,24 @@ def cmd_npa_export(args, cfg):
 
 
 def parse_record(text):
-    ineq_lines, rest = [], {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key = line.split(":", 1)[0]
+    ineq, fields = read_fields(text)
+    if ineq is None:
+        raise ParseError("the record holds no inequality")
+    rest = {}
+    for key, field in fields.items():
         if key in ("algebraic", "qubit", "qutrit", "npa2", "npa3"):
-            rest[key] = float(line.split(":", 1)[1])
-        elif key in ("state", "trace", "dim") or key.startswith("observable") \
-                or key.startswith("m_"):
-            continue
-        else:
-            ineq_lines.append(line)
-    ineq = parse_inequality("\n".join(ineq_lines))
+            rest[key] = read_field(field)
+        elif not (key in ("state", "trace", "dim") or key.startswith(("observable", "m_"))):
+            raise ParseError(f"unrecognized line '{key}: {field[0]}'", line=field[1])
     rec = BoundsRecord(classical=ineq.bound,
-                       algebraic=int(rest.get("algebraic", algebraic_bound(ineq))),
-                       qubit=rest.get("qubit"), qutrit=rest.get("qutrit"),
-                       npa2=rest.get("npa2"), npa3=rest.get("npa3"))
+                       algebraic=int(rest.pop("algebraic", algebraic_bound(ineq))), **rest)
     return ineq, rec
-
-
-def _parse_record(path):
-    return parse_record(Path(path).read_text())
 
 
 def cmd_report(args, cfg):
     rows = []
     for path in args.records:
-        ineq, rec = _parse_record(path)
+        ineq, rec = parse_record(Path(path).read_text())
         rec.check()
         m = metrics(rec)
         rows.append({

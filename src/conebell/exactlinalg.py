@@ -12,6 +12,9 @@ the fraction-free Gaussian elimination of _echelon, does every exact step:
   projection, the span of a lower-dimensional cone, and the DD's initial
   simplex, all of whose rays come from one kernel.
 
+_primitive_rows divides rows by their gcd with np.gcd.reduce, also on
+object rows, where np.gcd is math.gcd and exact.
+
 One bound keeps int64 arithmetic exact, here and in cone, and no other
 threshold chooses between int64 and Python ints.  A sum of k products
 a * b with |a| <= A and |b| <= B is at most k * A * B in absolute value.
@@ -58,15 +61,6 @@ def _products_overflow(a_max, b_max, terms):
     return terms * a_max * b_max >= _INT64_LIMIT
 
 
-def _as_ints(arr):
-    """Python-int copy of a nonempty object array; ValueError if an entry is
-    not an integer (int() would truncate it)."""
-    out = np.vectorize(int, otypes=[object])(arr)
-    if (out != arr).any():
-        raise ValueError("entries must be integers")
-    return out
-
-
 def _as_int_rows(data, columns=None):
     """A 2-d integer array: int64 for signed integer input, else exact Python
     ints; (0, columns) if empty.  A non-integral entry raises ValueError."""
@@ -79,24 +73,11 @@ def _as_int_rows(data, columns=None):
         return np.zeros((0, columns), dtype=object)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    return _as_ints(arr.astype(object, copy=False))
-
-
-def as_int_vector(data):
-    arr = np.array(data, dtype=object)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    return _as_ints(arr) if arr.size else arr
-
-
-def vector_gcd(v):
-    """gcd of the absolute values of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, int(x))
-        if g == 1:
-            break
-    return g
+    # int() would truncate a non-integral entry
+    out = np.vectorize(int, otypes=[object])(arr)
+    if (out != arr).any():
+        raise ValueError("entries must be integers")
+    return out
 
 
 def _primitive_rows(rows):
@@ -104,12 +85,6 @@ def _primitive_rows(rows):
 
     rows is a 2-d int64 or object array; it is returned for chaining.
     """
-    if rows.dtype == object:
-        for i in range(rows.shape[0]):
-            g = vector_gcd(rows[i])
-            if g > 1:
-                rows[i] = rows[i] // g
-        return rows
     g = np.gcd.reduce(np.abs(rows), axis=1)
     g[g == 0] = 1
     rows //= g[:, None]

@@ -9,16 +9,19 @@ remaining setting-tuple coordinates:
 In cone orientation the same inequality is the normal (-c[0], c[1], ...),
 which has nonpositive inner product with every lifted vertex.  Facet vectors
 are kept primitive with a positive bound.
+
+This module is the one way into an Inequality: from_cone_normal from a cone
+normal, and read_fields from the text of any file that holds one.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVectorError, ParseError
-from .exactlinalg import as_int_vector, vector_gcd
 from .scenario import _PARTY_LETTERS, Scenario, enumerate_vertices, parse_scenario_header
 
 
@@ -53,7 +56,7 @@ class Inequality:
         return v
 
     def primitive(self):
-        g = vector_gcd(self.coefficients)
+        g = math.gcd(*self.coefficients)
         if g <= 1:
             return self
         return Inequality(self.scenario, tuple(int(x) // g for x in self.coefficients))
@@ -79,16 +82,14 @@ def _terms_at(ineq, idx):
 
 
 def from_cone_normal(scenario, normal):
-    """Inequality from a <=0-oriented lifted normal; bound is made positive."""
-    vec = as_int_vector(normal)
-    g = vector_gcd(vec)
-    if g == 0:
+    """Primitive inequality from a <=0-oriented lifted normal of integers;
+    the bound -normal[0] must not be negative."""
+    ineq = Inequality(scenario, (-normal[0], *normal[1:])).primitive()
+    if not any(ineq.coefficients):
         raise DegenerateVectorError("cannot normalize the zero vector")
-    coeffs = [int(x) // g for x in vec]
-    coeffs[0] = -coeffs[0]
-    if coeffs[0] < 0:
+    if ineq.bound < 0:
         raise ValueError("normal has negative bound after reorientation; not valid on the local polytope")
-    return Inequality(scenario, tuple(coeffs))
+    return ineq
 
 
 def from_terms(scenario, bound, terms):
@@ -214,48 +215,73 @@ def write_inequality(ineq, comments=True):
     return "\n".join(lines) + "\n"
 
 
-def parse_inequality(text, start_line=1):
-    """Parse the output of write_inequality; raises ParseError with position."""
-    scenario = None
-    bound = None
-    terms = {}
-    for off, raw in enumerate(text.splitlines()):
-        lineno = start_line + off
+def read_fields(text, start_line=1):
+    """(inequality, fields) of a text in the line format of write_inequality.
+
+    The scenario: and bound: lines and the coefficient lines, those that
+    begin with a digit, form the inequality, None if the text has none of
+    them.  Every other line that is not blank or a # comment must read
+    key: value, and fields maps each key to (value, line).  Lines are
+    numbered from start_line; a malformed inequality line or a key given
+    twice, scenario and bound included, raises ParseError with its line.
+    """
+    scenario = bound = None
+    terms, fields = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=start_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("scenario:"):
-            if scenario is not None:
-                raise ParseError("duplicate scenario header", line=lineno)
-            scenario = parse_scenario_header(line, lineno=lineno)
-        elif line.startswith("bound:"):
-            if scenario is None:
-                raise ParseError("bound before scenario header", line=lineno)
-            try:
-                bound = int(line[len("bound:"):].strip())
-            except ValueError:
-                raise ParseError(f"malformed bound line {line!r}", line=lineno) from None
-        else:
-            if scenario is None or bound is None:
+        key, colon, value = (x.strip() for x in line.partition(":"))
+        if not colon:
+            raise ParseError(f"expected a key: value line, got {line!r}", line=lineno)
+        if line[0].isdigit():
+            if bound is None:
                 raise ParseError(f"coefficient line before header: {line!r}", line=lineno)
             try:
-                key, val = line.split(":")
-                t = tuple(int(x) for x in key.strip().split(","))
-                c = int(val.strip())
-            except ValueError:
-                raise ParseError(f"malformed coefficient line {line!r}", line=lineno) from None
-            try:
-                idx = scenario.index_of(t)
+                t = tuple(int(x) for x in key.split(","))
+                c, idx = int(value), scenario.index_of(t)
             except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                raise ParseError(f"malformed coefficient line {line!r}: {exc}", line=lineno) from None
             if idx == 0:
                 raise ParseError("the all-zero tuple belongs in the bound line", line=lineno)
             if t in terms:
                 raise ParseError(f"duplicate coefficient for {t}", line=lineno)
             terms[t] = c
-    if scenario is None or bound is None:
+            continue
+        if key in fields:
+            raise ParseError(f"{key}: given twice, first on line {fields[key][1]}", line=lineno)
+        if key == "scenario":
+            scenario = parse_scenario_header(line, lineno=lineno)
+        elif key == "bound":
+            if scenario is None:
+                raise ParseError("bound before scenario header", line=lineno)
+            bound = read_field((value, lineno), int)
+        fields[key] = (value, lineno)
+    if scenario is None:
+        return None, fields
+    if bound is None:
+        raise ParseError("scenario header without a bound line", line=fields["scenario"][1])
+    del fields["scenario"], fields["bound"]
+    return from_terms(scenario, bound, terms), fields
+
+
+def parse_inequality(text, start_line=1):
+    """The inequality of a text in the line format; ParseError with the line
+    if it has none or holds any other field."""
+    ineq, fields = read_fields(text, start_line)
+    for key, (value, lineno) in fields.items():
+        raise ParseError(f"not an inequality line: {key}: {value}", line=lineno)
+    if ineq is None:
         raise ParseError("missing scenario header or bound line", line=start_line)
-    return from_terms(scenario, bound, terms)
+    return ineq
+
+
+def read_field(field, read=float):
+    """read(value) of a (value, line) field; ParseError names the line."""
+    try:
+        return read(field[0])
+    except ValueError:
+        raise ParseError(f"malformed value {field[0]!r}", line=field[1]) from None
 
 
 def algebraic_bound(ineq):

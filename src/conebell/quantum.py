@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolationError, ParseError
+from .inequality import read_field, read_fields, write_inequality
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-9
@@ -290,7 +291,6 @@ def metrics(rec):
 
 
 def write_seesaw_result(ineq, result, cfg):
-    from .inequality import write_inequality
     lines = [write_inequality(ineq, comments=False).rstrip("\n")]
     lines.append(f"dim: {cfg.local_dim}")
     lines.append(f"value: {result.value:.17g}")
@@ -307,73 +307,59 @@ def write_seesaw_result(ineq, result, cfg):
     return "\n".join(lines) + "\n"
 
 
-def parse_seesaw_result(text):
-    from .inequality import parse_inequality
-    ineq_lines = []
-    data = {"observables": {}}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith(("scenario:", "bound:")) or line[0].isdigit():
-            ineq_lines.append(line)
-        elif line.startswith("dim:"):
-            data["dim"] = int(line[4:].strip())
-        elif line.startswith("value:"):
-            data["value"] = float(line[6:].strip())
-        elif line.startswith("state:"):
-            vals = [float(x) for x in line[6:].split()]
-            data["state"] = np.array([complex(a, b) for a, b in zip(vals[::2], vals[1::2])])
-        elif line.startswith("observable"):
-            head, row = line.split(":", 1)
-            _, p, s = head.split()
-            vals = [float(x) for x in row.split()]
-            flat = np.array([complex(a, b) for a, b in zip(vals[::2], vals[1::2])])
-            d = int(round(len(flat) ** 0.5))
-            data["observables"][(int(p), int(s))] = flat.reshape(d, d)
-        elif line.startswith("trace:"):
-            data["trace"] = line[6:].strip()
-        else:
-            raise ParseError(f"unrecognized line {line!r}", line=lineno)
-    for key in ("dim", "value", "state"):
-        if key not in data:
-            raise ParseError(f"seesaw file has no {key}: line")
-    data["inequality"] = parse_inequality("\n".join(ineq_lines))
-    return data
+def _complex_pairs(text):
+    """Complex array from the numbers re_0 im_0 re_1 im_1 ... of text."""
+    return np.array(text.split(), dtype=float).view(complex)
 
 
-def replay_seesaw_result(data):
-    """Recompute the value of a parsed seesaw file from its own state and
-    observables.
+def replay_seesaw_result(text):
+    """(inequality, dim, value) of a seesaw result file, with the value
+    recomputed from the file's own state and observables.
 
-    Raises InvariantViolationError unless the file has one observable per
-    party and setting, each with a +-1 spectrum, a state of unit norm on the
-    file's dimension, and bell_value reproduces its value: line within
-    EIGENVALUE_TOL.  Returns that value.
+    Raises ParseError unless the file holds an inequality, one dim:, value:
+    and state: line each, and otherwise only observable and trace: lines.
+    Raises InvariantViolationError unless dim is 2 or 3, the file has one
+    observable per party and setting, each with a +-1 spectrum, a state of
+    unit norm on the file's dimension, and bell_value reproduces its value:
+    line within EIGENVALUE_TOL.
     """
-    ineq, d, psi = data["inequality"], data["dim"], data["state"]
+    ineq, fields = read_fields(text)
+    observables = {}
+    for key, field in fields.items():
+        if key.startswith("observable "):
+            observables[key] = read_field(field, _complex_pairs)
+        elif key not in ("dim", "value", "state", "trace"):
+            raise ParseError(f"unrecognized line '{key}: {field[0]}'", line=field[1])
+    if ineq is None or not {"dim", "value", "state"} <= fields.keys():
+        raise ParseError("a seesaw file needs an inequality and dim:, value: and state: lines")
+    d = read_field(fields["dim"], int)
+    claimed = read_field(fields["value"])
+    psi = read_field(fields["state"], _complex_pairs)
+    if d not in (2, 3):
+        raise InvariantViolationError(f"seesaw file has dim {d}, not 2 or 3")
     sc = ineq.scenario
-    observables = []
+    parties = []
     for p in range(sc.parties):
         party = []
         for s in range(1, sc.settings[p] + 1):
-            obs = data["observables"].get((p, s))
-            if obs is None or obs.shape != (d, d):
+            obs = observables.get(f"observable {p} {s}")
+            if obs is None or obs.size != d * d:
                 raise InvariantViolationError(f"no {d}x{d} observable for party {p} setting {s}")
+            obs = obs.reshape(d, d)
             try:
                 assert_valid_observable(obs)
             except ValueError as exc:
                 raise InvariantViolationError(f"party {p} setting {s}: {exc}") from None
             party.append(obs)
-        observables.append(party)
-    if len(data["observables"]) != sum(sc.settings):
+        parties.append(party)
+    if len(observables) != sum(sc.settings):
         raise InvariantViolationError("observables for settings outside the scenario")
     if psi.shape != (d ** sc.parties,) or abs(np.linalg.norm(psi) - 1.0) > EIGENVALUE_TOL:
         raise InvariantViolationError(
             f"state of length {len(psi)} and norm {np.linalg.norm(psi)} is not a unit "
             f"vector of dimension {d ** sc.parties}")
-    value = bell_value(ineq, observables, psi)
-    if abs(value - data["value"]) > EIGENVALUE_TOL:
+    value = bell_value(ineq, parties, psi)
+    if abs(value - claimed) > EIGENVALUE_TOL:
         raise InvariantViolationError(
-            f"state and observables give the value {value!r}, the file says {data['value']!r}")
-    return value
+            f"state and observables give the value {value!r}, the file says {claimed!r}")
+    return ineq, d, value

@@ -33,8 +33,8 @@ from .constraints import (XiAssignment, _embedding_map, build_extended_behaviors
                           parse_xi_label, symmetry_rows)
 from .errors import CapExceededError, ParseError
 from .exactlinalg import _primitive_rows
-from .inequality import (Inequality, from_cone_normal, parse_inequality,
-                         term_count, write_inequality)
+from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
+                         write_inequality)
 from .scenario import enumerate_vertices
 
 ORBIT_CAP_DEFAULT = 10_000_000
@@ -355,32 +355,18 @@ def write_class_list(classes):
 
 
 def parse_class_list(text):
+    """The classes of a write_class_list text.  A class k: header line opens
+    each block, and an inequality with no other field follows it."""
+    lines = text.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.lstrip().startswith("class ")]
     classes = []
-    current = None
-
-    def finish():
-        if current is None:
-            return
-        head, lines, start = current
-        ineq = parse_inequality("\n".join(lines), start_line=start)
-        classes.append(EquivalenceClass(canonical=ineq, members_found=head[0],
-                                        witnesses=head[1]))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("class "):
-            finish()
-            body = line[len("class "):]
-            try:
-                label, rest = body.split(":", 1)
-                fields = dict(part.split("=", 1) for part in rest.split())
-                members = int(fields["members"])
-                wits = tuple(parse_xi_label(x) for x in fields.get("witnesses", "").split(",") if x) \
-                    if "witnesses" in fields else ()
-            except (ValueError, KeyError):
-                raise ParseError(f"malformed class header {line!r}", line=lineno) from None
-            current = ((members, wits), [], lineno + 1)
-        elif current is not None:
-            current[1].append(raw)
-    finish()
+    for a, b in zip(heads, heads[1:] + [len(lines)]):
+        try:
+            head = dict(part.split("=", 1) for part in lines[a].partition(":")[2].split())
+            members = int(head["members"])
+            wits = tuple(parse_xi_label(x) for x in head.get("witnesses", "").split(",") if x)
+        except (ValueError, KeyError):
+            raise ParseError(f"malformed class header {lines[a].strip()!r}", line=a + 1) from None
+        ineq = parse_inequality("\n".join(lines[a + 1:b]), start_line=a + 2)
+        classes.append(EquivalenceClass(canonical=ineq, members_found=members, witnesses=wits))
     return classes

@@ -5,7 +5,7 @@ import pytest
 from conebell import catalog
 from conebell.cli import main
 from conebell.inequality import write_inequality
-from conebell.search import parse_class_list
+from conebell.search import classify, parse_class_list, relabeling_orbit, write_class_list
 
 
 @pytest.fixture
@@ -256,6 +256,64 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["seesaw", "--ineq", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+def _break_last_bound(text):
+    """text with its last bound: line malformed, and that line's number."""
+    lines = text.splitlines()
+    at = max(i for i, line in enumerate(lines) if line.startswith("bound:"))
+    lines[at] = "bound: x"
+    return "\n".join(lines) + "\n", at + 1
+
+
+@pytest.mark.parametrize("kind", ["seesaw", "record", "class list", "plain list"])
+def test_parse_errors_name_the_file_line(tmp_path, seesaw_files, capsys, kind):
+    chsh = catalog.chsh()
+    others = [catalog.positivity(chsh.scenario), relabeling_orbit(chsh)[1]]
+    if kind == "seesaw":
+        text = "# one\n# two\n" + seesaw_files[1][2][0]
+    elif kind == "record":
+        text = ("# one\n# two\n" + write_inequality(chsh, comments=False)
+                + "algebraic: 4\nqubit: 2.8\nqutrit: 2.8\n")
+    elif kind == "class list":
+        text = write_class_list(classify([chsh] + others))
+    else:
+        text = "\n\n".join(write_inequality(x) for x in [chsh] + others)
+    text, line = _break_last_bound(text)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = {"seesaw": ["metrics", "--ineq", str(seesaw_files[0]), "--qubit", "2.8",
+                       "--qutrit", "2.8", "--seesaw-file", str(path)],
+            "record": ["report", str(path)]}.get(kind, ["classify", str(path)])
+    assert main(argv) == 2
+    assert f"(line {line})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["seesaw value", "sidecar npa3", "ineq bound"])
+def test_a_key_given_twice_is_a_parse_error(tmp_path, seesaw_files, chsh_file, capsys, kind):
+    ineq, files = seesaw_files
+    (text, v2), (_, v3) = files[2], files[3]
+    path = tmp_path / "input.txt"
+    argv = ["metrics", "--ineq", str(ineq), "--qubit", repr(v2), "--qutrit", repr(v3)]
+    if kind == "seesaw value":
+        path.write_text(text + f"value: {v2!r}\n")
+        argv += ["--seesaw-file", str(path)]
+    elif kind == "sidecar npa3":
+        path.write_text("npa3: 2.83\nnpa3: 2.84\n")
+        argv += ["--npa-file", str(path)]
+    else:
+        path.write_text(chsh_file.read_text() + "bound: 3\n")
+        argv[2] = str(path)
+    assert main(argv) == 2
+    assert "given twice" in capsys.readouterr().err
+
+
+def test_metrics_with_an_empty_sidecar(tmp_path, chsh_file, capsys):
+    sidecar = tmp_path / "npa.txt"
+    sidecar.write_text("")
+    assert main(["metrics", "--ineq", str(chsh_file), "--qubit", "2.8", "--qutrit", "2.8",
+                 "--npa-file", str(sidecar)]) == 0
+    assert "m_N  = not available" in capsys.readouterr().out
 
 
 def test_generalize_rejects_a_repeated_party(chsh_file, capsys):

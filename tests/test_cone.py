@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,7 @@ from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _dd_extreme_rays, _li
                            constrained_facets, enumerate_facets_dd, lift_polytope,
                            project_rays)
 from conebell.errors import CapExceededError
-from conebell.exactlinalg import (_PRIME, integer_kernel_basis, pivot_columns, rank,
-                                  vector_gcd)
+from conebell.exactlinalg import _PRIME, integer_kernel_basis, pivot_columns, rank
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 
@@ -24,7 +25,7 @@ def _projection_sources(cone, basis, projected):
     sources = [[] for _ in range(projected.ray_count)]
     dropped = []
     for i, image in enumerate(cone.rays.astype(object) @ basis):
-        g = vector_gcd(image)
+        g = math.gcd(*image)
         if g == 0:
             dropped.append(i)
         else:
@@ -333,7 +334,7 @@ def test_lift_identity_and_kernel_property():
     # row by row, the lift is the primitive vector in the direction of T b
     for row, vec in zip(lifted, b):
         image = t @ vec.astype(object)
-        g_row = vector_gcd(image)
+        g_row = math.gcd(*image)
         assert row.tolist() == [x // g_row for x in image]
 
 

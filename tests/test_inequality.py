@@ -4,9 +4,9 @@ import pytest
 from conebell import catalog
 from conebell.errors import DegenerateVectorError, ParseError
 from conebell.inequality import (Inequality, algebraic_bound, expand_symmetric_terms,
-                                 from_cone_normal, from_terms, parse_inequality, render,
-                                 render_symmetric, symmetric_terms, term_count,
-                                 write_inequality)
+                                 from_cone_normal, from_terms, parse_inequality, read_field,
+                                 read_fields, render, render_symmetric, symmetric_terms,
+                                 term_count, write_inequality)
 from conebell.scenario import Scenario
 
 from .reference import equal_setting_orbit, reference_symmetric_terms
@@ -71,6 +71,10 @@ def test_from_cone_normal_normalizes():
     # a scaled normal keeps its orientation and loses the common factor
     assert from_cone_normal(chsh.scenario, 6 * chsh.cone_normal()).coefficients \
         == chsh.coefficients
+    # integral floats are integers; 1.5 is not
+    assert from_cone_normal(chsh.scenario, [float(x) for x in 2 * chsh.cone_normal()]) == chsh
+    with pytest.raises(ValueError, match="integers"):
+        from_cone_normal(chsh.scenario, [-3, 1.5] + [0] * 7)
     with pytest.raises(DegenerateVectorError):
         from_cone_normal(chsh.scenario, [0] * 9)
     # a normal that is positive on the zero vertex has a negative bound
@@ -186,8 +190,29 @@ def test_file_round_trip_fixtures():
         assert write_inequality(back) == text
 
 
+def test_read_fields_numbers_the_file_lines():
+    text = ("# result\n" + write_inequality(catalog.chsh(), comments=False)
+            + "dim: 2\nm_N: 1 (level 3)\n")
+    ineq, fields = read_fields(text, start_line=10)
+    assert ineq == catalog.chsh()
+    assert fields == {"dim": ("2", 17), "m_N": ("1 (level 3)", 18)}
+    assert read_fields("# nothing\nnpa2: 3.5\n") == (None, {"npa2": ("3.5", 2)})
+    assert read_field(fields["dim"], int) == 2
+    with pytest.raises(ParseError, match="line 18"):
+        read_field(fields["m_N"])
+    with pytest.raises(ParseError, match="line 3"):
+        read_fields("npa2: 3.5\n\nnpa2: 3.6\n")
+    with pytest.raises(ParseError, match="line 2"):
+        read_fields("npa2: 3.5\nnpa3 3.6\n")
+
+
 def test_parse_errors_carry_position():
     good = write_inequality(catalog.chsh())
+    # a second bound is a key given twice, and no other field is allowed
+    with pytest.raises(ParseError, match="given twice"):
+        parse_inequality(good + "bound: 3\n")
+    with pytest.raises(ParseError, match="line 9"):
+        parse_inequality(good + "dim: 2\n")
     with pytest.raises(ParseError, match="line"):
         parse_inequality(good + "9,9: 1\n")
     with pytest.raises(ParseError):

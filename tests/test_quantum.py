@@ -6,7 +6,7 @@ from conebell.errors import InvariantViolationError
 from conebell.inequality import Inequality, algebraic_bound
 from conebell.quantum import (BoundsRecord, SeesawConfig,
                               assert_valid_observable, bell_operator,
-                              bell_value, metrics, parse_seesaw_result,
+                              bell_value, metrics, replay_seesaw_result,
                               seesaw, write_seesaw_result, _coefficient_tensor,
                               _effective_operators, _observable_stack,
                               _random_observable, _sign_observable)
@@ -200,8 +200,8 @@ def test_seesaw_result_file_round_trip():
     chsh = catalog.chsh()
     res = seesaw(chsh, FAST)
     text = write_seesaw_result(chsh, res, FAST)
-    data = parse_seesaw_result(text)
-    assert data["inequality"].coefficients == chsh.coefficients
-    assert data["value"] == res.value
-    assert np.allclose(data["state"], res.state)
-    assert np.allclose(data["observables"][(0, 1)], res.observables[0][0])
+    ineq, dim, value = replay_seesaw_result(text)
+    assert ineq == chsh
+    assert dim == FAST.local_dim
+    # the value is recomputed from the file's state and observables
+    assert abs(value - res.value) < 1e-9

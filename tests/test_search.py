@@ -125,6 +125,15 @@ def test_canonical_cap_counts_evaluations(ineq, evaluations):
         canonical_form(ineq, cap=evaluations - 1)
 
 
+@pytest.mark.parametrize("settings", [(1,), (2, 2), (3, 3), (2, 3, 4), (2, 2, 2), (3, 3, 2),
+                                      (3, 3, 3), (2, 2, 2, 2)])
+def test_positivity_is_its_own_canonical_form(settings):
+    """`facets` marks the trivial class by positivity's coefficients without
+    computing its canonical form."""
+    ineq = catalog.positivity(Scenario(settings))
+    assert canonical_form(ineq) == ineq
+
+
 def test_canonical_cap_fails_before_allocating():
     """A slot over the cap raises before its candidate table or rows exist."""
     ineq = Inequality(Scenario((6, 6)), (1,) + (0,) * 47 + (1,))
