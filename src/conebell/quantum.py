@@ -1,28 +1,37 @@
 """Quantum violation heuristics and comparison metrics.
 
-Lower bounds on the maximal quantum value of a Bell expression come from an
-alternating ascent: the state update takes the top eigenvector of the Bell
-operator, and the measurement update for one setting replaces the observable
-by the sign of its effective operator.  Both steps are exact maximizers of
-the linearized objective, so the objective is nondecreasing within a run.
-Restarts run on independent PRNG streams spawned from one seed; a warmup
-phase keeps only the most promising runs for full convergence.
+Lower bounds on the maximal quantum value of a Bell expression come from the
+see-saw ascent of Liang & Doherty, PRA 75, 042103 (2007): the state update
+takes the top eigenvector of the Bell operator, and the measurement update
+for one setting replaces the observable by the sign of its effective
+operator.  Both steps are exact maximizers of the linearized objective, so
+the objective is nondecreasing within a run.  Restarts run on independent
+PRNG streams spawned from one seed; a warmup phase keeps only the most
+promising runs for full convergence.
+
+Restarts never interact, so they share a leading batch axis r, and one sweep
+updates every restart of the batch with the same few numpy calls.  All
+restarts run the warmup as one batch; the survivors then run on as a second
+batch, which sheds each restart as it converges.
 
 Every operator is a contraction.  The inequality is the real coefficient
 tensor C of shape scenario.shape with the constant slot zeroed, and party p
-contributes the observable stack A_p = [I, O_1, ..., O_m] of shape
-(m+1, d, d), so the Bell operator is sum_t C[t] A_0[t_0] (x) ... (x)
-A_{n-1}[t_{n-1}]: one tensordot per party.  The effective operators of all of
-one party's settings come from one contraction as well: the other parties'
-stacks act on the state, C sums over their settings, and the conjugate state
-closes the remaining axes.  They depend only on the other parties'
-observables, so a sweep updates all settings of a party at once, with one
-stacked eigendecomposition.  A sweep builds the Bell operator of its new
-observables once; the same operator gives the sweep's value and is
-diagonalized by the next sweep.
+contributes the observable stacks A_p[r] = [I, O_1, ..., O_m], one
+(R, m+1, d, d) array for R restarts, so the Bell operator of restart r is
+sum_t C[t] A_0[r, t_0] (x) ... (x) A_{n-1}[r, t_{n-1}]: one batched matmul
+per party.  The effective operators of all of one party's settings come from
+one contraction as well: the other parties' stacks act on the state, C sums
+over their settings, and the conjugate state closes the remaining axes.
+They depend only on the other parties' observables, so a sweep updates all
+settings of a party at once, with one stacked eigendecomposition.  A sweep
+builds the Bell operators of its new observables once; the same operators
+give the sweep's values and are diagonalized by the next sweep.  Each
+contraction lays out its operands as np.tensordot would for one restart, so
+a restart gets the same BLAS calls in a batch as alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,12 +96,46 @@ def _coefficient_tensor(ineq):
     return coeffs
 
 
-def _observable_stack(party, d):
-    """[I, O_1, ..., O_m] as one (m+1, d, d) complex array."""
-    stack = np.empty((len(party) + 1, d, d), dtype=complex)
-    stack[0] = np.eye(d)
-    stack[1:] = party
-    return stack
+def _observable_stacks(observables):
+    """[I, O_1, ..., O_m] of each restart of an (R, m, d, d) array, as one
+    (R, m+1, d, d) complex array."""
+    restarts, m, d, _ = observables.shape
+    stacks = np.empty((restarts, m + 1, d, d), dtype=complex)
+    stacks[:, 0] = np.eye(d)
+    stacks[:, 1:] = observables
+    return stacks
+
+
+def _tensordot(a, b, axes_a, axes_b):
+    """np.tensordot(a[r], b[r], (axes_a, axes_b)) for every r of the leading
+    axis, where a length of 1 broadcasts; axes count that leading axis.
+
+    The operands are laid out as tensordot lays them out, so each restart
+    gets the BLAS call, and the rounding, that tensordot would give it.
+    """
+    free_a = [k for k in range(1, a.ndim) if k not in axes_a]
+    free_b = [k for k in range(1, b.ndim) if k not in axes_b]
+    inner = math.prod(a.shape[k] for k in axes_a)
+    out = (a.transpose([0] + free_a + axes_a).reshape(len(a), -1, inner)
+           @ b.transpose([0] + axes_b + free_b).reshape(len(b), inner, -1))
+    return out.reshape(out.shape[:1] + tuple(a.shape[k] for k in free_a)
+                       + tuple(b.shape[k] for k in free_b))
+
+
+def _bell_operators(coeffs, stacks):
+    """The Bell operator of every restart, as an (R, d^n, d^n) array.
+
+    stacks[p] holds party p's observable stacks as one (R, m+1, d, d) array.
+    """
+    # sum_t C[t] A_0[t_0] (x) ... (x) A_{n-1}[t_{n-1}], one party at a time
+    op = coeffs[None]
+    for stack in stacks:
+        op = _tensordot(op, stack, [1], [1])
+    # axes are now (r, i_0, j_0, i_1, j_1, ...): rows first, then columns
+    n = len(stacks)
+    d = stacks[0].shape[-1]
+    order = [0] + list(range(1, 2 * n + 1, 2)) + list(range(2, 2 * n + 1, 2))
+    return op.transpose(order).reshape(len(op), d ** n, d ** n)
 
 
 def bell_operator(ineq, observables):
@@ -114,14 +157,8 @@ def bell_operator(ineq, observables):
         for obs in party:
             if np.asarray(obs).shape != (d, d):
                 raise ValueError("observables must be square")
-    # sum_t C[t] A_0[t_0] (x) ... (x) A_{n-1}[t_{n-1}], one party at a time
-    op = _coefficient_tensor(ineq)
-    for party in observables:
-        op = np.tensordot(op, _observable_stack(party, d), axes=([0], [0]))
-    # axes are now (i_0, j_0, i_1, j_1, ...): rows first, then columns
-    n = sc.parties
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return op.transpose(order).reshape(d ** n, d ** n)
+    stacks = [_observable_stacks(np.array(party)[None]) for party in observables]
+    return _bell_operators(_coefficient_tensor(ineq), stacks)[0]
 
 
 def bell_value(ineq, observables, state):
@@ -129,17 +166,27 @@ def bell_value(ineq, observables, state):
     return float(np.real(np.conj(state) @ (op @ state)))
 
 
-def _random_observable(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(z)
-    signs = rng.choice([-1.0, 1.0], size=d)
-    return (q * signs) @ q.conj().T
+def _random_stacks(rngs, settings, d):
+    """Starting observable stacks, one (R, m+1, d, d) array per party, with
+    restart r drawn from rngs[r]: per observable, in party and setting order,
+    a complex Gaussian matrix, whose QR factor Q gives the eigenbasis, and a
+    random sign per eigenvalue."""
+    draws, signs = [], []
+    for rng in rngs:
+        for _ in range(sum(settings)):
+            draws.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            signs.append(rng.choice([-1.0, 1.0], size=d))
+    q, _ = np.linalg.qr(np.array(draws))
+    obs = (q * np.array(signs)[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
+    obs = obs.reshape(len(rngs), sum(settings), d, d)
+    return [_observable_stacks(part)
+            for part in np.split(obs, np.cumsum(settings)[:-1], axis=1)]
 
 
 def _sign_observable(effective):
     """Maximizer of Tr(X F) over Hermitian X with +-1 spectrum: sign(F).
 
-    Takes one (d, d) operator F or a stack (m, d, d) of them.
+    Takes one (d, d) operator F or a stack (..., d, d) of them.
     """
     herm = (effective + np.swapaxes(effective, -1, -2).conj()) / 2
     eig, vec = np.linalg.eigh(herm)
@@ -147,86 +194,98 @@ def _sign_observable(effective):
     return (vec * signs[..., None, :]) @ np.swapaxes(vec, -1, -2).conj()
 
 
-def _effective_operators(coeffs, stacks, psi_tensor, party):
-    """F[s-1] with objective contribution Tr(O_s F[s-1]), for s = 1..m of party.
+def _effective_operators(coeffs, stacks, psi, party):
+    """F[r, s-1] with objective contribution Tr(O_s F[r, s-1]) of restart r,
+    for s = 1..m of party: an (R, m, d, d) array.
 
-    The other parties' stacks act on psi, the coefficient tensor sums over
-    their settings, and conj(psi) closes every axis but the party's own.
+    psi holds the states as an (R, d, ..., d) array.  The other parties'
+    stacks act on psi, the coefficient tensor sums over their settings, and
+    conj(psi) closes every axis but the party's own.
     """
-    n = psi_tensor.ndim
+    n = psi.ndim - 1
     others = [q for q in range(n) if q != party]
-    phi = psi_tensor
-    # phi holds the setting axes gathered so far, then the n state axes;
+    phi = psi
+    # phi holds r, the setting axes gathered so far, then the n state axes;
     # descending order leaves the setting axes in party order
     for gathered, q in enumerate(reversed(others)):
-        phi = np.tensordot(stacks[q], phi, axes=([2], [gathered + q]))
-        phi = np.moveaxis(phi, 1, 1 + gathered + q)
+        phi = _tensordot(stacks[q], phi, [3], [1 + gathered + q])
+        phi = np.moveaxis(phi, 2, 2 + gathered + q)
     own = coeffs[(slice(None),) * party + (slice(1, None),)]
-    phi = np.tensordot(own, phi, axes=(others, list(range(n - 1))))
-    # phi[s, k_0, ..., k_{n-1}]; F[s][b, a] sums phi[s, .. b ..] conj(psi[.. a ..])
-    # over the other parties' k
-    return np.tensordot(phi, psi_tensor.conj(), axes=([1 + q for q in others], others))
+    phi = _tensordot(own[None], phi, [1 + q for q in others], list(range(1, n)))
+    # phi[r, s, k_0, ..., k_{n-1}]; F[r, s][b, a] sums phi[r, s, .. b ..]
+    # conj(psi[r, .. a ..]) over the other parties' k
+    return _tensordot(phi, psi.conj(), [2 + q for q in others], [1 + q for q in others])
 
 
-def _sweep(ineq, coeffs, observables, op, d):
-    """One state update plus one measurement pass.
+def _sweep(coeffs, stacks, op):
+    """One state update plus one measurement pass, for every restart at once.
 
-    op is the Bell operator of the current observables, which are updated in
-    place.  Returns the new state, the Bell operator of the new observables
-    and the state's value on it.
+    op holds the Bell operators of the current stacks, which are updated in
+    place.  Returns the new states, the Bell operators of the new
+    observables and the states' values on them.
     """
-    n = ineq.scenario.parties
+    n = len(stacks)
+    d = stacks[0].shape[-1]
     _, vecs = np.linalg.eigh(op)
-    psi = vecs[:, -1]
-    psi_tensor = psi.reshape((d,) * n)
-    stacks = [_observable_stack(party, d) for party in observables]
+    psi = vecs[..., -1]
+    psi_tensor = psi.reshape((len(psi),) + (d,) * n)
     # a party's effective operators depend only on the other parties, so all
     # of its settings are updated at once
     for party in range(n):
-        stacks[party][1:] = _sign_observable(
+        stacks[party][:, 1:] = _sign_observable(
             _effective_operators(coeffs, stacks, psi_tensor, party))
-        observables[party][:] = list(stacks[party][1:])
-    op = bell_operator(ineq, observables)
-    return psi, op, float(np.real(np.conj(psi) @ (op @ psi)))
+    op = _bell_operators(coeffs, stacks)
+    values = np.real(psi.conj()[:, None, :] @ (op @ psi[:, :, None]))[:, 0, 0]
+    return psi, op, values
 
 
 def seesaw(ineq, cfg=None):
-    """Best violation found over restarts, with per-restart objective traces."""
+    """Best violation found over restarts, with per-restart objective traces.
+
+    All restarts run the warmup in one batch.  The survivors, the restarts
+    with the top warmup values, then run on in one shrinking batch: each
+    leaves it when it converges or reaches max_iterations.
+    """
     if cfg is None:
         cfg = SeesawConfig()
-    d = cfg.local_dim
-    sc = ineq.scenario
     coeffs = _coefficient_tensor(ineq)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    runs = []
+    stacks = _random_stacks([np.random.default_rng(s) for s in streams],
+                            ineq.scenario.settings, cfg.local_dim)
+    op = _bell_operators(coeffs, stacks)
     traces = [[] for _ in range(cfg.restarts)]
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(streams[r])
-        obs = [[_random_observable(rng, d) for _ in range(m)] for m in sc.settings]
-        op = bell_operator(ineq, obs)
-        for _ in range(cfg.warmup_iterations):
-            psi, op, value = _sweep(ineq, coeffs, obs, op, d)
+    for _ in range(cfg.warmup_iterations):
+        psi, op, values = _sweep(coeffs, stacks, op)
+        for trace, value in zip(traces, values.tolist()):
+            trace.append(value)
+    # ties go to the lower restart index
+    survivors = sorted(range(cfg.restarts), key=lambda r: (-values[r], r))[:cfg.survivors]
+    live = survivors
+    stacks = [stack[live] for stack in stacks]
+    psi, op, values = psi[live], op[live], values[live]
+    finished = {}  # restart -> (value, stacks, state) once it leaves the batch
+    for _ in range(cfg.max_iterations - cfg.warmup_iterations):
+        psi, op, new_values = _sweep(coeffs, stacks, op)
+        for r, value in zip(live, new_values.tolist()):
             traces[r].append(value)
-        runs.append([value, obs, psi, op, r])
-    runs.sort(key=lambda run: (-run[0], run[4]))
-    best = None
-    all_converged = True
-    for value, obs, psi, op, r in runs[:cfg.survivors]:
-        converged = False
-        for _ in range(cfg.max_iterations - cfg.warmup_iterations):
-            psi, op, new_value = _sweep(ineq, coeffs, obs, op, d)
-            traces[r].append(new_value)
-            if new_value - value < cfg.tolerance:
-                value = max(value, new_value)
-                converged = True
-                break
-            value = new_value
-        all_converged = all_converged and converged
-        if best is None or value > best[0]:
-            best = [value, obs, psi, r]
-    value, obs, psi, r = best
-    return SeesawResult(value=float(value), state=psi, observables=obs,
-                        traces=traces, best_restart=r, converged=all_converged)
+        done = new_values - values < cfg.tolerance
+        values = np.where(done, np.maximum(values, new_values), new_values)
+        for k in np.flatnonzero(done):
+            finished[live[k]] = (values[k], [stack[k] for stack in stacks], psi[k])
+        running = np.flatnonzero(~done)
+        live = [live[k] for k in running]
+        if not live:
+            break
+        stacks = [stack[running] for stack in stacks]
+        psi, op, values = psi[running], op[running], values[running]
+    # the restarts still in the batch hit max_iterations
+    for k, r in enumerate(live):
+        finished[r] = (values[k], [stack[k] for stack in stacks], psi[k])
+    best = max(survivors, key=lambda r: finished[r][0])  # the first of equal values
+    value, best_stacks, state = finished[best]
+    return SeesawResult(value=float(value), state=state,
+                        observables=[list(stack[1:]) for stack in best_stacks],
+                        traces=traces, best_restart=best, converged=not live)
 
 
 # ---------------------------------------------------------------------------

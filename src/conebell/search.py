@@ -356,9 +356,13 @@ def write_class_list(classes):
 
 def parse_class_list(text):
     """The classes of a write_class_list text.  A class k: header line opens
-    each block, and an inequality with no other field follows it."""
+    each block, and an inequality with no other field follows it.  Before
+    the first header only blank and # comment lines may stand."""
     lines = text.splitlines()
     heads = [i for i, line in enumerate(lines) if line.lstrip().startswith("class ")]
+    for i, line in enumerate(lines[:heads[0] if heads else len(lines)]):
+        if line.strip() and not line.lstrip().startswith("#"):
+            raise ParseError(f"line {line.strip()!r} before the first class header", line=i + 1)
     classes = []
     for a, b in zip(heads, heads[1:] + [len(lines)]):
         try:

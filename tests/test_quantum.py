@@ -3,13 +3,13 @@ import pytest
 
 from conebell import catalog
 from conebell.errors import InvariantViolationError
-from conebell.inequality import Inequality, algebraic_bound
+from conebell.inequality import Inequality, algebraic_bound, from_terms
 from conebell.quantum import (BoundsRecord, SeesawConfig,
                               assert_valid_observable, bell_operator,
                               bell_value, metrics, replay_seesaw_result,
-                              seesaw, write_seesaw_result, _coefficient_tensor,
-                              _effective_operators, _observable_stack,
-                              _random_observable, _sign_observable)
+                              seesaw, write_seesaw_result, _bell_operators,
+                              _coefficient_tensor, _effective_operators,
+                              _random_stacks, _sign_observable, _sweep)
 from conebell.scenario import Scenario
 
 from .reference import reference_bell_operator, reference_effective_operator
@@ -24,14 +24,21 @@ ORACLE_CASES = [(settings, d) for settings in ((2, 2), (4, 4), (2, 2, 2), (3, 3,
                 for d in (2, 3)]
 
 
-def _random_instance(settings, d, seed):
-    """A random integer inequality, random +-1 observables and a random state."""
+def _random_instance(settings, d, seed, restarts=1):
+    """A random integer inequality, and per restart distinct random +-1
+    observables, as stacks, and a random state."""
     rng = np.random.default_rng(seed)
     sc = Scenario(settings)
     ineq = Inequality(sc, tuple(int(c) for c in rng.integers(-3, 4, size=sc.dimension + 1)))
-    obs = [[_random_observable(rng, d) for _ in range(m)] for m in settings]
-    psi = rng.standard_normal(d ** sc.parties) + 1j * rng.standard_normal(d ** sc.parties)
-    return ineq, obs, psi / np.linalg.norm(psi)
+    stacks = _random_stacks([rng] * restarts, settings, d)
+    psi = (rng.standard_normal((restarts, d ** sc.parties))
+           + 1j * rng.standard_normal((restarts, d ** sc.parties)))
+    return ineq, stacks, psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def _restart(stacks, r):
+    """observables[p][s-1] of restart r."""
+    return [list(stack[r, 1:]) for stack in stacks]
 
 
 def test_bell_operator_classical_embedding():
@@ -74,22 +81,29 @@ def test_bell_operator_rejects_wrong_observable_counts():
 
 @pytest.mark.parametrize("settings,d", ORACLE_CASES)
 def test_bell_operator_matches_kron_reference(settings, d):
-    ineq, obs, _ = _random_instance(settings, d, seed=sum(settings) * 10 + d)
-    assert np.abs(bell_operator(ineq, obs) - reference_bell_operator(ineq, obs)).max() < 1e-12
+    ineq, stacks, _ = _random_instance(settings, d, seed=sum(settings) * 10 + d, restarts=3)
+    batch = _bell_operators(_coefficient_tensor(ineq), stacks)
+    assert batch.shape == (3, d ** len(settings), d ** len(settings))
+    for r in range(3):
+        obs = _restart(stacks, r)
+        assert np.abs(batch[r] - reference_bell_operator(ineq, obs)).max() < 1e-12
+        # the public operator is the batch of one
+        assert np.array_equal(bell_operator(ineq, obs), batch[r])
 
 
 @pytest.mark.parametrize("settings,d", ORACLE_CASES)
 def test_effective_operators_match_reference(settings, d):
-    ineq, obs, psi = _random_instance(settings, d, seed=sum(settings) * 10 + d + 1)
+    ineq, stacks, psi = _random_instance(settings, d, seed=sum(settings) * 10 + d + 1,
+                                         restarts=3)
     coeffs = _coefficient_tensor(ineq)
-    stacks = [_observable_stack(party, d) for party in obs]
-    psi_tensor = psi.reshape((d,) * len(settings))
+    psi_tensor = psi.reshape((3,) + (d,) * len(settings))
     for party, m in enumerate(settings):
         batch = _effective_operators(coeffs, stacks, psi_tensor, party)
-        assert batch.shape == (m, d, d)
-        for s in range(1, m + 1):
-            ref = reference_effective_operator(ineq, obs, psi, party, s)
-            assert np.abs(batch[s - 1] - ref).max() < 1e-12
+        assert batch.shape == (3, m, d, d)
+        for r in range(3):
+            for s in range(1, m + 1):
+                ref = reference_effective_operator(ineq, _restart(stacks, r), psi[r], party, s)
+                assert np.abs(batch[r, s - 1] - ref).max() < 1e-12
 
 
 def test_seesaw_chsh_reaches_tsirelson():
@@ -98,9 +112,95 @@ def test_seesaw_chsh_reaches_tsirelson():
 
 
 def test_seesaw_traces_monotone():
-    res = seesaw(catalog.chsh(), FAST)
-    for tr in res.traces:
-        assert all(b >= a - 1e-10 for a, b in zip(tr, tr[1:]))
+    # qubits on two parties, and qutrits on three
+    for ineq, cfg in [(catalog.chsh(), FAST),
+                      (catalog.gyni(), SeesawConfig(local_dim=3, restarts=4))]:
+        res = seesaw(ineq, cfg)
+        assert len(res.traces) == cfg.restarts
+        for tr in res.traces:
+            assert all(b >= a - 1e-10 for a, b in zip(tr, tr[1:]))
+
+
+def _one_restart_at_a_time(ineq, cfg):
+    """(value, best restart, converged, traces, state, observables) of the
+    seesaw with every restart run alone, in turn, as batches of one."""
+    coeffs = _coefficient_tensor(ineq)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    runs, traces = [], []
+    for r, stream in enumerate(streams):
+        stacks = _random_stacks([np.random.default_rng(stream)], ineq.scenario.settings,
+                                cfg.local_dim)
+        op = _bell_operators(coeffs, stacks)
+        trace = []
+        for _ in range(cfg.warmup_iterations):
+            psi, op, value = _sweep(coeffs, stacks, op)
+            trace.append(float(value[0]))
+        runs.append((-trace[-1], r, stacks, op, psi))
+        traces.append(trace)
+    best, all_converged = None, True
+    for _, r, stacks, op, psi in sorted(runs, key=lambda run: run[:2])[:cfg.survivors]:
+        value, converged = traces[r][-1], False
+        for _ in range(cfg.max_iterations - cfg.warmup_iterations):
+            psi, op, new_value = _sweep(coeffs, stacks, op)
+            traces[r].append(float(new_value[0]))
+            if new_value[0] - value < cfg.tolerance:
+                value, converged = max(value, float(new_value[0])), True
+                break
+            value = float(new_value[0])
+        all_converged = all_converged and converged
+        if best is None or value > best[0]:
+            best = (value, r, psi[0], _restart(stacks, 0))
+    value, r, psi, observables = best
+    return value, r, all_converged, traces, psi, observables
+
+
+@pytest.mark.parametrize("ineq,cfg", [
+    (catalog.i4422(), SeesawConfig(local_dim=3, restarts=12, seed=1)),
+    # more survivors than restarts, as in the bench self-test's smoke case
+    (catalog.chsh(), SeesawConfig(restarts=3)),
+    (catalog.gyni(), SeesawConfig(restarts=1, seed=2)),
+    # one sweep after the warmup: some survivors have not converged
+    (catalog.i4422(), SeesawConfig(local_dim=3, restarts=6, survivors=4,
+                                   max_iterations=6, seed=1)),
+])
+def test_lockstep_matches_one_restart_at_a_time(ineq, cfg):
+    res = seesaw(ineq, cfg)
+    value, best, converged, traces, psi, observables = _one_restart_at_a_time(ineq, cfg)
+    assert (res.value, res.best_restart, res.converged, res.traces) == \
+        (value, best, converged, traces)
+    assert np.array_equal(res.state, psi)
+    assert np.array_equal(res.observables, observables)
+
+
+def test_lockstep_survivors_leave_the_batch_when_they_converge():
+    cfg = SeesawConfig(local_dim=3, restarts=12, seed=1)
+    res = seesaw(catalog.i4422(), cfg)
+    grown = [tr for tr in res.traces if len(tr) > cfg.warmup_iterations]
+    assert len(grown) == cfg.survivors and res.converged
+    for tr in grown:
+        steps = np.diff(tr[cfg.warmup_iterations - 1:])
+        # each survivor stops at the first sweep that gains less than the tolerance
+        assert steps[-1] < cfg.tolerance and (steps[:-1] >= cfg.tolerance).all()
+    # so a survivor that converges early keeps a shorter trace
+    assert len({len(tr) for tr in grown}) > 1
+
+
+def test_seesaw_unconverged_survivor():
+    cfg = SeesawConfig(local_dim=3, restarts=6, survivors=4, max_iterations=6, seed=1)
+    res = seesaw(catalog.i4422(), cfg)
+    assert not res.converged
+    grown = [tr for tr in res.traces if len(tr) > cfg.warmup_iterations]
+    assert [len(tr) for tr in grown] == [6] * 4
+    assert any(tr[-1] - tr[-2] >= cfg.tolerance for tr in grown)
+
+
+def test_warmup_ties_go_to_the_lower_restart():
+    # every restart reaches the marginal's maximum 1 exactly
+    marginal = from_terms(Scenario((2, 2)), 1, {(1, 0): 1})
+    res = seesaw(marginal, SeesawConfig(restarts=8))
+    assert {tr[-1] for tr in res.traces} == {1.0}
+    assert [len(tr) for tr in res.traces] == [6] * 5 + [5] * 3
+    assert res.best_restart == 0
 
 
 def test_seesaw_outputs_valid_observables_and_state():

@@ -6,8 +6,8 @@ import pytest
 
 from conebell import catalog, search
 from conebell.constraints import XiAssignment, parse_relabeling
-from conebell.errors import CapExceededError
-from conebell.inequality import Inequality, from_terms
+from conebell.errors import CapExceededError, ParseError
+from conebell.inequality import Inequality, from_terms, write_inequality
 from conebell.scenario import Scenario
 from conebell.search import (ReductionSpec, _reduction_mask, canonical_form, classify,
                              generalize_multi, parse_class_list, relabeling_orbit,
@@ -275,3 +275,15 @@ def test_class_list_round_trip():
         [cl.canonical.coefficients for cl in classes]
     assert [cl.witnesses for cl in back] == [cl.witnesses for cl in classes]
     assert write_class_list(back) == text
+
+
+def test_class_list_rejects_lines_before_the_first_header():
+    chsh = catalog.chsh()
+    text = "scenario: junk\nbound: what\nclass 1: members=1\n" + write_inequality(chsh)
+    with pytest.raises(ParseError, match="before the first class header") as err:
+        parse_class_list(text)
+    assert err.value.line == 1
+    # blank and comment lines may precede the first header
+    back = parse_class_list("\n# a comment\n\nclass 1: members=1\n" + write_inequality(chsh))
+    assert [cl.canonical for cl in back] == [chsh]
+    assert parse_class_list("") == []
