@@ -18,6 +18,6 @@ from .search import (EquivalenceClass, ReductionSpec, canonical_form, classify,
                      generalize_multi)
 from .quantum import (BoundsRecord, Metrics, SeesawConfig, SeesawResult,
                       bell_operator, metrics, seesaw)
-from .npa import canonical_monomial, export_sdpa, moment_matrix_structure
+from .npa import export_sdpa, moment_matrix_structure
 
 __all__ = [name for name in dir() if not name.startswith("_")]

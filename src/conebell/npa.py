@@ -10,15 +10,15 @@ Matrix entry (u, v) is the moment of rev(u) . v.  Its canonical form is, party
 by party, the product of u's and v's letters of that party.  Both are reduced
 words (no letter twice in a row), so in rev(u_p) . v_p the letters cancel in
 pairs at the junction for as long as u_p and v_p agree, and nothing else
-cancels.  Each party therefore gets a small table from pairs of its sub-words
-to their reduced product, and an entry is the tuple of its per-party products.
-A real moment equals that of the reversed word, so an entry and its reversal
-(each party's product reversed) form one class, and the moment matrix is
-symmetric.  The structure is built one upper-triangle row at a time, with one
-table gather per party per row.
+cancels.  One table from pairs of reduced words to their product serves every
+party with the same setting count, and an entry is the tuple of its per-party
+products.  A real moment equals that of the reversed word, so an entry and its
+reversal form one class, and the matrix is symmetric.  The structure and its
+SDPA text are built in whole-array steps over the upper triangle.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -29,27 +29,6 @@ import numpy as np
 from .errors import ParseError
 from .inequality import write_inequality
 from .scenario import _PARTY_LETTERS
-
-
-def canonical_monomial(word, scenario):
-    """Canonical form of a word: party-sorted, involutions cancelled."""
-    for party, setting in word:
-        if not (0 <= party < scenario.parties):
-            raise ValueError(f"no party {party} in this scenario")
-        if not (1 <= setting <= scenario.settings[party]):
-            raise ValueError(f"no setting {setting} for party {party}")
-    out = []
-    for party in range(scenario.parties):
-        stack = []
-        for p, s in word:
-            if p != party:
-                continue
-            if stack and stack[-1] == s:
-                stack.pop()
-            else:
-                stack.append(s)
-        out.extend((party, s) for s in stack)
-    return tuple(out)
 
 
 def monomial_name(word):
@@ -76,40 +55,64 @@ class MomentProblem:
         return len(self.monomials)
 
 
-def _level_monomials(scenario, level):
-    letters = [(p, s) for p in range(scenario.parties)
-               for s in range(1, scenario.settings[p] + 1)]
-    seen = {(): None}
-    order = [()]
-    for length in range(1, level + 1):
-        for word in itertools.product(letters, repeat=length):
-            canon = canonical_monomial(word, scenario)
-            if canon not in seen:
-                seen[canon] = None
-                order.append(canon)
-    return sorted(order, key=lambda w: (len(w), w))
+def _canonical_words(settings, level):
+    """Every canonical word of length at most level, in (length, word) order,
+    as (party, setting) arrays of shape (count, level) padded with (-1, 0).
 
-
-def _product_table(words):
-    """Reduced products of one party's reduced words, interned.
-
-    Returns (table, flip, products): table[a, b] is the id of the reduced
-    form of rev(words[a]) . words[b], flip[k] the id of the reversal of
-    products[k].  With k the length of the common prefix of u and v, the
-    letters u[:k] cancel at the junction of rev(u) . v, one pair at a time,
-    leaving rev(u[k:]) + v[k:]; its reversal is the product of (v, u).
+    Appending a letter keeps a word canonical unless the letter's party comes
+    before the last letter's or it repeats the last letter.
     """
-    index = {}
-    table = np.empty((len(words), len(words)), dtype=np.int64)
-    for a, u in enumerate(words):
-        for b, v in enumerate(words):
-            k = 0
-            while k < min(len(u), len(v)) and u[k] == v[k]:
-                k += 1
-            table[a, b] = index.setdefault(u[k:][::-1] + v[k:], len(index))
-    products = list(index)
-    flip = np.array([index[w[::-1]] for w in products], dtype=np.int64)
-    return table, flip, products
+    party = np.append(np.repeat(np.arange(len(settings)), settings), -1)
+    setting = np.append(np.concatenate([np.arange(1, m + 1) for m in settings]), 0)
+    pad = len(party) - 1
+    words = np.full((1, level + 1), pad)  # column 0 stays padding
+    blocks = [words]
+    for length in range(1, level + 1):
+        words = np.repeat(words, pad, axis=0)
+        words[:, length] = np.tile(np.arange(pad), len(words) // pad)
+        last, new = words[:, length - 1], words[:, length]
+        words = words[(party[new] >= party[last]) & (new != last)]
+        blocks.append(words)
+    letters = np.concatenate(blocks)[:, 1:]
+    return party[letters], setting[letters]
+
+
+def _piece_codes(word_party, word_setting, party, base):
+    """Each word's piece of one party in base m+1, first letter most
+    significant; settings are nonzero digits, so codes sort by (length, piece)."""
+    mask = word_party == party
+    after = np.cumsum(mask[:, ::-1], axis=1)[:, ::-1] - mask
+    return np.where(mask, word_setting * base ** after, 0).sum(axis=1)
+
+
+def _product_table(m, level):
+    """Reduced products of the reduced words over settings 1..m of length at
+    most level.
+
+    Returns (codes, table, flip, letters): codes[a] is the code of words[a],
+    table[a, b] the id of rev(words[a]) . words[b] reduced, flip[k] the id of
+    the reversal of product k, and letters[k] its settings, right-aligned.
+    With k the length of the common prefix of u and v, u[:k] cancels at the
+    junction of rev(u) . v, leaving rev(u[k:]) + v[k:].  Products are interned
+    by code, so ids follow (length, piece) order and letter s gets id s.  Codes
+    stay below (m+1)**(2*level), inside int64 for any m whose words fit in memory.
+    """
+    base = m + 1
+    word_party, words = _canonical_words((m,), level)
+    codes = _piece_codes(word_party, words, 0, base)
+    reversed_codes = (words * base ** np.arange(level)).sum(axis=1)
+    k = np.cumprod((words[:, None] == words[None]) & (words[:, None] > 0), axis=2).sum(axis=2)
+    # rev(u[k:]) is rev(u) without its last k letters, and v[k:] is v
+    # without its first k, len(v) - k letters
+    tail = base ** ((words > 0).sum(axis=1) - k)
+    product = reversed_codes[:, None] // base ** k * tail + codes % tail
+    uniq, table = np.unique(product, return_inverse=True)
+    power = np.arange(2 * level)[::-1]
+    letters = uniq[:, None] // base ** power % base
+    n = (letters > 0).sum(axis=1)
+    reversal = (letters * base ** np.maximum(n[:, None] - 1 - power, 0)).sum(axis=1)
+    flip = np.searchsorted(uniq, reversal)
+    return codes, table.reshape(product.shape), flip, letters
 
 
 def moment_matrix_structure(scenario, level, ineq=None):
@@ -130,66 +133,61 @@ def moment_matrix_structure(scenario, level, ineq=None):
     """
     if level not in (1, 2, 3):
         raise ValueError("level must be 1, 2, or 3")
-    monomials = _level_monomials(scenario, level)
-    size = len(monomials)
-    cols, tables, flips, pieces = [], [], [], []
-    for party in range(scenario.parties):
-        sub = [tuple(s for p, s in m if p == party) for m in monomials]
-        words = list(dict.fromkeys(sub))
-        ids = {w: k for k, w in enumerate(words)}
-        table, flip, products = _product_table(words)
-        cols.append(np.array([ids[w] for w in sub], dtype=np.int64))
-        tables.append(table)
-        flips.append(flip)
-        pieces.append([tuple((party, s) for s in w) for w in products])
-    radix = [len(p) for p in pieces]
+    word_party, word_setting = _canonical_words(scenario.settings, level)
+    size = len(word_party)
+    tables = {m: _product_table(m, level) for m in set(scenario.settings)}
+    radix = [len(tables[m][3]) for m in scenario.settings]
     strides = [math.prod(radix[p + 1:]) for p in range(len(radix))]
     # keys stay below prod(radix); past the int64 range they are Python ints
     dtype = np.int64 if math.prod(radix) < 2**63 else object
-    class_of = {}
+    # a class first appears in the upper triangle, which np.triu_indices
+    # lists in row-major order
+    rows, cols = np.triu_indices(size)
+    key = np.zeros(len(rows), dtype=dtype)
+    flipped = np.zeros(len(rows), dtype=dtype)
+    for party, (m, stride) in enumerate(zip(scenario.settings, strides)):
+        codes, table, flip, _ = tables[m]
+        col = np.searchsorted(codes, _piece_codes(word_party, word_setting, party, m + 1))
+        product = table[col[rows], col[cols]]
+        key += product.astype(dtype, copy=False) * stride
+        flipped += flip[product].astype(dtype, copy=False) * stride
+    # ids follow (length, piece) order, so the first party whose piece is not
+    # a palindrome decides both which key and which word is the smaller
+    labels, first, inverse = np.unique(np.minimum(key, flipped), return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    labels, rank = labels[order], np.empty_like(order)
+    rank[order] = np.arange(len(order))
     entry_class = np.empty((size, size), dtype=np.int32)
-    for i in range(size):
-        key = np.zeros(size - i, dtype=dtype)
-        flipped = np.zeros(size - i, dtype=dtype)
-        for col, table, flip, stride in zip(cols, tables, flips, strides):
-            prod = table[col[i], col[i:]]
-            key += prod.astype(dtype, copy=False) * stride
-            flipped += flip[prod].astype(dtype, copy=False) * stride
-        # a class first appears in the upper triangle: entry (i, j) with
-        # j < i repeats entry (j, i) of an earlier row
-        row = [class_of.setdefault(k, len(class_of))
-               for k in np.minimum(key, flipped).tolist()]
-        entry_class[i, i:] = row
-        entry_class[i:, i] = row
+    entry_class[rows, cols] = entry_class[cols, rows] = rank[inverse.reshape(-1)]
     entry_class = entry_class.reshape(-1)
     entry_class.flags.writeable = False
+    # each class's word, spelled party by party from its product's letters
     classes = []
-    for k in class_of:
-        word, rev = (), ()
-        for party, stride in enumerate(strides):
-            piece = pieces[party][k // stride % radix[party]]
-            word += piece
-            rev += piece[::-1]
-        classes.append(min(word, rev))
+    for party, (m, stride, r) in enumerate(zip(scenario.settings, strides, radix)):
+        singles = np.fromiter([()] + [((party, s),) for s in range(1, m + 1)], dtype=object)
+        pieces = functools.reduce(np.add, singles[tables[m][3].T])
+        classes.append(pieces[(labels // stride % r).astype(np.intp)])
     objective = []
     if ineq is not None:
         if ineq.scenario.settings != scenario.settings:
             raise ValueError("inequality scenario does not match")
-        index = {label: k for k, label in enumerate(classes)}
-        acc = {}
+        class_of = dict(zip(labels.tolist(), range(len(labels))))
         for t, coeff in ineq.nonzero_terms():
-            word = tuple((p, s) for p, s in enumerate(t) if s != 0)
-            canon = canonical_monomial(word, scenario)
-            if canon not in index:
+            # a correlator's pieces are palindromes and letter s has id s
+            k = class_of.get(sum(s * stride for s, stride in zip(t, strides)))
+            if k is None:
                 raise ValueError(
-                    f"correlator {monomial_name(canon)} does not appear in the level-{level} "
-                    "moment matrix; use a higher level")
-            acc[index[canon]] = acc.get(index[canon], 0) + coeff
-        objective = sorted(acc.items())
+                    f"correlator {monomial_name(tuple((p, s) for p, s in enumerate(t) if s))} "
+                    f"does not appear in the level-{level} moment matrix; use a higher level")
+            objective.append((k, coeff))
+    monomials = tuple(tuple(zip(p, s))[:n] for p, s, n in zip(
+        word_party.tolist(), word_setting.tolist(), (word_party >= 0).sum(axis=1).tolist()))
     # entry (1, 1), the first seen, is the identity moment, so its class is 0
-    return MomentProblem(scenario=scenario, level=level, monomials=tuple(monomials),
-                         classes=tuple(classes), entry_class=entry_class,
-                         objective=tuple(objective), constant_class=0)
+    return MomentProblem(scenario=scenario, level=level, monomials=monomials,
+                         classes=tuple(functools.reduce(np.add, classes)),
+                         entry_class=entry_class, objective=tuple(sorted(objective)),
+                         constant_class=0)
 
 
 def inequality_digest(ineq):
@@ -209,31 +207,32 @@ def export_sdpa(ineq, level):
     # variable k is entry class k; class 0 is the fixed identity, which goes
     # in the constant matrix 0
     nvars = len(problem.classes) - 1
-    coeff_of = dict(problem.objective)
-    lines = [
+    c = [0] * nvars
+    for k, coeff in problem.objective:
+        c[k - 1] = -coeff
+    header = [
         f"* moment relaxation level {level}",
         f"* inequality-sha256: {inequality_digest(ineq)}",
         f"* scenario: n={ineq.scenario.parties} settings="
         + ",".join(str(m) for m in ineq.scenario.settings),
         "* bell maximum = -(sdpa objective value)",
-        f"{nvars} = mDIM",
-        "1 = nBLOCK",
-        f"{size} = bLOCKsTRUCT",
+        f"{nvars} = mDIM", "1 = nBLOCK", f"{size} = bLOCKsTRUCT",
+        " ".join(map(str, c)),
     ]
-    lines.append(" ".join(str(-coeff_of.get(v, 0)) for v in range(1, nvars + 1)))
-    # upper triangle, sorted by (matrix, i, j); the identity entries carry -1
+    # upper triangle, sorted by (matrix, i, j); the identity entries carry -1;
+    # np.triu_indices lists it in (i, j) order, which a stable sort keeps
     rows, cols = np.triu_indices(size)
     mats = problem.entry_class.reshape(size, size)[rows, cols]
-    order = np.lexsort((cols, rows, mats))
-    lines.extend(f"{m} 1 {i} {j} {-1 if m == 0 else 1}"
-                 for m, i, j in zip(mats[order].tolist(), (rows[order] + 1).tolist(),
-                                    (cols[order] + 1).tolist()))
-    sdpa = "\n".join(lines) + "\n"
-
-    index_lines = [f"fixed: {monomial_name(())} = 1"]
-    index_lines.extend(f"var {k}: {monomial_name(label)}"
-                       for k, label in enumerate(problem.classes[1:], start=1))
-    return sdpa, "\n".join(index_lines) + "\n"
+    order = np.argsort(mats, kind="stable")
+    entries = np.column_stack([mats, rows + 1, cols + 1, np.where(mats == 0, -1, 1)])[order]
+    sdpa = "\n".join(header) + "\n" + "%d 1 %d %d %d\n" * len(order) % tuple(
+        entries.ravel().tolist())
+    name = {(p, s): monomial_name(((p, s),))
+            for p, m in enumerate(ineq.scenario.settings) for s in range(1, m + 1)}
+    names = ("*".join(map(name.__getitem__, word)) for word in problem.classes[1:])
+    index = "var %d: %s\n" * nvars % tuple(itertools.chain.from_iterable(
+        zip(range(1, nvars + 1), names)))
+    return sdpa, f"fixed: {monomial_name(())} = 1\n" + index
 
 
 def parse_sdpa(text):

@@ -170,15 +170,23 @@ def _random_stacks(rngs, settings, d):
     """Starting observable stacks, one (R, m+1, d, d) array per party, with
     restart r drawn from rngs[r]: per observable, in party and setting order,
     a complex Gaussian matrix, whose QR factor Q gives the eigenbasis, and a
-    random sign per eigenvalue."""
-    draws, signs = [], []
-    for rng in rngs:
-        for _ in range(sum(settings)):
-            draws.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            signs.append(rng.choice([-1.0, 1.0], size=d))
-    q, _ = np.linalg.qr(np.array(draws))
-    obs = (q * np.array(signs)[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
-    obs = obs.reshape(len(rngs), sum(settings), d, d)
+    random sign per eigenvalue.
+
+    Each observable takes two generator calls, one standard_normal((2, d, d))
+    for the real and imaginary parts and one integers(0, 2, d) for the signs.
+    These consume the stream exactly as two standard_normal((d, d)) and one
+    choice([-1.0, 1.0], d) do, the formula kept in tests/reference.py.
+    """
+    count = sum(settings)
+    parts = np.empty((len(rngs) * count, 2, d, d))
+    signs = np.empty((len(rngs) * count, d))
+    for r, rng in enumerate(rngs):
+        for k in range(r * count, (r + 1) * count):
+            rng.standard_normal(out=parts[k])
+            signs[k] = rng.integers(0, 2, size=d)
+    q, _ = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+    obs = (q * (2 * signs - 1)[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
+    obs = obs.reshape(len(rngs), count, d, d)
     return [_observable_stacks(part)
             for part in np.split(obs, np.cumsum(settings)[:-1], axis=1)]
 

@@ -22,7 +22,6 @@ import contextlib
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +304,9 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     survivors = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # imported here so that a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # each worker receives the cone once; a job is its reductions and xi
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_set_worker_context, initargs=context))

@@ -9,8 +9,10 @@ assignment, with one product of outcomes per coordinate, where conebell
 multiplies by one per-party kron matrix or gathers per-party tables.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
-whole coefficient tensor at once.  The moment-matrix oracle canonicalizes
-every matrix entry's word, where conebell.npa multiplies per-party tables.
+whole coefficient tensor at once, and the seesaw's starting observables are
+drawn and diagonalized one at a time.  The moment-matrix oracle canonicalizes
+every matrix entry's word, where conebell.npa multiplies per-party tables,
+and its writer emits the SDPA text one line at a time.
 """
 import itertools
 import math
@@ -19,7 +21,7 @@ import numpy as np
 import sympy
 
 from conebell.constraints import Relabeling
-from conebell.npa import MomentProblem, canonical_monomial
+from conebell.npa import MomentProblem, inequality_digest
 from conebell.scenario import Scenario
 
 
@@ -306,6 +308,44 @@ def reference_effective_operator(ineq, observables, psi, party, setting):
     return f
 
 
+def reference_random_observables(rngs, settings, d):
+    """Starting observables of each party as (R, m, d, d) arrays, restart r
+    drawn from rngs[r] with three generator calls per observable: two
+    standard_normal((d, d)) for a complex Gaussian matrix, whose QR factor Q
+    is the eigenbasis, and one choice([-1.0, 1.0], d) for the eigenvalues."""
+    obs = []
+    for rng in rngs:
+        for _ in range(sum(settings)):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            signs = rng.choice([-1.0, 1.0], size=d)
+            q, _ = np.linalg.qr(z)
+            obs.append((q * signs) @ q.conj().T)
+    obs = np.array(obs).reshape(len(rngs), sum(settings), d, d)
+    return np.split(obs, np.cumsum(settings)[:-1], axis=1)
+
+
+def canonical_monomial(word, scenario):
+    """Canonical form of a word: party-sorted, involutions cancelled, one
+    letter at a time."""
+    for party, setting in word:
+        if not (0 <= party < scenario.parties):
+            raise ValueError(f"no party {party} in this scenario")
+        if not (1 <= setting <= scenario.settings[party]):
+            raise ValueError(f"no setting {setting} for party {party}")
+    out = []
+    for party in range(scenario.parties):
+        stack = []
+        for p, s in word:
+            if p != party:
+                continue
+            if stack and stack[-1] == s:
+                stack.pop()
+            else:
+                stack.append(s)
+        out.extend((party, s) for s in stack)
+    return tuple(out)
+
+
 def reference_monomials(scenario, level):
     """Canonical words of length up to level, shortest first, then lex."""
     letters = [(p, s) for p in range(scenario.parties)
@@ -336,3 +376,25 @@ def reference_moment_structure(scenario, level, ineq=None):
     return MomentProblem(scenario=scenario, level=level, monomials=tuple(monomials),
                          classes=tuple(class_of), entry_class=tuple(entry_class),
                          objective=tuple(sorted(acc.items())), constant_class=class_of[()])
+
+
+def reference_export_sdpa(ineq, level):
+    """SDPA text and index of reference_moment_structure, one line at a time."""
+    problem = reference_moment_structure(ineq.scenario, level, ineq=ineq)
+    size = problem.size
+    nvars = len(problem.classes) - 1
+    coeff_of = dict(problem.objective)
+    lines = [f"* moment relaxation level {level}",
+             f"* inequality-sha256: {inequality_digest(ineq)}",
+             f"* scenario: n={ineq.scenario.parties} settings="
+             + ",".join(str(m) for m in ineq.scenario.settings),
+             "* bell maximum = -(sdpa objective value)",
+             f"{nvars} = mDIM", "1 = nBLOCK", f"{size} = bLOCKsTRUCT",
+             " ".join(str(-coeff_of.get(v, 0)) for v in range(1, nvars + 1))]
+    entries = sorted((problem.entry_class[i * size + j], i + 1, j + 1)
+                     for i in range(size) for j in range(i, size))
+    lines += [f"{m} 1 {i} {j} {-1 if m == 0 else 1}" for m, i, j in entries]
+    index = ["fixed: 1 = 1"] + [
+        f"var {k}: " + "*".join(f"{'ABCDEFGHIJKLMNOPQRSTUVWXYZ'[p]}{s}" for p, s in word)
+        for k, word in enumerate(problem.classes[1:], start=1)]
+    return "\n".join(lines) + "\n", "\n".join(index) + "\n"

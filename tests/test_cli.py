@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conebell
 from conebell import catalog
 from conebell.cli import main
 from conebell.inequality import write_inequality
@@ -20,6 +25,16 @@ def gyni_file(tmp_path):
     path = tmp_path / "gyni.ineq"
     path.write_text(write_inequality(catalog.gyni()))
     return path
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the worker pool is imported only when a run asks for more than one worker
+    code = ("import sys, conebell.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(conebell.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_facets_command(tmp_path, capsys):

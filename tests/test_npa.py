@@ -6,11 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conebell import catalog
-from conebell.npa import (canonical_monomial, export_sdpa, inequality_digest,
-                          moment_matrix_structure, monomial_name, parse_sdpa)
+from conebell.constraints import Relabeling
+from conebell.inequality import Inequality, from_terms
+from conebell.npa import (export_sdpa, inequality_digest, moment_matrix_structure,
+                          monomial_name, parse_sdpa)
 from conebell.scenario import Scenario
 
-from .reference import reference_monomials, reference_moment_structure
+from .reference import (canonical_monomial, index_tuples, reference_export_sdpa,
+                        reference_monomials, reference_moment_structure, reference_relabel)
 
 SC22 = Scenario((2, 2))
 
@@ -152,12 +155,54 @@ def test_objective_matches_reference(ineq, level):
     assert_matches_reference(ineq.scenario, level, ineq=ineq)
 
 
+def random_ineq(scenario, level, seed):
+    """Random coefficients on every correlator of at most level parties."""
+    rng = np.random.default_rng(seed)
+    terms = {t: int(c) for t in index_tuples(scenario)[1:]
+             if sum(map(bool, t)) <= level and (c := rng.integers(-3, 4))}
+    return from_terms(scenario, 1, terms)
+
+
+def assert_export_matches_reference(ineq, level):
+    assert export_sdpa(ineq, level) == reference_export_sdpa(ineq, level)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 3))
-def test_structure_matches_reference_on_random_scenarios(settings_, level):
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_structure_matches_reference_on_random_scenarios(settings_, level, seed):
     scenario = Scenario(tuple(settings_))
     assume(len(reference_monomials(scenario, level)) <= 100)
     assert_matches_reference(scenario, level)
+    assert_export_matches_reference(random_ineq(scenario, level, seed), level)
+
+
+@pytest.mark.parametrize("settings_", [(2, 2), (3, 2), (2, 2, 2), (3, 3), (2, 3, 2),
+                                       (1, 1, 1), (2, 2, 2, 2)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_export_matches_reference(settings_, level):
+    assert_export_matches_reference(random_ineq(Scenario(settings_), level, level), level)
+
+
+@pytest.mark.parametrize("settings_", [(3, 3, 2), (2, 3, 2), (4, 4, 2)])
+def test_export_matches_reference_with_equal_setting_parties(settings_):
+    # parties with equal setting counts share one product table
+    assert_export_matches_reference(random_ineq(Scenario(settings_), 2, 7), 2)
+
+
+def relabeled(ineq, party_map, setting_maps, sign_flips):
+    rel = Relabeling(party_map, setting_maps, sign_flips)
+    rel.validate(ineq.scenario)
+    return Inequality(ineq.scenario, reference_relabel(rel, ineq.scenario, ineq.coefficients))
+
+
+@pytest.mark.parametrize("ineq", [
+    relabeled(catalog.i4422(), (1, 0), ((3, 1, 4, 2), (2, 4, 3, 1)),
+              ((1, -1, 1, 1), (-1, 1, 1, -1))),
+    relabeled(catalog.i3322_generalization(400), (2, 0, 1), ((2, 3, 1), (3, 1, 2), (1, 3, 2)),
+              ((1, 1, -1), (-1, 1, 1), (1, -1, 1)))])
+def test_level3_export_matches_reference_when_relabeled(ineq):
+    assert_export_matches_reference(ineq, 3)
 
 
 def test_entry_class_is_read_only():

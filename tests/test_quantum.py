@@ -12,7 +12,8 @@ from conebell.quantum import (BoundsRecord, SeesawConfig,
                               _random_stacks, _sign_observable, _sweep)
 from conebell.scenario import Scenario
 
-from .reference import reference_bell_operator, reference_effective_operator
+from .reference import (reference_bell_operator, reference_effective_operator,
+                        reference_random_observables)
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,6 +120,21 @@ def test_seesaw_traces_monotone():
         assert len(res.traces) == cfg.restarts
         for tr in res.traces:
             assert all(b >= a - 1e-10 for a, b in zip(tr, tr[1:]))
+
+
+@pytest.mark.parametrize("settings,d,restarts,seed", [
+    ((2, 2), 2, 3, 0), ((4, 4), 3, 2, 4), ((3, 3, 3), 2, 2, 7), ((1,), 4, 5, 11),
+    ((2, 1, 3), 3, 1, 123)])
+def test_random_stacks_keep_the_reference_draws(settings, d, restarts, seed):
+    # two draws per observable consume each restart's stream as the
+    # reference's three do
+    streams = np.random.SeedSequence(seed).spawn(restarts)
+    stacks = _random_stacks([np.random.default_rng(s) for s in streams], settings, d)
+    want = reference_random_observables([np.random.default_rng(s) for s in streams],
+                                        settings, d)
+    for stack, obs in zip(stacks, want, strict=True):
+        assert (stack[:, 0] == np.eye(d)).all()
+        assert np.array_equal(stack[:, 1:], obs)
 
 
 def _one_restart_at_a_time(ineq, cfg):
