@@ -46,7 +46,11 @@ def _load_config(path):
             key, val = (x.strip() for x in line.split("=", 1))
             if key not in cfg:
                 raise ParseError(f"unknown config key {key!r}", line=lineno)
-            cfg[key] = int(val)
+            try:
+                cfg[key] = int(val)
+            except ValueError:
+                raise ParseError(f"config value {val!r} of {key!r} is not an integer",
+                                 line=lineno) from None
     return cfg
 
 

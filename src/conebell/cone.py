@@ -12,12 +12,13 @@ matrix, or a projection whose products fit int64), Python-int objects
 otherwise.  Non-integral input raises ValueError.
 
 constrained_facets is the constrained search that generalize_multi runs on
-every branch: project the rays onto the kernel of the constraint rows (an
+every branch: project the rays onto the kernel B of the constraint rows (an
 integer matrix, one constraint per row), run the double description (DD)
 core _polar, which enumerate_facets_dd shares, on the small projected cone,
-lift its normal matrix back in one product, keep the rows of the caller's
-cheap mask over that matrix (the reduction check, in a search), and
-certify them on the full cone in one batch.  A rank mod p is
+keep the normals y with y . (B^T w) > 0 for each demanded row w (the
+reduction check, in a search), lift them back in one product and certify
+them on the full cone in one batch.  If some B^T w is zero no normal can
+pass, so the projection and the DD are skipped.  A rank mod p is
 at most the rational rank, and a valid, proper candidate has saturating
 rank at most rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1
 makes it a facet; pivot_columns decides every other candidate, so every
@@ -342,26 +343,28 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
             for vec, b in zip(normals.tolist(), bits)]
 
 
-def constrained_facets(cone, constraint_rows, cap=DD_CAP_DEFAULT, accept=None):
-    """Facet normals of the cone that lie in the kernel of the constraints.
+def constrained_facets(cone, constraint_rows, positive, cap=DD_CAP_DEFAULT):
+    """Facet normals c of the cone in the kernel of the constraint rows with
+    c . w > 0 for every row w of positive, a (k, dim) integer matrix.
 
-    Projects the rays onto an integer kernel basis, enumerates facets of the
-    projected cone (cap bounds its intermediate rays) and lifts all of them
-    back in one product.  accept, if given, takes that matrix (one lifted
-    normal per row) and returns a bool mask of the rows to keep; it runs
-    first, so that only the candidates it keeps are certified.
-    Certification is one batched test on the full cone (see _certify).
+    Projects the rays onto an integer kernel basis B, enumerates facets of
+    the projected cone (cap bounds its intermediate rays), keeps the normals
+    y with y . (B^T w) > 0, lifts them back in one product and certifies them
+    in one batch (see _certify); if some B^T w is zero, it returns [] before
+    the projection.  In a search, w = M n for a lower normal n and embedding
+    map M, and the constraint rows hold every saturating vertex of n embedded
+    by M, so c M is a multiple of n and the sign is the reduction check.
     Returns the certified lifted normals in the projected cone's facet order.
     """
     basis = integer_kernel_basis(constraint_rows, columns=cone.dim)
     if basis.shape[1] == 0:
         return []
+    signs = _exact_products(basis.T, _as_int_rows(positive, columns=cone.dim).T)
+    if not signs.any(axis=0).all():
+        return []
     normals, _ = _polar(project_rays(cone, basis), cap)
+    normals = normals[(_exact_products(normals, signs) > 0).all(axis=1)]
     if not len(normals):
         return []
     lifted = _lift(normals, basis)
-    if accept is not None:
-        lifted = lifted[accept(lifted)]
-        if not len(lifted):
-            return []
     return list(lifted[_certify(cone, lifted)[2]])

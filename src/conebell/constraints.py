@@ -13,7 +13,9 @@ setting 0, and the symmetry rows are the nonzero rows of I - P^T.  The
 embedding of a lower inequality has the identity on each embedded party and
 the column (1, xi_1, ..., xi_m) on each extra party; it maps the lower
 scenario's saturating vertices to the extended behaviors, and its transpose
-maps a target normal to its reduction (see search._reduction_mask).
+maps a target normal b to its reduction b M.  When b is tight on the
+extended behaviors, b M is a multiple of the lower normal n, so the search
+checks the reduction by the sign of b . (M n) (see search._branch).
 """
 from __future__ import annotations
 
@@ -134,17 +136,15 @@ def _embedding_map(lower_scenario, xi, target, embed):
     return _coordinate_map(blocks, tuple(embed) + extras)
 
 
-def build_extended_behaviors(lower, xi, target, embed=None):
+def build_extended_behaviors(lower, xi, target, embed):
     """Extended behaviors: lower-scenario saturating vertices plus fixed outcomes.
 
-    The lower inequality occupies the target parties listed in ``embed``
-    (defaults to the leading parties); xi supplies one outcome tuple for each
-    remaining party, in party order.  Returns one target vertex per
-    saturating vertex of the lower inequality, in lower-vertex order, as the
-    rows of an int64 matrix; each row is a tightness constraint.
+    The lower inequality occupies the target parties listed in ``embed``; xi
+    supplies one outcome tuple for each remaining party, in party order.
+    Returns one target vertex per saturating vertex of the lower inequality,
+    in lower-vertex order, as the rows of an int64 matrix; each row is a
+    tightness constraint.
     """
-    if embed is None:
-        embed = tuple(range(lower.scenario.parties))
     emb = _embedding_map(lower.scenario, xi, target, embed)
     saturators = np.nonzero(lower.saturating_vertex_mask())[0]
     if not len(saturators):

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets,
-                   lift_polytope)
+from .cone import DD_CAP_DEFAULT, _certify, constrained_facets, lift_polytope
 from .constraints import (XiAssignment, _embedding_map, build_extended_behaviors,
                           parse_xi_label, symmetry_rows)
 from .errors import CapExceededError, ParseError
-from .exactlinalg import _primitive_rows
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
                          write_inequality)
 from .scenario import enumerate_vertices
@@ -174,25 +172,6 @@ def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT):
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-
-def _reduction_mask(normals, xi, lower, embed, target):
-    """Bool mask of the rows of normals, target normals in cone orientation,
-    that substituting xi turns into a positive multiple of lower's normal.
-
-    One product with the embedding map reduces every row at once; a row
-    passes when its primitive form is that of lower's normal.  embed lists
-    the target parties that lower occupies; xi fixes the others in party
-    order.
-    """
-    reduced = _primitive_rows(_exact_products(
-        normals, _embedding_map(lower.scenario, xi, target, embed)))
-    want = np.array(lower.primitive().cone_normal().tolist())
-    return (reduced == want).all(axis=1)
-
-
-# ---------------------------------------------------------------------------
 # generalization searches
 
 
@@ -259,29 +238,26 @@ def _xi_space(target, reductions):
 def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
     """One deterministic-outcome branch: constraint rows -> surviving facets."""
     # the last reduction's extended behaviors first, the symmetry rows last
-    rows = np.vstack([build_extended_behaviors(spec.lower, xi, target, embed=spec.embed)
-                      for spec, xi in zip(reductions[::-1], xi_combo[::-1])] + [sym])
-
-    def reduces(lifted):
-        mask = np.ones(len(lifted), dtype=bool)
-        for spec, xi in zip(reductions, xi_combo):
-            mask &= _reduction_mask(lifted, xi, spec.lower, spec.embed, target)
-        return mask
-
-    # the reduction check is cheap, so it runs before facet certification
+    pairs = list(zip(reductions, xi_combo))[::-1]
+    rows = np.vstack([build_extended_behaviors(spec.lower, xi, target, spec.embed)
+                      for spec, xi in pairs] + [sym])
+    positive = np.array([_embedding_map(spec.lower.scenario, xi, target, spec.embed)
+                         @ spec.lower.cone_normal() for spec, xi in pairs])
     return [(from_cone_normal(target, lifted), xi_combo)
-            for lifted in constrained_facets(cone, rows, cap=dd_cap, accept=reduces)]
+            for lifted in constrained_facets(cone, rows, positive, cap=dd_cap)]
 
 
 def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
                      orbit_cap=ORBIT_CAP_DEFAULT, workers=1, progress=None):
     """Facets of the target polytope reducing to every lower inequality.
 
-    For each joint choice of deterministic outcomes, tightness on the
-    extended behaviors and invariance under the symmetry generators are
-    imposed, the projected cone's facets are enumerated, candidates are
-    lifted back, reduction-verified, and the survivors facet-checked.  Survivors from all
-    branches are merged into equivalence classes.
+    For each joint choice of deterministic outcomes (a branch), tightness on
+    the extended behaviors and invariance under the symmetry generators are
+    imposed, and constrained_facets keeps the facets c with c . (M n) > 0
+    for each lower normal n and embedding map M: a lower inequality is a
+    facet, so c reduces to a multiple of n.  A branch whose kernel is
+    orthogonal to some M n skips its DD and reports no survivor.  Survivors
+    from all branches are merged into equivalence classes.
     """
     for spec in reductions:
         lower_cone = lift_polytope(enumerate_vertices(spec.lower.scenario))

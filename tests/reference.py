@@ -21,6 +21,7 @@ import numpy as np
 import sympy
 
 from conebell.constraints import Relabeling
+from conebell.inequality import Inequality
 from conebell.npa import MomentProblem, inequality_digest
 from conebell.scenario import Scenario
 
@@ -228,6 +229,17 @@ def reference_reduce(candidate, xi, embed=None):
         else:
             reduced[idx] += coeff * sign
     return lower_sc, tuple(reduced)
+
+
+def reference_reduces(normal, xi, lower, target, embed):
+    """Whether the target inequality with lifted normal (-bound, c_1, ...)
+    reduces under xi to q * lower for a rational q > 0: every 2x2 minor of
+    (reduction, lower) is zero and their inner product is positive."""
+    candidate = Inequality(target, (-normal[0], *normal[1:]))
+    _, a = reference_reduce(candidate, xi, embed=embed)
+    b = lower.coefficients
+    return all(x * v == y * u for (x, u), (y, v) in itertools.combinations(zip(a, b), 2)) \
+        and sum(x * u for x, u in zip(a, b)) > 0
 
 
 def reference_extended_behaviors(lower, xi, target, embed=None):

@@ -20,11 +20,11 @@ from conebell.inequality import (Inequality, algebraic_bound, from_cone_normal,
                                  from_terms, parse_inequality, write_inequality)
 from conebell.quantum import BoundsRecord, SeesawConfig, metrics, seesaw
 from conebell.scenario import Scenario, enumerate_vertices
-from conebell.search import (_reduction_mask, canonical_form, classify,
-                             generalize_multi, relabeling_orbit, ReductionSpec,
-                             write_class_list)
+from conebell.search import (canonical_form, classify, generalize_multi, relabeling_orbit,
+                             ReductionSpec, write_class_list)
 
-from .reference import party_swap, random_full_dim_vertices, reference_relabel
+from .reference import (party_swap, random_full_dim_vertices, reference_reduce,
+                        reference_relabel)
 
 
 def _verdict(number, passed, detail):
@@ -112,7 +112,7 @@ def test_criterion_4_projection_equals_filtered_enumeration():
         g = np.array([row], dtype=object)
         expected = {f.vector for f in all_facets
                     if not (g @ np.array(f.vector, dtype=object)).any()}
-        got = constrained_facets(cone, g)
+        got = constrained_facets(cone, g, g[:0])
         assert {tuple(int(x) for x in v) for v in got} == expected
         instances += 1
     elapsed = time.time() - t0
@@ -127,8 +127,8 @@ def test_criterion_5_chsh_generalization_contains_mermin():
     classes = _generalize(catalog.chsh(), (2,), sym)
     canons = {cl.canonical.coefficients for cl in classes}
     mermin_found = canonical_form(catalog.mermin()).coefficients in canons
-    reduction = _reduction_mask(np.array([catalog.mermin().cone_normal()]),
-                                XiAssignment(((1, 1),)), catalog.chsh(), (0, 1), target)[0]
+    reduction = reference_reduce(catalog.mermin(), XiAssignment(((1, 1),)), embed=(0, 1))[1] \
+        == catalog.chsh().coefficients
     digest = _digest(classes) == \
         "5aab262fc3466fb219b02948d82aa5541d524d2ddcd2640d8abefecdcb1b5907"
     _verdict(5, mermin_found and reduction and digest,

@@ -9,7 +9,8 @@ import pytest
 import conebell
 from conebell import catalog
 from conebell.cli import main
-from conebell.inequality import write_inequality
+from conebell.inequality import Inequality, write_inequality
+from conebell.scenario import Scenario
 from conebell.search import classify, parse_class_list, relabeling_orbit, write_class_list
 
 
@@ -356,6 +357,14 @@ def test_show_config_and_config_file(tmp_path, capsys):
     assert "seed = 1" in capsys.readouterr().out
 
 
+def test_config_value_that_is_not_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("workers = two\n")
+    assert main(["--config", str(cfg), "--show-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "'two'" in err and "(line 1)" in err
+
+
 def test_dd_cap_exit_code(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("dd_cap = 4\n")
@@ -371,3 +380,20 @@ def test_generalize_dd_cap_exit_code(tmp_path, chsh_file, capsys, workers):
                  "--lower", str(chsh_file), "--extra-settings", "2", "--quiet"])
     assert code == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generalize_dead_branches_finish_under_the_dd_cap(tmp_path, capsys, workers):
+    # every branch of this search is dead (see test_search), so none runs a
+    # DD and the cap of 4 rays is never reached
+    lower = tmp_path / "chsh_relabeled.ineq"
+    lower.write_text(write_inequality(Inequality(Scenario((2, 2)),
+                                                 (2, 0, 0, 0, -1, -1, 0, 1, -1))))
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("dd_cap = 4\n")
+    code = main(["--config", str(cfg), "--workers", workers, "generalize", "--target", "2,2,2",
+                 "--reduce", f"{lower}@A,B", "--symmetry", "perm:ABC->BCA"])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert out == "classes: 0\n"
+    assert err.splitlines() == [f"branch {k}/4: 0 surviving facets" for k in range(1, 5)]

@@ -347,7 +347,7 @@ def test_projection_preserves_saturating_sets():
     target = Scenario((2, 2, 2))
     verts = enumerate_vertices(target)
     cone = lift_polytope(verts)
-    ext = build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)), target)
+    ext = build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)), target, (0, 1))
     rows = np.vstack([ext, symmetry_rows(
         [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
     basis = integer_kernel_basis(rows, columns=cone.dim)
@@ -374,9 +374,13 @@ def test_projection_preserves_saturating_sets():
 
 def test_theorem_pipeline_matches_filtered_enumeration():
     """Master oracle: constrained facets via projection equal the facets of a
-    full enumeration filtered by the constraint, on random polytopes."""
+    full enumeration filtered by the constraint and by the sign demands, on
+    random polytopes."""
     rng = np.random.default_rng(2024)
-    checked = 0
+    # the sign demands come from their own stream, so the polytopes and
+    # constraints are those of the test without demands
+    demands = np.random.default_rng(7)
+    checked = dead = 0
     while checked < 30:
         dim = int(rng.integers(2, 6))
         count = int(rng.integers(dim + 2, 12))
@@ -388,11 +392,22 @@ def test_theorem_pipeline_matches_filtered_enumeration():
         else:
             row = np.concatenate([[0], rng.integers(-2, 3, size=dim)])
         g = np.array([row], dtype=object)
+        # zero to two random demands, one of them sometimes a multiple of the
+        # constraint row, which no kernel vector meets: the branch is dead
+        positive = demands.integers(-2, 3, size=(int(demands.integers(3)), dim + 1))
+        if len(positive) and demands.integers(3) == 0:
+            positive[0] = -2 * row
+            dead += 1
         expected = {f.vector for f in facets
-                    if not (g @ np.array(f.vector, dtype=object)).any()}
-        got = constrained_facets(cone, g)
+                    if not (g @ np.array(f.vector, dtype=object)).any()
+                    and (positive @ np.array(f.vector, dtype=object) > 0).all()}
+        got = constrained_facets(cone, g, positive)
         assert {tuple(int(x) for x in vec) for vec in got} == expected
+        # the object path of the sign test gives the same normals
+        big = constrained_facets(cone, g, positive.astype(object) * 10 ** 20)
+        assert [v.tolist() for v in big] == [v.tolist() for v in got]
         checked += 1
+    assert dead
 
 
 def test_certify_falls_back_where_the_rank_drops_mod_p(monkeypatch):
@@ -462,12 +477,13 @@ def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch):
     rng = np.random.default_rng(5)
     random_cone = Cone(6, random_full_dim_vertices(rng, 5, 14))
     cases = [(three_party, build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)),
-                                                    target)),
+                                                    target, (0, 1))),
              (two_party, np.zeros((0, two_party.dim), dtype=np.int64)),
              (random_cone, np.array([[0, 1, -1, 0, 0, 0]], dtype=np.int64))]
 
     def output():
-        return [[vec.tolist() for vec in constrained_facets(cone, rows)] for cone, rows in cases]
+        return [[vec.tolist() for vec in constrained_facets(cone, rows, rows[:0])]
+                for cone, rows in cases]
 
     expected = output()
     assert all(expected)

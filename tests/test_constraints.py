@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from conebell import catalog
-from conebell.constraints import (Relabeling, XiAssignment, _relabeling_map,
+from conebell.constraints import (Relabeling, XiAssignment, _embedding_map, _relabeling_map,
                                   build_extended_behaviors, parse_relabeling,
                                   symmetry_rows)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, rank
-from conebell.inequality import Inequality
 from conebell.scenario import Scenario, enumerate_vertices
-from conebell.search import ReductionSpec, _reduction_mask, generalize_multi
+from conebell.search import ReductionSpec, generalize_multi
 
-from .reference import (party_swap, reference_extended_behaviors, reference_reduce,
+from .reference import (party_swap, reference_extended_behaviors, reference_reduces,
                         reference_relabel)
 
 
@@ -111,7 +110,7 @@ def test_symmetry_kernel_is_pointwise_invariant():
 def test_extended_behaviors_chsh_count():
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
-    ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target)
+    ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, (0, 1))
     assert ext.dtype == np.int64 and ext.shape == (8, 27)
     assert (ext[:, 0] == 1).all()
     assert (ext[:, target.index_of((0, 0, 1))] == 1).all()
@@ -123,35 +122,31 @@ def test_extended_behaviors_i3322_count():
     i3322 = catalog.i3322()
     n_sat = int(i3322.saturating_vertex_mask().sum())
     target = Scenario((3, 3, 3))
-    ext = build_extended_behaviors(i3322, XiAssignment(((1, 1, 1),)), target)
+    ext = build_extended_behaviors(i3322, XiAssignment(((1, 1, 1),)), target, (0, 1))
     assert len(ext) == n_sat > 0
 
 
 def test_extended_behaviors_validation():
     chsh = catalog.chsh()
     with pytest.raises(ValueError, match="xi"):
-        build_extended_behaviors(chsh, XiAssignment(((1,),)), Scenario((2, 2, 2)))
+        build_extended_behaviors(chsh, XiAssignment(((1,),)), Scenario((2, 2, 2)), (0, 1))
     # an inequality that no vertex saturates cannot be extended to a facet
     loose = __import__("conebell.inequality", fromlist=["x"]).from_terms(
         Scenario((2, 2)), 3, {(1, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="facet"):
-        build_extended_behaviors(loose, XiAssignment(((1, 1),)), Scenario((2, 2, 2)))
+        build_extended_behaviors(loose, XiAssignment(((1, 1),)), Scenario((2, 2, 2)), (0, 1))
 
 
 def test_embedding_rejects_repeated_or_missing_parties():
     chsh, target = catalog.chsh(), Scenario((2, 2, 2))
-    normals = np.array([catalog.mermin().cone_normal()])
     for embed, named in [((0, 0), r"\[0\]"), ((0, 5), r"\[5\]"), ((-1, 1), r"\[-1\]")]:
         with pytest.raises(ValueError, match=named):
-            build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, embed=embed)
-        with pytest.raises(ValueError, match=named):
-            _reduction_mask(normals, XiAssignment(((1, 1),)), chsh, embed, target)
+            build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, embed)
     with pytest.raises(ValueError, match=r"\[5\]"):
         generalize_multi(target, [ReductionSpec(chsh, (0, 5))], [])
     # CHSH on parties with 2 and 3 settings: the settings do not match
     with pytest.raises(ValueError, match="settings"):
-        _reduction_mask(np.zeros((1, 36), dtype=np.int64), XiAssignment(((1, 1),)), chsh,
-                        (0, 1), Scenario((2, 3, 2)))
+        build_extended_behaviors(chsh, XiAssignment(((1, 1),)), Scenario((2, 3, 2)), (0, 1))
 
 
 @pytest.mark.parametrize("lower, target, embed", [
@@ -164,9 +159,10 @@ def test_embedding_rejects_repeated_or_missing_parties():
     (catalog.i3322, (3, 2, 3), (2, 0)),
     (catalog.mermin, (2, 2, 2, 2), (3, 1, 0)),
 ])
-def test_extended_behaviors_match_brute_force(lower, target, embed):
+def test_extended_behaviors_match_brute_force(lower, target, embed, branch_constraints):
     # the same embedding gives the extended behaviors and the reduction
-    # check, so both are compared with the term-by-term oracles
+    # check, so both are compared with the term-by-term oracles; None embeds
+    # lower on the leading parties
     lower, target = lower(), Scenario(target)
     used = embed if embed is not None else tuple(range(lower.scenario.parties))
     extras = [p for p in range(target.parties) if p not in used]
@@ -174,39 +170,76 @@ def test_extended_behaviors_match_brute_force(lower, target, embed):
     for _ in range(3):
         xi = XiAssignment(tuple(tuple(int(x) for x in rng.choice([-1, 1], size=target.settings[p]))
                                 for p in extras))
-        got = build_extended_behaviors(lower, xi, target, embed=embed)
+        got = build_extended_behaviors(lower, xi, target, used)
         want = reference_extended_behaviors(lower, xi, target, embed=embed)
         assert got.dtype == np.int64
         assert got.tolist() == want
-
-        candidates = _reduction_candidates(lower, xi, target, used, extras, rng)
-        verdicts = []
-        for coeffs in candidates:
-            cand = Inequality(target, coeffs)
-            lower_sc, reduced = reference_reduce(cand, xi, embed=used)
-            assert lower_sc == lower.scenario
-            verdicts.append(_positive_multiple(reduced, lower.coefficients))
-        assert 0 < sum(verdicts) < len(verdicts)
-        assert not any(reference_reduce(Inequality(target, candidates[-1]), xi, embed=used)[1])
-        normals = np.array([Inequality(target, c).cone_normal() for c in candidates])
-        for mat in (normals.astype(np.int64), normals * 10 ** 20):
-            mask = _reduction_mask(mat, xi, lower, used, target)
-            assert mask.dtype == bool and mask.tolist() == verdicts
+        spec = ReductionSpec(lower, used)
+        rows, positive = branch_constraints(target, [spec], (xi,))
+        assert rows.tolist() == want
+        _check_sign_test(target, [spec], (xi,), rows, positive, rng,
+                         _lifts(lower, xi, target, used, extras))
 
 
-def _positive_multiple(a, b):
-    """a = q b for a rational q > 0: every 2x2 minor of (a, b) is zero and
-    a . b > 0."""
-    return all(x * v == y * u for (x, u), (y, v) in itertools.combinations(zip(a, b), 2)) \
-        and sum(x * u for x, u in zip(a, b)) > 0
+@pytest.mark.parametrize("embeds, symmetric", [
+    (((0, 1), (1, 2)), False),
+    (((0, 1), (2, 0)), False),
+    (((0, 1),), True),
+    (((0, 1), (1, 2)), True),
+])
+def test_sign_test_matches_term_by_term_reduction(embeds, symmetric, branch_constraints):
+    # branches with two reductions, or with symmetry rows, on random kernel
+    # vectors: a branch that lacks one reduction's extended behaviors breaks
+    # B^T M = u n^T for that reduction
+    target = Scenario((2, 2, 2))
+    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)] if symmetric else []
+    specs = [ReductionSpec(catalog.chsh(), embed) for embed in embeds]
+    rng = np.random.default_rng(len(embeds) + 2 * symmetric)
+    live = 0
+    for values in itertools.product(itertools.product((-1, 1), repeat=2), repeat=len(specs)):
+        combo = tuple(XiAssignment((v,)) for v in values)
+        rows, positive = branch_constraints(target, specs, combo, sym)
+        live += _check_sign_test(target, specs, combo, rows, positive, rng, [])
+    assert live
 
 
-def _reduction_candidates(lower, xi, target, used, extras, rng):
-    """Coefficient vectors for the reduction check: random ones, lifts of
-    lower scaled by 1, 2 and -1 and one with another bound, and two that use
-    the first extra party, the last of which reduces to the zero vector."""
-    def lift(terms):
+def _check_sign_test(target, specs, combo, rows, positive, rng, lifts):
+    """Compare the sign test on the rows and positive matrix of one branch
+    with the term-by-term reduction, on kernel vectors: random integer
+    combinations of the kernel basis B and the given lifts, which must lie
+    in the kernel; each also times 10^20.  Asserts B^T M = u n^T exactly for
+    each reduction (embedding map M, lower normal n) and returns whether
+    every u is nonzero, that is, whether the branch is live."""
+    basis = integer_kernel_basis(rows, columns=target.dimension + 1).astype(object)
+    live = True
+    for spec, xi in zip(specs, combo):
+        n = spec.lower.cone_normal()
+        btm = basis.T @ _embedding_map(spec.lower.scenario, xi, target, spec.embed).astype(object)
+        u = btm @ n // (n @ n)
+        assert (btm == np.outer(u, n)).all()
+        live &= bool(u.any())
+    ys = rng.integers(-3, 4, size=(8, basis.shape[1])).astype(object)
+    normals = np.array(list(ys @ basis.T) + [np.array(c, dtype=object) for c in lifts])
+    assert not (normals @ rows.T.astype(object)).any()
+    want = [all(reference_reduces(c, xi, spec.lower, target, spec.embed)
+                for spec, xi in zip(specs, combo)) for c in normals]
+    for scale in (1, 10 ** 20):
+        got = ((normals * scale) @ positive.T.astype(object) > 0).all(axis=1)
+        assert got.tolist() == want
+    if live and lifts:
+        assert 0 < sum(want) < len(want)
+    elif not live:
+        assert not any(want)
+    return live
+
+
+def _lifts(lower, xi, target, used, extras):
+    """Lifted normals of kernel vectors: lower scaled by 1, 2 and -1, and two
+    that use the first extra party, the last of which reduces to the zero
+    vector."""
+    def lift(terms, bound):
         coeffs = [0] * (target.dimension + 1)
+        coeffs[0] = -bound
         for t, c in terms.items():
             full = [0] * target.parties
             for p, s in zip(used, t):
@@ -218,24 +251,18 @@ def _reduction_candidates(lower, xi, target, used, extras, rng):
 
     lower_terms = dict(lower.nonzero_terms())
     pad = (0,) * len(extras)
-    candidates = [rng.integers(-2, 3, size=target.dimension + 1).tolist() for _ in range(4)]
-    # the last one misses lower in the bound alone
-    for q, bound in ((1, lower.bound), (2, 2 * lower.bound), (-1, -lower.bound),
-                     (1, lower.bound + 1)):
-        coeffs = lift({t + pad: q * c for t, c in lower_terms.items()})
-        coeffs[0] = bound
-        candidates.append(coeffs)
+    lifts = [lift({t + pad: q * c for t, c in lower_terms.items()}, q * lower.bound)
+             for q in (1, 2, -1)]
     # a copy of each term on setting 1 of the first extra party, which
     # substitutes xi_1 for it: with coefficient xi_1 c every term doubles, and
     # with -xi_1 c (and bound 0) every term cancels, so the reduction is zero
     on_extra = (1,) + (0,) * (len(extras) - 1)
     x = xi.values[0][0]
     for sign, bound in ((1, 2 * lower.bound), (-1, 0)):
-        coeffs = lift({**{t + pad: c for t, c in lower_terms.items()},
-                       **{t + on_extra: sign * x * c for t, c in lower_terms.items()}})
-        coeffs[0] = bound
-        candidates.append(coeffs)
-    return candidates
+        lifts.append(lift({**{t + pad: c for t, c in lower_terms.items()},
+                           **{t + on_extra: sign * x * c for t, c in lower_terms.items()}},
+                          bound))
+    return lifts
 
 
 def test_chsh_extension_kernel_dimension_matches_independent_nullspace():
@@ -246,7 +273,7 @@ def test_chsh_extension_kernel_dimension_matches_independent_nullspace():
 
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
-    ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target)
+    ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, (0, 1))
     g = np.vstack([ext, symmetry_rows(
         [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
     t = integer_kernel_basis(g, columns=27)

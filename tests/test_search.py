@@ -9,12 +9,11 @@ from conebell.constraints import XiAssignment, parse_relabeling
 from conebell.errors import CapExceededError, ParseError
 from conebell.inequality import Inequality, from_terms, write_inequality
 from conebell.scenario import Scenario
-from conebell.search import (ReductionSpec, _reduction_mask, canonical_form, classify,
-                             generalize_multi, parse_class_list, relabeling_orbit,
-                             write_class_list)
+from conebell.search import (ReductionSpec, canonical_form, classify, generalize_multi,
+                             parse_class_list, relabeling_orbit, write_class_list)
 
 from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
-                        reference_relabel)
+                        reference_reduces, reference_relabel)
 
 
 def test_canonical_form_idempotent():
@@ -160,36 +159,54 @@ def test_classify_singleton_and_counts():
     assert scaled[0].canonical.bound == 2
 
 
-def _reduces(candidates, xi, lower):
-    """The reduction check of a search, lower on the leading parties."""
-    normals = np.array([c.cone_normal() for c in candidates])
-    embed = tuple(range(lower.scenario.parties))
-    return _reduction_mask(normals, xi, lower, embed, candidates[0].scenario).tolist()
+@pytest.fixture
+def reduces(branch_constraints):
+    """The reduction check of a search branch, lower on the leading parties:
+    the sign test on each candidate in the branch's kernel, None for one
+    outside it, which the branch never produces."""
+    def check(candidates, xi, lower):
+        target = candidates[0].scenario
+        embed = tuple(range(lower.scenario.parties))
+        rows, positive = branch_constraints(target, [ReductionSpec(lower, embed)], (xi,))
+        verdicts = []
+        for c in candidates:
+            normal = c.cone_normal()
+            if (rows.astype(object) @ normal).any():
+                verdicts.append(None)
+                continue
+            verdicts.append(bool((positive @ normal > 0).all()))
+            assert verdicts[-1] == reference_reduces(normal, xi, lower, target, embed)
+        return verdicts
+    return check
 
 
-def test_verify_reduction_mermin_to_chsh():
+def test_verify_reduction_mermin_to_chsh(reduces):
     mermin = catalog.mermin()
-    assert _reduces([mermin], XiAssignment(((1, 1),)), catalog.chsh()) == [True]
-    assert _reduces([mermin], XiAssignment(((1, -1),)), catalog.chsh()) == [False]
+    assert reduces([mermin], XiAssignment(((1, 1),)), catalog.chsh()) == [True]
+    # with xi = (1, -1) Mermin is not tight on CHSH's extended behaviors
+    assert reduces([mermin], XiAssignment(((1, -1),)), catalog.chsh()) == [None]
+    assert not reference_reduces(mermin.cone_normal(), XiAssignment(((1, -1),)),
+                                 catalog.chsh(), mermin.scenario, (0, 1))
 
 
-def test_verify_reduction_trivial_lift():
+def test_verify_reduction_trivial_lift(reduces):
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
     lifted = from_terms(target, 2, {(t[0], t[1], 0): c
                                     for t, c in chsh.nonzero_terms()})
     for xi in itertools.product((-1, 1), repeat=2):
-        assert _reduces([lifted], XiAssignment((xi,)), chsh) == [True]
+        assert reduces([lifted], XiAssignment((xi,)), chsh) == [True]
 
 
-def test_verify_reduction_scale_freedom():
+def test_verify_reduction_scale_freedom(reduces):
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
     doubled = from_terms(target, 4, {(t[0], t[1], 0): 2 * c
                                      for t, c in chsh.nonzero_terms()})
-    flipped = from_terms(target, 2, {(t[0], t[1], 0): -c
-                                     for t, c in chsh.nonzero_terms()})
-    assert _reduces([doubled, flipped], XiAssignment(((1, 1),)), chsh) == [True, False]
+    # -1 times the lift, bound included, is tight on the same behaviors
+    flipped = from_terms(target, -2, {(t[0], t[1], 0): -c
+                                      for t, c in chsh.nonzero_terms()})
+    assert reduces([doubled, flipped], XiAssignment(((1, 1),)), chsh) == [True, False]
 
 
 def test_i4422_reduces_to_i3322():
@@ -223,6 +240,44 @@ def _chsh_to_three_parties(**kwargs):
     target = Scenario((2, 2, 2))
     sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
     return generalize_multi(target, [ReductionSpec(catalog.chsh(), (0, 1))], sym, **kwargs)
+
+
+def test_branch_survivors_are_the_kernel_facets_that_reduce(branch_constraints):
+    # on every branch of the CHSH search, the sign test keeps exactly the
+    # certified kernel facets that the term-by-term oracle says reduce
+    from conebell.cone import constrained_facets, lift_polytope
+    from conebell.scenario import enumerate_vertices
+
+    target = Scenario((2, 2, 2))
+    cone = lift_polytope(enumerate_vertices(target))
+    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
+    spec = ReductionSpec(catalog.chsh(), (0, 1))
+    kept = 0
+    for values in itertools.product((-1, 1), repeat=2):
+        xi = XiAssignment((values,))
+        rows, positive = branch_constraints(target, [spec], (xi,), sym)
+        every = constrained_facets(cone, rows, positive[:0])
+        want = [c.tolist() for c in every
+                if reference_reduces(c, xi, spec.lower, target, spec.embed)]
+        assert len(want) < len(every)
+        got = [c.tolist() for c in constrained_facets(cone, rows, positive)]
+        assert got == want
+        kept += len(got)
+    assert kept
+
+
+def test_dead_branches_skip_the_dd():
+    # with a cyclic party symmetry, this relabeled CHSH leaves every branch's
+    # kernel orthogonal to M n: each branch ends before its DD, so the DD cap
+    # is never reached, and each still reports as one finished job
+    target = Scenario((2, 2, 2))
+    lower = Inequality(Scenario((2, 2)), (2, 0, 0, 0, -1, -1, 0, 1, -1))
+    reports = []
+    classes = generalize_multi(target, [ReductionSpec(lower, (0, 1))],
+                               [parse_relabeling("perm:ABC->BCA", target)], dd_cap=4,
+                               progress=lambda *args: reports.append(args))
+    assert classes == []
+    assert reports == [(k, 4, 0) for k in range(1, 5)]
 
 
 def test_generalize_chsh_contains_mermin():
