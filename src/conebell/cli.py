@@ -1,8 +1,11 @@
 """Command line surface.
 
 Subcommands: facets, generalize, classify, seesaw, metrics, npa-export,
-report.  Exit codes: 0 success, 2 parse error, 3 resource cap exceeded,
-4 invariant violation in the inputs.
+report.  Each input has one route: the resource caps and the worker count
+are global flags, a search names its target scenario and its lower
+inequalities with --target and --reduce, and NPA values come in as --npa2
+and --npa3.  Exit codes: 0 success, 2 parse error, 3 resource cap
+exceeded, 4 invariant violation in the inputs.
 """
 from __future__ import annotations
 
@@ -25,35 +28,6 @@ from .scenario import VERTEX_CAP_DEFAULT, _PARTY_LETTERS, Scenario, enumerate_ve
 from .search import (ORBIT_CAP_DEFAULT, ReductionSpec, classify, generalize_multi,
                      parse_class_list, write_class_list)
 
-DEFAULTS = {
-    "workers": 1,
-    "seed": SeesawConfig.seed,
-    "dd_cap": DD_CAP_DEFAULT,
-    "orbit_cap": ORBIT_CAP_DEFAULT,
-    "vertex_cap": VERTEX_CAP_DEFAULT,
-}
-
-
-def _load_config(path):
-    cfg = dict(DEFAULTS)
-    if path:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"config line needs key = value: {line!r}", line=lineno)
-            key, val = (x.strip() for x in line.split("=", 1))
-            if key not in cfg:
-                raise ParseError(f"unknown config key {key!r}", line=lineno)
-            try:
-                cfg[key] = int(val)
-            except ValueError:
-                raise ParseError(f"config value {val!r} of {key!r} is not an integer",
-                                 line=lineno) from None
-    return cfg
-
-
 def _scenario_from_arg(text):
     return Scenario(tuple(int(x) for x in text.split(",")))
 
@@ -69,12 +43,12 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
-def cmd_facets(args, cfg):
+def cmd_facets(args):
     scenario = _scenario_from_arg(args.scenario)
-    cone = lift_polytope(enumerate_vertices(scenario, cap=cfg["vertex_cap"]))
-    facets = enumerate_facets_dd(cone, cap=cfg["dd_cap"])
+    cone = lift_polytope(enumerate_vertices(scenario, cap=args.vertex_cap))
+    facets = enumerate_facets_dd(cone, cap=args.dd_cap)
     ineqs = [from_cone_normal(scenario, f.vector) for f in facets]
-    classes = classify(ineqs, cap=cfg["orbit_cap"])
+    classes = classify(ineqs, cap=args.orbit_cap)
     # positivity is its own canonical form (see its docstring)
     trivial_canon = catalog.positivity(scenario).coefficients
     trivial = sum(cl.members_found for cl in classes
@@ -103,36 +77,27 @@ def _parse_parties(text, scenario):
     return tuple(out)
 
 
-def cmd_generalize(args, cfg):
-    if args.target:
-        target = _scenario_from_arg(args.target)
-        reductions = []
-        for spec in args.reduce or []:
-            if "@" not in spec:
-                raise ParseError(f"--reduce needs FILE@PARTIES, got {spec!r}")
-            path, parties = spec.rsplit("@", 1)
-            sweep = parties.endswith("?orbit")
-            if sweep:
-                parties = parties[:-len("?orbit")]
-            reductions.append(ReductionSpec(lower=_read_inequality(path),
-                                            embed=_parse_parties(parties, target),
-                                            sweep_orbit=sweep))
-        if not reductions:
-            raise ParseError("--target mode needs at least one --reduce")
-    else:
-        if not args.lower or not args.extra_settings:
-            raise ParseError("need either --target/--reduce or --lower/--extra-settings")
-        lower = _read_inequality(args.lower)
-        extra = tuple(int(x) for x in args.extra_settings.split(","))
-        target = Scenario(lower.scenario.settings + extra)
-        reductions = [ReductionSpec(lower=lower, embed=tuple(range(lower.scenario.parties)))]
+def cmd_generalize(args):
+    target = _scenario_from_arg(args.target)
+    reductions = []
+    for spec in args.reduce:
+        if "@" not in spec:
+            raise ParseError(f"--reduce needs FILE@PARTIES, got {spec!r}")
+        path, parties = spec.rsplit("@", 1)
+        sweep = parties.endswith("?orbit")
+        if sweep:
+            parties = parties[:-len("?orbit")]
+        reductions.append(ReductionSpec(lower=_read_inequality(path),
+                                        embed=_parse_parties(parties, target),
+                                        sweep_orbit=sweep))
     symmetry = [parse_relabeling(s, target) for s in (args.symmetry or [])]
 
     def progress(done, total, found):
         print(f"branch {done}/{total}: {found} surviving facets", file=sys.stderr)
 
-    classes = generalize_multi(target, reductions, symmetry, dd_cap=cfg["dd_cap"],
-                               orbit_cap=cfg["orbit_cap"], workers=cfg["workers"],
+    classes = generalize_multi(target, reductions, symmetry, dd_cap=args.dd_cap,
+                               orbit_cap=args.orbit_cap, vertex_cap=args.vertex_cap,
+                               workers=args.workers,
                                progress=progress if not args.quiet else None)
     print(f"classes: {len(classes)}")
     for k, cl in enumerate(classes, start=1):
@@ -142,7 +107,7 @@ def cmd_generalize(args, cfg):
     return 0
 
 
-def cmd_classify(args, cfg):
+def cmd_classify(args):
     text = Path(args.input).read_text()
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     if first.startswith("class "):
@@ -153,33 +118,23 @@ def cmd_classify(args, cfg):
             if block.strip():
                 members.append(parse_inequality(block, start_line=start))
             start += block.count("\n") + 2
-    classes = classify(members, cap=cfg["orbit_cap"])
+    classes = classify(members, cap=args.orbit_cap)
     print(f"classes: {len(classes)}")
     _write(args.out, write_class_list(classes))
     return 0
 
 
-def cmd_seesaw(args, cfg):
+def cmd_seesaw(args):
     ineq = _read_inequality(args.ineq)
     config = SeesawConfig(local_dim=args.dim, restarts=args.restarts,
                           warmup_iterations=args.warmup, survivors=args.survivors,
                           tolerance=args.tolerance, max_iterations=args.max_iterations,
-                          seed=cfg["seed"])
+                          seed=args.seed)
     result = seesaw(ineq, config)
     print(f"value: {result.value:.9f} (classical bound {ineq.bound})")
     if args.out:
         _write(args.out, write_seesaw_result(ineq, result, config))
     return 0
-
-
-def _parse_npa_sidecar(path):
-    ineq, fields = read_fields(Path(path).read_text())
-    if ineq is not None:
-        raise ParseError("an NPA sidecar holds no inequality")
-    for key, (value, lineno) in fields.items():
-        if key not in ("npa2", "npa3"):
-            raise ParseError(f"malformed NPA line '{key}: {value}'", line=lineno)
-    return {key: read_field(field) for key, field in fields.items()}
 
 
 def write_record(ineq, rec, m=None, seesaw_text=None):
@@ -218,19 +173,13 @@ def _read_seesaw_file(path, ineq, qubit, qutrit, slack=1e-6):
     return text
 
 
-def cmd_metrics(args, cfg):
+def cmd_metrics(args):
     ineq = _read_inequality(args.ineq)
     seesaw_text = None
     if args.seesaw_file:
         seesaw_text = _read_seesaw_file(args.seesaw_file, ineq, args.qubit, args.qutrit)
-    npa = _parse_npa_sidecar(args.npa_file) if args.npa_file else {}
-    if args.npa2 is not None:
-        npa["npa2"] = args.npa2
-    if args.npa3 is not None:
-        npa["npa3"] = args.npa3
     rec = BoundsRecord(classical=ineq.bound, algebraic=algebraic_bound(ineq),
-                       qubit=args.qubit, qutrit=args.qutrit,
-                       npa2=npa.get("npa2"), npa3=npa.get("npa3"))
+                       qubit=args.qubit, qutrit=args.qutrit, npa2=args.npa2, npa3=args.npa3)
     m = metrics(rec)
     print(f"algebraic bound: {rec.algebraic}")
     print(f"m_Q  = {m.relative_qutrit_violation:.2f}%")
@@ -246,7 +195,7 @@ def cmd_metrics(args, cfg):
     return 0
 
 
-def cmd_npa_export(args, cfg):
+def cmd_npa_export(args):
     ineq = _read_inequality(args.ineq)
     sdpa, index = export_sdpa(ineq, args.level)
     out = Path(args.out)
@@ -257,21 +206,29 @@ def cmd_npa_export(args, cfg):
 
 
 def parse_record(text):
+    """(inequality, BoundsRecord) of a record; the algebraic bound is computed
+    from the inequality, and an algebraic: line that differs from it raises
+    InvariantViolationError."""
     ineq, fields = read_fields(text)
     if ineq is None:
         raise ParseError("the record holds no inequality")
-    rest = {}
+    algebraic = algebraic_bound(ineq)
+    values = {}
     for key, field in fields.items():
-        if key in ("algebraic", "qubit", "qutrit", "npa2", "npa3"):
-            rest[key] = read_field(field)
+        if key in ("qubit", "qutrit", "npa2", "npa3"):
+            values[key] = read_field(field)
+        elif key == "algebraic":
+            if read_field(field) != algebraic:
+                raise InvariantViolationError(
+                    f"the record's algebraic bound {field[0]} (line {field[1]}) differs "
+                    f"from the inequality's {algebraic}")
         elif not (key in ("state", "trace", "dim") or key.startswith(("observable", "m_"))):
             raise ParseError(f"unrecognized line '{key}: {field[0]}'", line=field[1])
-    rec = BoundsRecord(classical=ineq.bound,
-                       algebraic=int(rest.pop("algebraic", algebraic_bound(ineq))), **rest)
+    rec = BoundsRecord(classical=ineq.bound, algebraic=algebraic, **values)
     return ineq, rec
 
 
-def cmd_report(args, cfg):
+def cmd_report(args):
     rows = []
     for path in args.records:
         ineq, rec = parse_record(Path(path).read_text())
@@ -296,22 +253,27 @@ def cmd_report(args, cfg):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="conebell")
-    parser.add_argument("--config", help="key = value config file; flags win")
-    parser.add_argument("--workers", type=int, help="worker pool size")
-    parser.add_argument("--seed", type=int, help="PRNG seed")
-    parser.add_argument("--show-config", action="store_true",
-                        help="print the effective configuration and exit")
-    sub = parser.add_subparsers(dest="command")
+    parser.add_argument("--workers", type=int, default=1, help="worker pool size")
+    parser.add_argument("--seed", type=int, default=SeesawConfig.seed, help="PRNG seed")
+    parser.add_argument("--dd-cap", type=int, default=DD_CAP_DEFAULT,
+                        help="most rays a double description may hold; above it the "
+                             "exit code is 3")
+    parser.add_argument("--orbit-cap", type=int, default=ORBIT_CAP_DEFAULT,
+                        help="most relabeling blocks a canonical form or orbit may "
+                             "evaluate; above it the exit code is 3")
+    parser.add_argument("--vertex-cap", type=int, default=VERTEX_CAP_DEFAULT,
+                        help="most deterministic vertices a scenario may have; above it "
+                             "the exit code is 3")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("facets", help="enumerate and classify all facets")
     p.add_argument("scenario", help="comma-separated setting counts, e.g. 2,2")
     p.add_argument("--out", help="write a class list file")
 
     p = sub.add_parser("generalize", help="search facets reducing to lower inequalities")
-    p.add_argument("--lower", help="inequality file (appended-parties mode)")
-    p.add_argument("--extra-settings", help="setting counts of the appended parties")
-    p.add_argument("--target", help="target scenario for --reduce mode")
-    p.add_argument("--reduce", action="append",
+    p.add_argument("--target", required=True,
+                   help="comma-separated setting counts of the target scenario")
+    p.add_argument("--reduce", action="append", required=True,
                    help="FILE@PARTIES, e.g. chsh.ineq@B,C; append ?orbit to sweep "
                         "the lower inequality's relabeling variants (repeatable)")
     p.add_argument("--symmetry", action="append",
@@ -337,9 +299,8 @@ def build_parser():
     p.add_argument("--ineq", required=True)
     p.add_argument("--qubit", type=float, required=True)
     p.add_argument("--qutrit", type=float, required=True)
-    p.add_argument("--npa-file", help="sidecar with npa2:/npa3: lines")
-    p.add_argument("--npa2", type=float)
-    p.add_argument("--npa3", type=float)
+    p.add_argument("--npa2", type=float, help="level-2 NPA bound from an external solver")
+    p.add_argument("--npa3", type=float, help="level-3 NPA bound from an external solver")
     p.add_argument("--seesaw-file", help="seesaw output whose value is --qubit or --qutrit; "
                                          "it is replayed, and its state and settings are "
                                          "copied into the record")
@@ -368,22 +329,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        if args.workers is not None:
-            cfg["workers"] = args.workers
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.show_config:
-            for key in sorted(cfg):
-                print(f"{key} = {cfg[key]}")
-            return 0
-        if not args.command:
-            parser.print_help()
-            return 2
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,6 @@ class MomentProblem:
     # skip it
     entry_class: np.ndarray = field(compare=False)
     objective: tuple            # (class index, integer coefficient) pairs
-    constant_class: int         # class of the identity moment, fixed to 1
 
     @property
     def size(self):
@@ -186,8 +185,7 @@ def moment_matrix_structure(scenario, level, ineq=None):
     # entry (1, 1), the first seen, is the identity moment, so its class is 0
     return MomentProblem(scenario=scenario, level=level, monomials=monomials,
                          classes=tuple(functools.reduce(np.add, classes)),
-                         entry_class=entry_class, objective=tuple(sorted(objective)),
-                         constant_class=0)
+                         entry_class=entry_class, objective=tuple(sorted(objective)))
 
 
 def inequality_digest(ineq):

@@ -32,7 +32,7 @@ from .constraints import (XiAssignment, _embedding_map, build_extended_behaviors
 from .errors import CapExceededError, ParseError
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
                          write_inequality)
-from .scenario import enumerate_vertices
+from .scenario import VERTEX_CAP_DEFAULT, enumerate_vertices
 
 ORBIT_CAP_DEFAULT = 10_000_000
 # entries of one canonical-form gather (8 MB of int64); a slot whose rows are
@@ -248,7 +248,8 @@ def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
 
 
 def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
-                     orbit_cap=ORBIT_CAP_DEFAULT, workers=1, progress=None):
+                     orbit_cap=ORBIT_CAP_DEFAULT, vertex_cap=VERTEX_CAP_DEFAULT, workers=1,
+                     progress=None):
     """Facets of the target polytope reducing to every lower inequality.
 
     For each joint choice of deterministic outcomes (a branch), tightness on
@@ -260,12 +261,12 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     from all branches are merged into equivalence classes.
     """
     for spec in reductions:
-        lower_cone = lift_polytope(enumerate_vertices(spec.lower.scenario))
+        lower_cone = lift_polytope(enumerate_vertices(spec.lower.scenario, cap=vertex_cap))
         if not _certify(lower_cone, spec.lower.cone_normal()[None])[2][0]:
             raise ValueError("a lower inequality is not facet-defining on its scenario")
     for gen in symmetry:
         gen.validate(target)
-    cone = lift_polytope(enumerate_vertices(target))
+    cone = lift_polytope(enumerate_vertices(target, cap=vertex_cap))
     sym = symmetry_rows(symmetry, target)
     variant_lists = []
     for spec in reductions:

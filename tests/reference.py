@@ -368,7 +368,7 @@ def reference_monomials(scenario, level):
 
 
 def reference_moment_structure(scenario, level, ineq=None):
-    """Moment-matrix structure with canonical_monomial on every entry.
+    """(MomentProblem, identity class) with canonical_monomial on every entry.
 
     Entry (u, v) gets the smaller of canonical(u~ v) and the canonical form of
     its reversal; classes are numbered in row-major order of first sight.
@@ -387,12 +387,12 @@ def reference_moment_structure(scenario, level, ineq=None):
         acc[k] = acc.get(k, 0) + coeff
     return MomentProblem(scenario=scenario, level=level, monomials=tuple(monomials),
                          classes=tuple(class_of), entry_class=tuple(entry_class),
-                         objective=tuple(sorted(acc.items())), constant_class=class_of[()])
+                         objective=tuple(sorted(acc.items()))), class_of[()]
 
 
 def reference_export_sdpa(ineq, level):
     """SDPA text and index of reference_moment_structure, one line at a time."""
-    problem = reference_moment_structure(ineq.scenario, level, ineq=ineq)
+    problem, _ = reference_moment_structure(ineq.scenario, level, ineq=ineq)
     size = problem.size
     nvars = len(problem.classes) - 1
     coeff_of = dict(problem.objective)

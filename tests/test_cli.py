@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 import conebell
 from conebell import catalog
-from conebell.cli import main
+from conebell.cli import build_parser, main
 from conebell.inequality import Inequality, write_inequality
 from conebell.scenario import Scenario
 from conebell.search import classify, parse_class_list, relabeling_orbit, write_class_list
@@ -38,6 +40,22 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert out.strip() == "[]"
 
 
+def _readme_commands():
+    """Every conebell command line in README's code blocks, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^ *```\n(.*?)^ *```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("conebell ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
 def test_facets_command(tmp_path, capsys):
     out = tmp_path / "classes.txt"
     assert main(["facets", "2,2", "--out", str(out)]) == 0
@@ -56,7 +74,7 @@ def test_facets_command(tmp_path, capsys):
 
 def test_generalize_command(tmp_path, chsh_file, capsys):
     out = tmp_path / "gen.txt"
-    code = main(["generalize", "--lower", str(chsh_file), "--extra-settings", "2",
+    code = main(["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}@A,B",
                  "--symmetry", "perm:ABC->BAC", "--symmetry", "perm:ABC->CBA",
                  "--quiet", "--out", str(out)])
     assert code == 0
@@ -64,7 +82,7 @@ def test_generalize_command(tmp_path, chsh_file, capsys):
     assert classes, "expected at least the three-party generalization class"
     # re-running reproduces the identical file
     out2 = tmp_path / "gen2.txt"
-    main(["generalize", "--lower", str(chsh_file), "--extra-settings", "2",
+    main(["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}@A,B",
           "--symmetry", "perm:ABC->BAC", "--symmetry", "perm:ABC->CBA",
           "--quiet", "--out", str(out2)])
     assert out.read_text() == out2.read_text()
@@ -113,10 +131,8 @@ def test_seesaw_command_gyni_not_violated(tmp_path, gyni_file, capsys):
 def test_metrics_command_with_sidecar(tmp_path, capsys):
     ineq_file = tmp_path / "g400.ineq"
     ineq_file.write_text(write_inequality(catalog.i3322_generalization(400)))
-    sidecar = tmp_path / "npa.txt"
-    sidecar.write_text("npa2: 22.0\nnpa3: 21.238\n")
     code = main(["metrics", "--ineq", str(ineq_file), "--qubit", "20.928",
-                 "--qutrit", "21.157", "--npa-file", str(sidecar)])
+                 "--qutrit", "21.157", "--npa2", "22.0", "--npa3", "21.238"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "m_32 = 1.09%" in printed
@@ -266,6 +282,15 @@ def test_report_command(tmp_path, capsys):
     assert "433.33" in lines[1]
 
 
+def test_report_rejects_a_wrong_algebraic_bound(tmp_path, capsys):
+    # CHSH's algebraic bound is 4; a record may not claim another
+    rec = tmp_path / "rec.txt"
+    rec.write_text(write_inequality(catalog.chsh(), comments=False)
+                   + "algebraic: 9.7\nqubit: 2.8\nqutrit: 2.8\n")
+    assert main(["report", str(rec)]) == 4
+    assert "algebraic bound 9.7 (line" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ineq"
     bad.write_text("scenario: n=2 settings=2,2\nbound: x\n")
@@ -305,7 +330,7 @@ def test_parse_errors_name_the_file_line(tmp_path, seesaw_files, capsys, kind):
     assert f"(line {line})" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["seesaw value", "sidecar npa3", "ineq bound"])
+@pytest.mark.parametrize("kind", ["seesaw value", "ineq bound"])
 def test_a_key_given_twice_is_a_parse_error(tmp_path, seesaw_files, chsh_file, capsys, kind):
     ineq, files = seesaw_files
     (text, v2), (_, v3) = files[2], files[3]
@@ -314,22 +339,11 @@ def test_a_key_given_twice_is_a_parse_error(tmp_path, seesaw_files, chsh_file, c
     if kind == "seesaw value":
         path.write_text(text + f"value: {v2!r}\n")
         argv += ["--seesaw-file", str(path)]
-    elif kind == "sidecar npa3":
-        path.write_text("npa3: 2.83\nnpa3: 2.84\n")
-        argv += ["--npa-file", str(path)]
     else:
         path.write_text(chsh_file.read_text() + "bound: 3\n")
         argv[2] = str(path)
     assert main(argv) == 2
     assert "given twice" in capsys.readouterr().err
-
-
-def test_metrics_with_an_empty_sidecar(tmp_path, chsh_file, capsys):
-    sidecar = tmp_path / "npa.txt"
-    sidecar.write_text("")
-    assert main(["metrics", "--ineq", str(chsh_file), "--qubit", "2.8", "--qutrit", "2.8",
-                 "--npa-file", str(sidecar)]) == 0
-    assert "m_N  = not available" in capsys.readouterr().out
 
 
 def test_generalize_rejects_a_repeated_party(chsh_file, capsys):
@@ -347,39 +361,36 @@ def test_seesaw_fewer_iterations_than_warmup_exit_code(chsh_file, capsys):
     assert "max_iterations" in capsys.readouterr().err
 
 
-def test_show_config_and_config_file(tmp_path, capsys):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("workers = 2\n# comment\nseed = 9\n")
-    assert main(["--config", str(cfg), "--show-config"]) == 0
-    printed = capsys.readouterr().out
-    assert "workers = 2" in printed and "seed = 9" in printed
-    assert main(["--config", str(cfg), "--seed", "1", "--show-config"]) == 0
-    assert "seed = 1" in capsys.readouterr().out
+def test_a_cap_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--dd-cap", "two", "facets", "2,2"])
+    assert exc.value.code == 2
+    assert "--dd-cap" in capsys.readouterr().err
 
 
-def test_config_value_that_is_not_an_integer(tmp_path, capsys):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("workers = two\n")
-    assert main(["--config", str(cfg), "--show-config"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("parse error: ") and "'two'" in err and "(line 1)" in err
-
-
-def test_dd_cap_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("dd_cap = 4\n")
-    assert main(["--config", str(cfg), "facets", "2,2"]) == 3
+def test_dd_cap_exit_code(capsys):
+    assert main(["--dd-cap", "4", "facets", "2,2"]) == 3
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_generalize_dd_cap_exit_code(tmp_path, chsh_file, capsys, workers):
+def test_generalize_dd_cap_exit_code(chsh_file, capsys, workers):
     # the cap reaches the per-branch DD of the projected cone, also in workers
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("dd_cap = 2\n")
-    code = main(["--config", str(cfg), "--workers", workers, "generalize",
-                 "--lower", str(chsh_file), "--extra-settings", "2", "--quiet"])
+    code = main(["--dd-cap", "2", "--workers", workers, "generalize",
+                 "--target", "2,2,2", "--reduce", f"{chsh_file}@A,B", "--quiet"])
     assert code == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generalize_vertex_cap_exit_code(chsh_file, capsys, workers):
+    # (2,2) has 16 vertices and (2,2,2) 64: a cap of 10 stops at the lower
+    # inequality's scenario, one of 32 at the target
+    for cap in ("10", "32"):
+        assert main(["--vertex-cap", cap, "facets", "2,2,2"]) == 3
+        code = main(["--vertex-cap", cap, "--workers", workers, "generalize",
+                     "--target", "2,2,2", "--reduce", f"{chsh_file}@A,B", "--quiet"])
+        assert code == 3
+        assert f"above the cap of {cap}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -389,9 +400,7 @@ def test_generalize_dead_branches_finish_under_the_dd_cap(tmp_path, capsys, work
     lower = tmp_path / "chsh_relabeled.ineq"
     lower.write_text(write_inequality(Inequality(Scenario((2, 2)),
                                                  (2, 0, 0, 0, -1, -1, 0, 1, -1))))
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("dd_cap = 4\n")
-    code = main(["--config", str(cfg), "--workers", workers, "generalize", "--target", "2,2,2",
+    code = main(["--dd-cap", "4", "--workers", workers, "generalize", "--target", "2,2,2",
                  "--reduce", f"{lower}@A,B", "--symmetry", "perm:ABC->BCA"])
     assert code == 0
     out, err = capsys.readouterr()
