@@ -251,9 +251,21 @@ def cmd_report(args):
     return 0
 
 
+def _worker_count(text):
+    """The --workers value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="conebell")
-    parser.add_argument("--workers", type=int, default=1, help="worker pool size")
+    parser.add_argument("--workers", type=_worker_count, default=1,
+                        help="worker pool size, at least 1")
     parser.add_argument("--seed", type=int, default=SeesawConfig.seed, help="PRNG seed")
     parser.add_argument("--dd-cap", type=int, default=DD_CAP_DEFAULT,
                         help="most rays a double description may hold; above it the "

@@ -18,12 +18,12 @@ core _polar, which enumerate_facets_dd shares, on the small projected cone,
 keep the normals y with y . (B^T w) > 0 for each demanded row w (the
 reduction check, in a search), lift them back in one product and certify
 them on the full cone in one batch.  If some B^T w is zero no normal can
-pass, so the projection and the DD are skipped.  A rank mod p is
-at most the rational rank, and a valid, proper candidate has saturating
-rank at most rank(cone) - 1, so a saturating rank mod p of rank(cone) - 1
-makes it a facet; pivot_columns decides every other candidate, so every
-non-facet.  generalize_multi certifies each lower inequality on its own
-scenario with the same batched test.
+pass, so the projection and the DD are skipped.  A valid, proper candidate
+is a facet when its saturating rays have rank rank(cone) - 1, the most they
+can have, so one call of exactlinalg.capped_ranks with that cap decides
+every candidate; Cone.rank is the same call with the cap min(shape).
+generalize_multi certifies each lower inequality on its own scenario with
+the same batched test.
 
 All arithmetic is exact, and the exact steps go through the one elimination
 of exactlinalg.  The DD's initial simplex comes from pivot_columns (which
@@ -49,20 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DegenerateVectorError
-from .exactlinalg import (_as_int_rows, _primitive_rows, _products_overflow,
-                          integer_kernel_basis, modular_ranks, pivot_columns, rank)
+from .exactlinalg import (_as_int_rows, _primitive_rows, _products_overflow, capped_ranks,
+                          integer_kernel_basis, pivot_columns)
 
 DD_CAP_DEFAULT = 5_000_000
 # entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
 # chunks only cost memory: four (3,3) DDs take about 0.5 s CPU from 2^13 to
 # 2^16 entries, at a peak RSS of 38.7 to 39.3 MB, and 0.7 s and 72 MB at 2^22
 _ADJACENCY_ENTRIES = 1 << 15
-# entries per padded stack of saturating rays in facet certification (2 MB
-# of int64).  Criteria 6 and 7 take about the same CPU time from 2^16 to
-# 2^20 entries, at a peak RSS of 110, 116 and 124 MB (criterion 6) and 85,
-# 88 and 115 MB (criterion 7); the I3322 search takes 49 s at 2^16 and 46 s
-# at 2^18
-_CERTIFY_ENTRIES = 1 << 18
 
 
 class Cone:
@@ -91,14 +85,11 @@ class Cone:
 
     @property
     def rank(self):
-        """Dimension of the linear span of the rays (exact).
-
-        The rank mod p is exact when it is as large as the shape allows;
-        otherwise pivot_columns decides.
-        """
+        """Dimension of the linear span of the rays (exact), which is at
+        most min(shape)."""
         if self._rank is None:
-            bound = int(modular_ranks(self.rays[None])[0])
-            self._rank = bound if bound == min(self.rays.shape) else rank(self.rays)
+            every = np.ones((self.ray_count, 1), dtype=bool)
+            self._rank = int(capped_ranks(self.rays, every, min(self.rays.shape))[0])
         return self._rank
 
 
@@ -167,41 +158,15 @@ def _lift(normals, basis):
 
 
 def _certify(cone, lifted):
-    """Facet test of each row of lifted, a nonempty integer matrix.
-
-    Returns (values, sat_rank, facet): values = rays @ lifted.T; sat_rank,
-    for the valid rows (values <= 0), the rank of the saturating rays capped
-    at rank(cone) - 1, and 0 for the others; facet, whether a row is valid,
-    proper and has sat_rank = rank(cone) - 1.  The saturating rays of the
-    valid rows go to modular_ranks in order of count, in zero-padded stacks
-    of about _CERTIFY_ENTRIES entries; a rank mod p that reaches the cap is
-    exact, and pivot_columns decides the rows below it.
-    """
-    rays = cone.rays
-    values = _exact_products(rays, lifted.T)
-    zero = values == 0
-    valid = ~(values > 0).any(axis=0)
+    """Facet mask of the rows of lifted, a nonempty integer matrix: whether
+    each is valid (rays @ row <= 0), proper (some value < 0) and saturates
+    rays of rank rank(cone) - 1, decided for all rows by one capped_ranks."""
+    values = _exact_products(cone.rays, lifted.T)
+    facet = ~(values > 0).any(axis=0) & (values < 0).any(axis=0)
+    cols = np.flatnonzero(facet)
     target = cone.rank - 1
-    counts = zero.sum(axis=0)
-    todo = np.flatnonzero(valid)
-    todo = todo[np.argsort(counts[todo], kind="stable")]
-    sat_rank = np.zeros(lifted.shape[0], dtype=np.int64)
-    lo = 0
-    while lo < len(todo):
-        hi = lo + 1
-        while hi < len(todo) and (hi + 1 - lo) * counts[todo[hi]] * cone.dim <= _CERTIFY_ENTRIES:
-            hi += 1
-        chunk = todo[lo:hi]
-        size = counts[chunk]
-        cand, row = np.nonzero(zero[:, chunk].T)
-        stack = np.zeros((len(chunk), size.max(), cone.dim), dtype=rays.dtype)
-        stack[cand, np.arange(len(cand)) - np.repeat(np.cumsum(size) - size, size)] = rays[row]
-        sat_rank[chunk] = np.minimum(modular_ranks(stack), target)
-        lo = hi
-    for j in todo[sat_rank[todo] < target]:
-        sat_rank[j] = len(pivot_columns(rays[zero[:, j]], stop_at=target))
-    facet = valid & (values < 0).any(axis=0) & (sat_rank == target)
-    return values, sat_rank, facet
+    facet[cols] = capped_ranks(cone.rays, values[:, cols] == 0, target) == target
+    return facet
 
 
 # ---------------------------------------------------------------------------
@@ -367,4 +332,4 @@ def constrained_facets(cone, constraint_rows, positive, cap=DD_CAP_DEFAULT):
     if not len(normals):
         return []
     lifted = _lift(normals, basis)
-    return list(lifted[_certify(cone, lifted)[2]])
+    return list(lifted[_certify(cone, lifted)])

@@ -1,21 +1,21 @@
-"""Constraint rows for targeted facet searches.
+"""Linear maps behind the constraint rows of targeted facet searches.
 
-Two row sources: saturation by extended behaviors and invariance under
-relabeling symmetries.  Both are int64 matrices over the lifted coordinate
-space, one constraint per row, so a normal b satisfies a constraint iff
-row . b = 0; a search stacks them into one matrix.
+A search demands tightness on extended behaviors and invariance under
+relabeling symmetries.  Both kinds of row are int64 matrices over the
+lifted coordinate space, one constraint per row, so a normal b satisfies a
+constraint iff row . b = 0; search._branch stacks them into one matrix.
 
 Both come from linear maps that act on each party's axis of the coordinate
 array alone, so each map is np.kron of one small block per party followed
 by a permutation of the party axes (_coordinate_map).  A relabeling's
 matrix P has per party the signed permutation of settings 1..m that fixes
-setting 0, and the symmetry rows are the nonzero rows of I - P^T.  The
-embedding of a lower inequality has the identity on each embedded party and
-the column (1, xi_1, ..., xi_m) on each extra party; it maps the lower
-scenario's saturating vertices to the extended behaviors, and its transpose
-maps a target normal b to its reduction b M.  When b is tight on the
-extended behaviors, b M is a multiple of the lower normal n, so the search
-checks the reduction by the sign of b . (M n) (see search._branch).
+setting 0, and symmetry_rows gives the nonzero rows of I - P^T.  The
+embedding map M of a lower inequality (_embedding_map) has the identity on
+each embedded party and the column (1, xi_1, ..., xi_m) on each extra
+party.  search._branch maps the lower scenario's saturating vertices V to
+the extended behaviors V M^T and the lower normal n to the row M n.  A
+target normal b reduces to b M; when b is tight on the extended behaviors,
+b M is a multiple of n, so the sign of b . (M n) checks the reduction.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .scenario import _PARTY_LETTERS, enumerate_vertices
+from .scenario import _PARTY_LETTERS
 
 
 @dataclass(frozen=True)
@@ -134,22 +134,6 @@ def _embedding_map(lower_scenario, xi, target, embed):
             raise ValueError(f"xi for party {party} has {len(v)} settings, need {target.settings[party]}")
         blocks[party] = np.array((1,) + v, dtype=np.int64)[:, None]
     return _coordinate_map(blocks, tuple(embed) + extras)
-
-
-def build_extended_behaviors(lower, xi, target, embed):
-    """Extended behaviors: lower-scenario saturating vertices plus fixed outcomes.
-
-    The lower inequality occupies the target parties listed in ``embed``; xi
-    supplies one outcome tuple for each remaining party, in party order.
-    Returns one target vertex per saturating vertex of the lower inequality,
-    in lower-vertex order, as the rows of an int64 matrix; each row is a
-    tightness constraint.
-    """
-    emb = _embedding_map(lower.scenario, xi, target, embed)
-    saturators = np.nonzero(lower.saturating_vertex_mask())[0]
-    if not len(saturators):
-        raise ValueError("the inequality has no saturating vertices, so it cannot define a facet")
-    return enumerate_vertices(lower.scenario)[saturators] @ emb.T
 
 
 def symmetry_rows(generators, scenario):

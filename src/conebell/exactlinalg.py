@@ -5,8 +5,8 @@ modular_ranks.  Matrices are numpy arrays, either int64 (the fast path) or
 dtype=object holding arbitrary-precision Python integers.  One elimination,
 the fraction-free Gaussian elimination of _echelon, does every exact step:
 
-- pivot_columns returns its pivots.  rank() counts them, and the double
-  description in cone picks its initial simplex rows from them.
+- pivot_columns returns its pivots.  The double description in cone picks
+  its initial simplex rows from them, and capped_ranks counts them.
 - integer_kernel_basis reads a kernel off its reduced form, one primitive
   column per free column.  It gives the constraint kernels of the
   projection, the span of a lower-dimensional cone, and the DD's initial
@@ -24,18 +24,20 @@ Python ints.  An elimination or DD update x * u - y * v is the case k = 2;
 a dot product of length n, such as a DD ray against a constraint row, is
 the case k = n; the lcm scaling of a kernel column is the case k = 1.
 
-Facet certification asks whether a rank reaches a known maximum, so a lower
-bound that reaches it settles the question.  modular_ranks gives one for a
-whole stack of matrices at once: the rank over GF(p), p = 2^31 - 1, never
-exceeds the rational rank, since a minor that is nonzero mod p is a nonzero
-integer.  A matrix with more rows than columns enters as its Gram matrix
-A^T A, whose rational rank is that of A, when float64 computes it exactly:
-its entries are sums of m products of at most max|a|^2 each, and every
-integer below _FLOAT_EXACT = 2^53 is a float64.  One vectorized elimination
-step serves the whole stack; every update x * u - y * v of residues below p
-is a sum of two products below 2^62, the case k = 2 of the bound.  A rank
-mod p below the maximum is no answer, and the caller falls back to
-pivot_columns.
+Facet certification and Cone.rank ask whether a rank reaches a known
+maximum, so a lower bound that reaches it settles the question.
+capped_ranks is the one place that applies this rule: for row subsets of
+one matrix it returns min(rank, cap), from the rank mod p where that
+reaches the cap and from pivot_columns(stop_at=cap) where it does not.
+modular_ranks gives the lower bounds for a whole stack of matrices at once:
+the rank over GF(p), p = 2^31 - 1, never exceeds the rational rank, since a
+minor that is nonzero mod p is a nonzero integer.  A matrix with more rows
+than columns enters as its Gram matrix A^T A, whose rational rank is that
+of A, when float64 computes it exactly: its entries are sums of m products
+of at most max|a|^2 each, and every integer below _FLOAT_EXACT = 2^53 is a
+float64.  One vectorized elimination step serves the whole stack; every
+update x * u - y * v of residues below p is a sum of two products below
+2^62, the case k = 2 of the bound.
 
 The public functions are pure and leave their inputs unchanged; callers may
 parallelize freely.
@@ -53,6 +55,11 @@ _PRIME = (1 << 31) - 1
 # integers below 2^53 are exact in float64, and so is a sum of products
 # whose absolute values add up to less than that
 _FLOAT_EXACT = 1 << 53
+# entries per padded stack of row subsets in capped_ranks (2 MB of int64).
+# Criteria 6 and 7 take about the same CPU time from 2^16 to 2^20 entries,
+# at a peak RSS of 110, 116 and 124 MB (criterion 6) and 85, 88 and 115 MB
+# (criterion 7); the I3322 search takes 49 s at 2^16 and 46 s at 2^18
+_STACK_ENTRIES = 1 << 18
 
 
 def _products_overflow(a_max, b_max, terms):
@@ -149,11 +156,6 @@ def pivot_columns(mat, stop_at=None):
     return _echelon(mat, stop_at=stop_at)[1]
 
 
-def rank(mat):
-    """Exact rank over the rationals: the number of pivot columns."""
-    return len(pivot_columns(mat))
-
-
 def modular_ranks(stack):
     """Rank over GF(p) of each matrix of a (B, m, n) integer stack.
 
@@ -205,6 +207,36 @@ def modular_ranks(stack):
         rest = a[:, 1:, 1:] * pivot[:, None, :1]
         rest -= a[:, 1:, :1] * pivot[:, None, 1:]
         a = np.remainder(rest, _PRIME, out=rest)
+    return ranks
+
+
+def capped_ranks(rows, members, cap):
+    """Exact min(rank(rows[members[:, j]]), cap) for each column j.
+
+    rows is a 2-d integer matrix and members a boolean matrix with one row
+    per row of rows.  The subsets go to modular_ranks in order of size, as
+    zero-padded stacks of about _STACK_ENTRIES entries; a rank mod p that
+    reaches the cap is exact, and pivot_columns(stop_at=cap) decides the
+    subsets below it.
+    """
+    width = rows.shape[1]
+    counts = members.sum(axis=0)
+    order = np.argsort(counts, kind="stable")
+    ranks = np.zeros(members.shape[1], dtype=np.int64)
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi + 1 - lo) * counts[order[hi]] * width <= _STACK_ENTRIES:
+            hi += 1
+        chunk = order[lo:hi]
+        size = counts[chunk]
+        subset, row = np.nonzero(members[:, chunk].T)
+        stack = np.zeros((len(chunk), size.max(), width), dtype=rows.dtype)
+        stack[subset, np.arange(len(subset)) - np.repeat(np.cumsum(size) - size, size)] = rows[row]
+        ranks[chunk] = np.minimum(modular_ranks(stack), cap)
+        lo = hi
+    for j in np.flatnonzero(ranks < cap):
+        ranks[j] = len(pivot_columns(rows[members[:, j]], stop_at=cap))
     return ranks
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVectorError, ParseError
-from .scenario import _PARTY_LETTERS, Scenario, enumerate_vertices, parse_scenario_header
+from .scenario import _PARTY_LETTERS, Scenario, parse_scenario_header
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,6 @@ class Inequality:
     def bound(self):
         return self.coefficients[0]
 
-    def bell_vector(self):
-        """Bell-expression coefficients with the constant slot zeroed."""
-        v = np.array(self.coefficients, dtype=object)
-        v[0] = 0
-        return v
-
     def cone_normal(self):
         """Lifted normal in the <= 0 orientation: (-bound, c_1, ..., c_D)."""
         v = np.array(self.coefficients, dtype=object)
@@ -60,14 +54,6 @@ class Inequality:
         if g <= 1:
             return self
         return Inequality(self.scenario, tuple(int(x) // g for x in self.coefficients))
-
-    def values_on_vertices(self):
-        """Bell-expression value at every vertex, in vertex order."""
-        verts = enumerate_vertices(self.scenario).astype(object)
-        return verts @ self.bell_vector()
-
-    def saturating_vertex_mask(self):
-        return self.values_on_vertices() == self.bound
 
     def nonzero_terms(self):
         """(setting tuple, coefficient) of each nonzero term, bound excluded."""

@@ -338,6 +338,10 @@ def metrics(rec):
     """Percent ratios from a BoundsRecord; the NPA ratio prefers level 3."""
     if rec.qutrit is None or rec.qubit is None:
         raise ValueError("metrics need both qubit and qutrit values")
+    # every ratio divides by a value that check() keeps at or above the
+    # classical bound, so a positive bound keeps them all finite
+    if rec.classical <= 0:
+        raise ValueError(f"metrics need a positive classical bound, got {rec.classical}")
     rec.check()
     m_q = 100.0 * (rec.qutrit / rec.classical - 1.0)
     m_32 = 100.0 * (rec.qutrit / rec.qubit - 1.0)

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DD_CAP_DEFAULT, _certify, constrained_facets, lift_polytope
-from .constraints import (XiAssignment, _embedding_map, build_extended_behaviors,
-                          parse_xi_label, symmetry_rows)
+from .constraints import XiAssignment, _embedding_map, parse_xi_label, symmetry_rows
 from .errors import CapExceededError, ParseError
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
                          write_inequality)
@@ -236,15 +235,23 @@ def _xi_space(target, reductions):
 
 
 def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
-    """One deterministic-outcome branch: constraint rows -> surviving facets."""
+    """One deterministic-outcome branch: constraint rows -> surviving facets.
+
+    Each reduction's embedding map M gives its extended behaviors V M^T, for
+    the lower inequality's saturating vertices V, and its row M n of
+    positive, for the lower cone normal n.
+    """
     # the last reduction's extended behaviors first, the symmetry rows last
-    pairs = list(zip(reductions, xi_combo))[::-1]
-    rows = np.vstack([build_extended_behaviors(spec.lower, xi, target, spec.embed)
-                      for spec, xi in pairs] + [sym])
-    positive = np.array([_embedding_map(spec.lower.scenario, xi, target, spec.embed)
-                         @ spec.lower.cone_normal() for spec, xi in pairs])
+    rows, positive = [sym], []
+    for spec, xi in zip(reductions, xi_combo):
+        emb = _embedding_map(spec.lower.scenario, xi, target, spec.embed)
+        normal = spec.lower.cone_normal()
+        verts = enumerate_vertices(spec.lower.scenario)
+        rows.insert(0, verts[verts @ normal == 0] @ emb.T)
+        positive.insert(0, emb @ normal)
     return [(from_cone_normal(target, lifted), xi_combo)
-            for lifted in constrained_facets(cone, rows, positive, cap=dd_cap)]
+            for lifted in constrained_facets(cone, np.vstack(rows), np.array(positive),
+                                             cap=dd_cap)]
 
 
 def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
@@ -262,7 +269,7 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     """
     for spec in reductions:
         lower_cone = lift_polytope(enumerate_vertices(spec.lower.scenario, cap=vertex_cap))
-        if not _certify(lower_cone, spec.lower.cone_normal()[None])[2][0]:
+        if not _certify(lower_cone, spec.lower.cone_normal()[None])[0]:
             raise ValueError("a lower inequality is not facet-defining on its scenario")
     for gen in symmetry:
         gen.validate(target)

@@ -271,6 +271,23 @@ def test_metrics_needs_a_complete_seesaw_file(tmp_path, seesaw_files):
     assert _metrics_with_seesaw(tmp_path, ineq, missing, v2, v3) == 2
 
 
+ZERO_BOUND = "scenario: n=2 settings=1,1\nbound: 0\n1,1: 1\n"
+
+
+def test_metrics_rejects_a_zero_classical_bound(tmp_path, capsys):
+    ineq_file = tmp_path / "z.ineq"
+    ineq_file.write_text(ZERO_BOUND)
+    assert main(["metrics", "--ineq", str(ineq_file), "--qubit", "0.0", "--qutrit", "0.0"]) == 2
+    assert "classical bound, got 0" in capsys.readouterr().err
+
+
+def test_report_rejects_a_zero_classical_bound(tmp_path, capsys):
+    rec = tmp_path / "z.txt"
+    rec.write_text(ZERO_BOUND + "qubit: 0.0\nqutrit: 0.0\n")
+    assert main(["report", str(rec), "--out", str(tmp_path / "report.csv")]) == 2
+    assert "classical bound, got 0" in capsys.readouterr().err
+
+
 def test_report_command(tmp_path, capsys):
     rec = tmp_path / "rec1.txt"
     rec.write_text(write_inequality(catalog.i3322_generalization(400), comments=False)
@@ -366,6 +383,14 @@ def test_a_cap_that_is_not_an_integer(capsys):
         main(["--dd-cap", "two", "facets", "2,2"])
     assert exc.value.code == 2
     assert "--dd-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_parse_error(workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", workers, "facets", "2,2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_dd_cap_exit_code(capsys):

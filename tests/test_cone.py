@@ -9,10 +9,12 @@ from conebell import catalog
 from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _dd_extreme_rays, _lift,
                            constrained_facets, enumerate_facets_dd, lift_polytope,
                            project_rays)
+from conebell.constraints import XiAssignment
 from conebell.errors import CapExceededError
-from conebell.exactlinalg import _PRIME, integer_kernel_basis, pivot_columns, rank
+from conebell.exactlinalg import _PRIME, capped_ranks, integer_kernel_basis, pivot_columns
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
+from conebell.search import ReductionSpec
 
 from .reference import (party_swap, random_full_dim_vertices, reference_facets, sympy_rank,
                         sympy_nullspace_rays, sympy_simplex_rays)
@@ -224,7 +226,7 @@ def test_dd_saturating_sets_are_exact():
         assert tuple(i for i, v in enumerate(vals) if v == 0) == f.saturating
         assert all(v <= 0 for v in vals)
         sub = cone.rays[list(f.saturating)]
-        assert rank(sub) == cone.rank - 1
+        assert sympy_rank(sub) == cone.rank - 1
 
 
 def test_dd_handles_lineality_by_span_restriction():
@@ -237,7 +239,7 @@ def test_dd_handles_lineality_by_span_restriction():
     assert len(facets) == 1
     vec = np.array(facets[0].vector, dtype=object)
     assert (rays.astype(object) @ vec <= 0).all()
-    assert rank(cone.rays[list(facets[0].saturating)]) == 1
+    assert sympy_rank(cone.rays[list(facets[0].saturating)]) == 1
 
 
 def test_dd_full_space_cone_has_no_facets():
@@ -251,13 +253,22 @@ def test_dd_cap():
         enumerate_facets_dd(cone, cap=4)
 
 
+def _saturating_ranks(cone, cand):
+    """Rank of each valid candidate's saturating rays, capped at
+    rank(cone) - 1 by capped_ranks, and 0 for the invalid ones."""
+    values = cone.rays.astype(object) @ np.array(cand, dtype=object).T
+    valid = ~(values > 0).any(axis=0)
+    ranks = np.zeros(len(valid), dtype=np.int64)
+    ranks[valid] = capped_ranks(cone.rays, values[:, valid] == 0, cone.rank - 1)
+    return ranks
+
+
 def _certify_one(cone, normal):
-    """(valid, facet, saturating ray indices, saturating rank) of one normal
-    from the batched test."""
-    values, sat_rank, facet = _certify(cone, np.array([normal]))
-    values = values[:, 0]
-    return (not (values > 0).any(), bool(facet[0]), np.flatnonzero(values == 0).tolist(),
-            int(sat_rank[0]))
+    """(valid, facet, saturating ray indices, saturating rank) of one normal:
+    the facet mask of the batched test and the rank from capped_ranks."""
+    values = cone.rays.astype(object) @ np.array(normal, dtype=object)
+    return (not (values > 0).any(), bool(_certify(cone, np.array([normal]))[0]),
+            np.flatnonzero(values == 0).tolist(), int(_saturating_ranks(cone, [normal])[0]))
 
 
 def test_is_facet_chsh_certificate():
@@ -338,18 +349,15 @@ def test_lift_identity_and_kernel_property():
         assert row.tolist() == [x // g_row for x in image]
 
 
-def test_projection_preserves_saturating_sets():
+def test_projection_preserves_saturating_sets(branch_constraints):
     """A projected facet saturates projected ray i exactly when its lift
     saturates every source ray mapped onto i (zero-image rays always do)."""
-    from conebell import catalog
-    from conebell.constraints import XiAssignment, build_extended_behaviors, symmetry_rows
-
     target = Scenario((2, 2, 2))
     verts = enumerate_vertices(target)
     cone = lift_polytope(verts)
-    ext = build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)), target, (0, 1))
-    rows = np.vstack([ext, symmetry_rows(
-        [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
+    rows, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
+                                 (XiAssignment(((1, 1),)),),
+                                 [party_swap(target, 0, 1), party_swap(target, 0, 2)])
     basis = integer_kernel_basis(rows, columns=cone.dim)
     projected = project_rays(cone, basis)
     # small products stay on int64; _projection_sources recomputes them in
@@ -421,11 +429,13 @@ def test_certify_falls_back_where_the_rank_drops_mod_p(monkeypatch):
         calls.append(len(mat))
         return pivot_columns(mat, stop_at=stop_at)
 
-    monkeypatch.setattr("conebell.cone.pivot_columns", exact)
+    monkeypatch.setattr("conebell.exactlinalg.pivot_columns", exact)
     assert cone.rank == 3
+    assert calls == [3]
     valid, facet, saturating, sat_rank = _certify_one(cone, [0, 0, -1])
     assert valid and facet and saturating == [0, 1] and sat_rank == 2
-    assert calls == [2]
+    # the facet mask and the saturating rank each rank the two rays exactly
+    assert calls == [3, 2, 2]
 
 
 @st.composite
@@ -451,33 +461,32 @@ def test_batched_certification_matches_exact_rank(case, entries):
     cone, cand = case
     target = sympy_rank(cone.rays) - 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("conebell.cone._CERTIFY_ENTRIES", entries)
-        values, sat_rank, facet = _certify(cone, cand)
+        patch.setattr("conebell.exactlinalg._STACK_ENTRIES", entries)
+        facet = _certify(cone, cand)
+        sat_rank = _saturating_ranks(cone, cand)
     rays = cone.rays.astype(object)
     for j, vec in enumerate(cand):
         vals = rays @ vec.astype(object)
-        assert values[:, j].tolist() == vals.tolist()
         valid = all(v <= 0 for v in vals)
         sat = rays[[v == 0 for v in vals]]
         expected = min(sympy_rank(sat) if len(sat) else 0, target) if valid else 0
         assert sat_rank[j] == expected
         assert facet[j] == (valid and any(v < 0 for v in vals) and expected == target)
         # a batch of one gives the same verdict
-        one = _certify(cone, cand[j:j + 1])
-        assert (one[0][:, 0] == values[:, j]).all() and one[1][0] == sat_rank[j]
-        assert one[2][0] == facet[j]
+        assert _certify(cone, cand[j:j + 1])[0] == facet[j]
+        assert _saturating_ranks(cone, cand[j:j + 1])[0] == sat_rank[j]
 
 
-def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch):
-    from conebell.constraints import XiAssignment, build_extended_behaviors
-
+def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch,
+                                                               branch_constraints):
     target = Scenario((2, 2, 2))
     three_party = lift_polytope(enumerate_vertices(target))
     two_party = lift_polytope(enumerate_vertices(Scenario((2, 2))))
     rng = np.random.default_rng(5)
     random_cone = Cone(6, random_full_dim_vertices(rng, 5, 14))
-    cases = [(three_party, build_extended_behaviors(catalog.chsh(), XiAssignment(((1, 1),)),
-                                                    target, (0, 1))),
+    ext, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
+                                (XiAssignment(((1, 1),)),))
+    cases = [(three_party, ext),
              (two_party, np.zeros((0, two_party.dim), dtype=np.int64)),
              (random_cone, np.array([[0, 1, -1, 0, 0, 0]], dtype=np.int64))]
 
@@ -488,7 +497,7 @@ def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch):
     expected = output()
     assert all(expected)
     # one candidate per padded stack
-    monkeypatch.setattr("conebell.cone._CERTIFY_ENTRIES", 1)
+    monkeypatch.setattr("conebell.exactlinalg._STACK_ENTRIES", 1)
     assert output() == expected
 
 

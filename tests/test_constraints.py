@@ -5,10 +5,10 @@ import pytest
 
 from conebell import catalog
 from conebell.constraints import (Relabeling, XiAssignment, _embedding_map, _relabeling_map,
-                                  build_extended_behaviors, parse_relabeling,
-                                  symmetry_rows)
+                                  parse_relabeling, symmetry_rows)
 from conebell.errors import ParseError
-from conebell.exactlinalg import integer_kernel_basis, rank
+from conebell.exactlinalg import integer_kernel_basis, pivot_columns
+from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec, generalize_multi
 
@@ -107,46 +107,56 @@ def test_symmetry_kernel_is_pointwise_invariant():
     assert (_relabeling_map(gens[0], sc) @ t == t).all()
 
 
-def test_extended_behaviors_chsh_count():
+def _extended_behaviors(branch_constraints, lower, xi, target, embed):
+    """The constraint rows of a branch with one reduction and no symmetry:
+    its extended behaviors."""
+    return branch_constraints(target, [ReductionSpec(lower, embed)], (xi,))[0]
+
+
+def test_extended_behaviors_chsh_count(branch_constraints):
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
-    ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, (0, 1))
+    xi = XiAssignment(((1, 1),))
+    ext = _extended_behaviors(branch_constraints, chsh, xi, target, (0, 1))
     assert ext.dtype == np.int64 and ext.shape == (8, 27)
+    assert ext.tolist() == reference_extended_behaviors(chsh, xi, target)
     assert (ext[:, 0] == 1).all()
     assert (ext[:, target.index_of((0, 0, 1))] == 1).all()
     assert (ext[:, target.index_of((0, 0, 2))] == 1).all()
-    assert rank(ext) == 8
+    assert len(pivot_columns(ext)) == 8
 
 
-def test_extended_behaviors_i3322_count():
+def test_extended_behaviors_i3322_count(branch_constraints):
     i3322 = catalog.i3322()
-    n_sat = int(i3322.saturating_vertex_mask().sum())
+    n_sat = int((enumerate_vertices(i3322.scenario) @ i3322.cone_normal() == 0).sum())
     target = Scenario((3, 3, 3))
-    ext = build_extended_behaviors(i3322, XiAssignment(((1, 1, 1),)), target, (0, 1))
-    assert len(ext) == n_sat > 0
+    xi = XiAssignment(((1, 1, 1),))
+    ext = _extended_behaviors(branch_constraints, i3322, xi, target, (0, 1))
+    assert ext.dtype == np.int64 and ext.shape == (n_sat, 64) and n_sat > 0
+    assert ext.tolist() == reference_extended_behaviors(i3322, xi, target)
 
 
-def test_extended_behaviors_validation():
+def test_extended_behaviors_validation(branch_constraints):
     chsh = catalog.chsh()
     with pytest.raises(ValueError, match="xi"):
-        build_extended_behaviors(chsh, XiAssignment(((1,),)), Scenario((2, 2, 2)), (0, 1))
+        _extended_behaviors(branch_constraints, chsh, XiAssignment(((1,),)),
+                            Scenario((2, 2, 2)), (0, 1))
     # an inequality that no vertex saturates cannot be extended to a facet
-    loose = __import__("conebell.inequality", fromlist=["x"]).from_terms(
-        Scenario((2, 2)), 3, {(1, 1): 1, (1, 2): 1})
-    with pytest.raises(ValueError, match="facet"):
-        build_extended_behaviors(loose, XiAssignment(((1, 1),)), Scenario((2, 2, 2)), (0, 1))
+    loose = from_terms(Scenario((2, 2)), 3, {(1, 1): 1, (1, 2): 1})
+    with pytest.raises(ValueError, match="not facet-defining"):
+        generalize_multi(Scenario((2, 2, 2)), [ReductionSpec(loose, (0, 1))], [])
 
 
 def test_embedding_rejects_repeated_or_missing_parties():
     chsh, target = catalog.chsh(), Scenario((2, 2, 2))
     for embed, named in [((0, 0), r"\[0\]"), ((0, 5), r"\[5\]"), ((-1, 1), r"\[-1\]")]:
         with pytest.raises(ValueError, match=named):
-            build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, embed)
+            _embedding_map(chsh.scenario, XiAssignment(((1, 1),)), target, embed)
     with pytest.raises(ValueError, match=r"\[5\]"):
         generalize_multi(target, [ReductionSpec(chsh, (0, 5))], [])
     # CHSH on parties with 2 and 3 settings: the settings do not match
     with pytest.raises(ValueError, match="settings"):
-        build_extended_behaviors(chsh, XiAssignment(((1, 1),)), Scenario((2, 3, 2)), (0, 1))
+        _embedding_map(chsh.scenario, XiAssignment(((1, 1),)), Scenario((2, 3, 2)), (0, 1))
 
 
 @pytest.mark.parametrize("lower, target, embed", [
@@ -170,12 +180,10 @@ def test_extended_behaviors_match_brute_force(lower, target, embed, branch_const
     for _ in range(3):
         xi = XiAssignment(tuple(tuple(int(x) for x in rng.choice([-1, 1], size=target.settings[p]))
                                 for p in extras))
-        got = build_extended_behaviors(lower, xi, target, used)
         want = reference_extended_behaviors(lower, xi, target, embed=embed)
-        assert got.dtype == np.int64
-        assert got.tolist() == want
         spec = ReductionSpec(lower, used)
         rows, positive = branch_constraints(target, [spec], (xi,))
+        assert rows.dtype == np.int64
         assert rows.tolist() == want
         _check_sign_test(target, [spec], (xi,), rows, positive, rng,
                          _lifts(lower, xi, target, used, extras))
@@ -265,17 +273,16 @@ def _lifts(lower, xi, target, used, extras):
     return lifts
 
 
-def test_chsh_extension_kernel_dimension_matches_independent_nullspace():
+def test_chsh_extension_kernel_dimension_matches_independent_nullspace(branch_constraints):
     # the constraint system of the three-party CHSH extension: its kernel
     # dimension is the dimension of the projected cone behind Mermin
     from conebell.cone import lift_polytope, project_rays
     from .reference import sympy_nullity
 
-    chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
-    ext = build_extended_behaviors(chsh, XiAssignment(((1, 1),)), target, (0, 1))
-    g = np.vstack([ext, symmetry_rows(
-        [party_swap(target, 0, 1), party_swap(target, 0, 2)], target)])
+    g, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
+                              (XiAssignment(((1, 1),)),),
+                              [party_swap(target, 0, 1), party_swap(target, 0, 2)])
     t = integer_kernel_basis(g, columns=27)
     assert t.shape[1] == sympy_nullity(g, 27)
     cone = lift_polytope(enumerate_vertices(target))

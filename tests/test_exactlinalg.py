@@ -5,11 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conebell.exactlinalg import (_PRIME, _as_int_rows, integer_kernel_basis, modular_ranks,
-                                  pivot_columns, rank)
+from conebell.exactlinalg import (_PRIME, _as_int_rows, capped_ranks, integer_kernel_basis,
+                                  modular_ranks, pivot_columns)
 from conebell.scenario import Scenario, enumerate_vertices
 
 from .reference import sympy_nullity, sympy_pivots, sympy_rank
+
+
+def rank(mat):
+    """Exact rank of mat from capped_ranks: every row, capped at min(shape),
+    which no rank exceeds."""
+    mat = np.asarray(mat)
+    return int(capped_ranks(mat, np.ones((len(mat), 1), dtype=bool), min(mat.shape))[0])
 
 
 def test_rank_trivial_cases():
@@ -186,3 +193,65 @@ def test_modular_ranks_of_many_rows_use_the_gram_matrix():
     mat = enumerate_vertices(Scenario((2, 2)))
     stack = np.stack([mat, mat * 0, np.vstack([mat[:5], np.zeros((11, 9), dtype=np.int64)])])
     assert modular_ranks(stack).tolist() == [9, 0, sympy_rank(mat[:5])]
+
+
+@st.composite
+def row_subsets(draw):
+    """(matrix, members, cap): a low-rank matrix, int64 or object, with up
+    to 9 rows, so subsets often have more rows than columns; membership
+    columns that include an empty subset and the full one; and a cap from 0
+    to min(shape), so below, at and above the full rank."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    inner = draw(st.integers(1, cols))
+    spread = draw(st.sampled_from([2, 2 ** 20, 2 ** 40]))
+    left = np.array([[draw(st.integers(-spread, spread)) for _ in range(inner)]
+                     for _ in range(rows)], dtype=object)
+    right = np.array([[draw(st.integers(-2, 2)) for _ in range(cols)]
+                      for _ in range(inner)], dtype=object)
+    mat = left @ right
+    if draw(st.booleans()):
+        mat = mat.astype(np.int64)
+    picks = [[draw(st.booleans()) for _ in range(rows)] for _ in range(draw(st.integers(0, 4)))]
+    members = np.array([[False] * rows, [True] * rows] + picks, dtype=bool).T
+    return mat, members, draw(st.integers(0, min(rows, cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_subsets())
+def test_capped_ranks_match_sympy(case):
+    mat, members, cap = case
+    expected = [min(sympy_rank(mat[col]) if col.any() else 0, cap) for col in members.T]
+    assert capped_ranks(mat, members, cap).tolist() == expected
+    # one subset per padded stack gives the same ranks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("conebell.exactlinalg._STACK_ENTRIES", 1)
+        assert capped_ranks(mat, members, cap).tolist() == expected
+
+
+def test_capped_ranks_below_and_at_the_full_rank():
+    mat = enumerate_vertices(Scenario((2, 2)))
+    members = np.array([[True] * 16, [True] * 5 + [False] * 11, [False] * 16]).T
+    assert capped_ranks(mat, members, 9).tolist() == [9, sympy_rank(mat[:5]), 0]
+    assert capped_ranks(mat, members, 3).tolist() == [3, 3, 0]
+
+
+def test_capped_ranks_fall_back_where_the_rank_drops_mod_p(monkeypatch):
+    # every 2x2 minor of the first two rows is 0 or p, so their rank is 1
+    # mod p and 2 over the rationals; the whole matrix has rank 3, 2 mod p
+    p = _PRIME
+    mat = np.array([[1, 1, 0], [1, 1 + p, 0], [0, 0, 1]], dtype=np.int64)
+    members = np.array([[True, True, False], [True, True, True], [True, False, True]]).T
+    calls = []
+
+    def exact(rows, stop_at=None):
+        calls.append(len(rows))
+        return pivot_columns(rows, stop_at=stop_at)
+
+    monkeypatch.setattr("conebell.exactlinalg.pivot_columns", exact)
+    assert capped_ranks(mat, members, 2).tolist() == [2, 2, 2]
+    # only the first subset's rank mod p stays below the cap
+    assert calls == [2]
+    assert capped_ranks(mat, members, 3).tolist() == [2, 3, 2]
+    # a column whose squares sum to 2p: its Gram matrix is 0 mod p
+    column = np.array([[65535], [362], [5]], dtype=np.int64)
+    assert capped_ranks(column, np.ones((3, 1), dtype=bool), 1).tolist() == [1]

@@ -46,13 +46,14 @@ def test_vertices_distinct_and_counted():
 def test_chsh_value_two_on_eight_vertices():
     # brute-force count of assignments reaching the classical bound
     chsh = catalog.chsh()
-    values = chsh.values_on_vertices()
+    values = enumerate_vertices(chsh.scenario)[:, 1:] @ np.array(chsh.coefficients[1:])
     assert sum(1 for v in values if v == 2) == 8
     assert max(values) == 2
 
 
 def test_mermin_classical_maximum_is_two():
-    assert max(catalog.mermin().values_on_vertices()) == 2
+    mermin = catalog.mermin()
+    assert max(enumerate_vertices(mermin.scenario)[:, 1:] @ np.array(mermin.coefficients[1:])) == 2
 
 
 def test_coordinates_are_products_of_assignments():
