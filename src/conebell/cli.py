@@ -251,29 +251,33 @@ def cmd_report(args):
     return 0
 
 
-def _worker_count(text):
-    """The --workers value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
+def _integer_at_least(low):
+    """Argparse type of an integer flag whose values start at low; anything
+    else is a parse error that names the flag."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="conebell")
-    parser.add_argument("--workers", type=_worker_count, default=1,
+    parser.add_argument("--workers", type=_integer_at_least(1), default=1,
                         help="worker pool size, at least 1")
     parser.add_argument("--seed", type=int, default=SeesawConfig.seed, help="PRNG seed")
-    parser.add_argument("--dd-cap", type=int, default=DD_CAP_DEFAULT,
+    parser.add_argument("--dd-cap", type=_integer_at_least(0), default=DD_CAP_DEFAULT,
                         help="most rays a double description may hold; above it the "
                              "exit code is 3")
-    parser.add_argument("--orbit-cap", type=int, default=ORBIT_CAP_DEFAULT,
+    parser.add_argument("--orbit-cap", type=_integer_at_least(0), default=ORBIT_CAP_DEFAULT,
                         help="most relabeling blocks a canonical form or orbit may "
                              "evaluate; above it the exit code is 3")
-    parser.add_argument("--vertex-cap", type=int, default=VERTEX_CAP_DEFAULT,
+    parser.add_argument("--vertex-cap", type=_integer_at_least(0), default=VERTEX_CAP_DEFAULT,
                         help="most deterministic vertices a scenario may have; above it "
                              "the exit code is 3")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,14 +33,20 @@ bound, _products_overflow, says a sum of products could reach 2^62; from
 there they are Python-int object arrays.
 
 Each insertion finds the adjacent (positive, negative) ray pairs with the
-combinatorial test on zero sets, kept as bit words (bit i: constraint row i
-is tight).  A broadcast AND filters the pairs whose common zero set has at
-least r - 2 bits, a scan keeps the candidates whose common set lies in
-exactly two zero sets, and one expression combines the kept pairs.  The
-scan needs only the rays that share r - 2 zeros with one ray of the pair,
-which the filter has already counted.  The broadcasts go in chunks of
-about _ADJACENCY_ENTRIES entries: the DD already holds every intermediate
-ray, and larger chunks raise its peak memory for little speed.
+combinatorial test on zero sets (Fukuda and Prodon 1996), kept as bit words
+(bit i: constraint row i is tight).  A broadcast AND lists, for each ray on
+the smaller side, the rays that share at least r - 2 zeros with it, its
+near rays; the near rays on the other side are its candidate partners.  A
+third ray whose zero set holds a pair's common zero set is near both rays
+of the pair, so two scans over the near rays decide every pair exactly.
+The first tests the common sets against the near rays on the inserted
+hyperplane: neither ray of a pair is on it, so any holder there rejects the
+pair, and nearly all rejected pairs go there.  The second tests the few
+survivors against the near rays off the hyperplane and keeps a pair when
+only its own two rays hold the set.  One expression combines the kept
+pairs.  The broadcasts and scans go in chunks of about _ADJACENCY_ENTRIES
+entries: the DD already holds every intermediate ray, and larger chunks
+raise its peak memory for little speed.
 """
 from __future__ import annotations
 
@@ -53,9 +59,10 @@ from .exactlinalg import (_as_int_rows, _primitive_rows, _products_overflow, cap
                           integer_kernel_basis, pivot_columns)
 
 DD_CAP_DEFAULT = 5_000_000
-# entries per broadcast of the DD adjacency test (256 KB of uint64).  Larger
-# chunks only cost memory: four (3,3) DDs take about 0.5 s CPU from 2^13 to
-# 2^16 entries, at a peak RSS of 38.7 to 39.3 MB, and 0.7 s and 72 MB at 2^22
+# entries per broadcast and scan of the DD adjacency test (256 KB of uint64).
+# Larger chunks only cost memory: on a 2-vCPU VM four (3,3) DDs take 0.18 to
+# 0.21 s CPU from 2^13 to 2^16 entries, at a process peak RSS of 36.6 to
+# 37.6 MB, and 0.20 s at 46.5 MB at 2^22
 _ADJACENCY_ENTRIES = 1 << 15
 
 
@@ -227,20 +234,34 @@ def _combine_adjacent(rays, zero, values, bit, r):
     bits and no third ray's zero set contains it.  The outer rays are the
     smaller of the two sides.  For a chunk of them, one broadcast per word
     counts the zeros each shares with every ray; the rays sharing at least
-    r - 2 are near.  The near rays on the other side are the candidates.  A
-    ray that holds a candidate's common zero set is near its outer ray, so
-    the superset scan tests the common sets against the near rays alone.
-    Both broadcasts go in chunks of at most _ADJACENCY_ENTRIES entries, or
-    of one row where a row is longer.  Every new ray is one combination
-    values[p] * ray[n] - values[n] * ray[p]; bit is the inserted row's word.
+    r - 2 are near, and one np.nonzero lists them, each with its side of
+    the inserted hyperplane.  The near rays on the other side are the
+    candidates.  A ray that holds a candidate's common zero set is near its
+    outer ray, so two scans over the chunk's near rays decide every
+    candidate exactly:
+    - the first tests the common sets against the near rays on the
+      hyperplane (value 0).  Neither ray of a pair is on it, so any holder
+      there is a third ray, and the pair is dropped;
+    - the second tests the survivors against the near rays off the
+      hyperplane, the pair's own two rays among them, and keeps a pair when
+      exactly two hold its common set.
+    The broadcasts and scans go in chunks of at most _ADJACENCY_ENTRIES
+    entries, or of one row where a row is longer.  Every new ray is one
+    combination values[p] * ray[n] - values[n] * ray[p]; bit is the
+    inserted row's word.
     """
     pos_idx = np.flatnonzero(values > 0)
     neg_idx = np.flatnonzero(values < 0)
     swap = len(pos_idx) < len(neg_idx)
     outer, inner = (pos_idx, neg_idx) if swap else (neg_idx, pos_idx)
+    # 0 on the hyperplane, 1 on the inner side, 2 on the outer side
+    side = np.zeros(len(values), dtype=np.int8)
+    side[inner] = 1
+    side[outer] = 2
     # one contiguous row per word: reducing over a short word axis would cost
-    # more than the AND it reduces
+    # more than the AND it reduces.  free has the bits of the rows a ray is off
     words = zero.T.copy()
+    free = ~words
     pairs = [(outer[:0], inner[:0], zero[:0])]
     step = max(1, _ADJACENCY_ENTRIES // words.shape[1])
     for lo in range(0, len(outer), step):
@@ -249,19 +270,21 @@ def _combine_adjacent(rays, zero, values, bit, r):
         for k in range(1, len(words)):
             count = np.add(count, np.bitwise_count(words[k, o, None] & words[k]),
                            dtype=np.int32)
-        near = count >= r - 2
-        oi, ii = np.nonzero(near[:, inner])
-        common = zero[o[oi]] & zero[inner[ii]]
-        near_words = words[:, near.any(axis=0)]
-        keep = np.zeros(len(common), dtype=bool)
-        sub = max(1, _ADJACENCY_ENTRIES // near_words.shape[1])
-        for c in range(0, len(common), sub):
-            z = common[c:c + sub].T[..., None]
-            inside = (near_words[0] & z[0]) == z[0]
-            for k in range(1, len(words)):
-                inside &= (near_words[k] & z[k]) == z[k]
-            keep[c:c + sub] = np.count_nonzero(inside, axis=1) == 2
-        pairs.append((o[oi[keep]], inner[ii[keep]], common[keep]))
+        # flat indices: np.nonzero of the 2-d matrix is several times slower
+        near = np.flatnonzero(count >= r - 2)
+        cand = near[side[near % len(side)] == 1]
+        o_c, i_c = o[cand // len(side)], cand % len(side)
+        near %= len(side)
+        common = zero[o_c] & zero[i_c]
+        if len(o) > 1:
+            # a ray near several outer rays is one witness
+            seen = np.zeros(len(side), dtype=bool)
+            seen[near] = True
+            near = np.flatnonzero(seen)
+        on = side[near] == 0
+        keep = _holders(free[:, near[on]], common) == 0
+        keep[keep] = _holders(free[:, near[~on]], common[keep]) == 2
+        pairs.append((o_c[keep], i_c[keep], common[keep]))
     o_i, i_i, common = (np.concatenate(x) for x in zip(*pairs))
     p_i, n_i = (o_i, i_i) if swap else (i_i, o_i)
     if rays.dtype != object and _products_overflow(
@@ -269,6 +292,21 @@ def _combine_adjacent(rays, zero, values, bit, r):
         rays, values = rays.astype(object), values.astype(object)
     new = values[p_i, None] * rays[n_i] - values[n_i, None] * rays[p_i]
     return _primitive_rows(new), common | bit
+
+
+def _holders(free, common):
+    """For each row of common, how many rays hold it in their zero set.  free
+    has one row per zero-set word and one column per ray, with the bits of
+    the rows the ray is off, so a ray holds a set that meets none of them."""
+    held = np.zeros(len(common), dtype=np.intp)
+    sub = max(1, _ADJACENCY_ENTRIES // max(1, free.shape[1]))
+    for c in range(0, len(common), sub):
+        z = common[c:c + sub].T[..., None]
+        miss = free[0] & z[0]
+        for k in range(1, len(free)):
+            miss |= free[k] & z[k]
+        held[c:c + sub] = (miss == 0).sum(axis=1)
+    return held
 
 
 def _polar(cone, cap):

@@ -285,15 +285,18 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     context = (target, cone, sym, dd_cap)
     jobs = [(list(chosen), combo) for chosen in itertools.product(*variant_lists)
             for combo in _xi_space(target, chosen)]
+    # a fork pool starts all its processes at the first submit, so it gets
+    # no more than there are jobs
+    pool_size = min(workers, len(jobs))
     survivors = []
     with contextlib.ExitStack() as stack:
-        if workers > 1:
+        if pool_size > 1:
             # imported here so that a serial run never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # each worker receives the cone once; a job is its reductions and xi
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_worker_context, initargs=context))
+                max_workers=pool_size, initializer=_set_worker_context, initargs=context))
             results = pool.map(_worker_branch, jobs)
         else:
             results = (_branch(*context, *job) for job in jobs)

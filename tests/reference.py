@@ -72,6 +72,44 @@ def reference_facets(rays):
     return found
 
 
+def _candidate_witnesses(zero, values, r):
+    """(p, n, common, witnesses) for every (positive, negative) ray pair whose
+    common zero set has at least r - 2 bits, where witnesses lists every
+    third ray whose zero set holds the common set.  Zero sets become Python
+    ints (bit 64 k + j is bit j of word k).  The pairs come with the smaller
+    side (the negative one on a tie) in the outer loop, both in index order.
+    """
+    masks = [sum(int(w) << 64 * k for k, w in enumerate(row)) for row in zero]
+    pos = [k for k, v in enumerate(values) if v > 0]
+    neg = [k for k, v in enumerate(values) if v < 0]
+    outer, inner = (pos, neg) if len(pos) < len(neg) else (neg, pos)
+    for o in outer:
+        for i in inner:
+            common = masks[o] & masks[i]
+            if bin(common).count("1") < r - 2:
+                continue
+            witnesses = [k for k, z in enumerate(masks)
+                         if k != o and k != i and z & common == common]
+            p, n = (o, i) if values[o] > 0 else (i, o)
+            yield p, n, common, witnesses
+
+
+def reference_adjacent_pairs(zero, values, r):
+    """Adjacent (positive, negative) pairs of one DD insertion, one pair at a
+    time over all rays: (p, n, common zero set as a Python int) for each
+    pair whose common zero set has at least r - 2 bits and lies in no third
+    ray's zero set, in the order of _candidate_witnesses."""
+    return [(p, n, common) for p, n, common, witnesses in _candidate_witnesses(zero, values, r)
+            if not witnesses]
+
+
+def off_hyperplane_rejections(zero, values, r):
+    """How many candidate pairs have witnesses, all of them off the inserted
+    hyperplane (value != 0)."""
+    return sum(1 for _, _, _, witnesses in _candidate_witnesses(zero, values, r)
+               if witnesses and all(values[k] != 0 for k in witnesses))
+
+
 def sympy_rank(mat):
     return sympy.Matrix(np.array(mat, dtype=object).tolist()).rank()
 

@@ -385,6 +385,14 @@ def test_a_cap_that_is_not_an_integer(capsys):
     assert "--dd-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--dd-cap", "--orbit-cap", "--vertex-cap"])
+def test_a_negative_cap_is_a_parse_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "-5", "facets", "2,2"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_a_parse_error(workers, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conebell import catalog
-from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _dd_extreme_rays, _lift,
-                           constrained_facets, enumerate_facets_dd, lift_polytope,
+from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _combine_adjacent, _dd_extreme_rays,
+                           _lift, constrained_facets, enumerate_facets_dd, lift_polytope,
                            project_rays)
 from conebell.constraints import XiAssignment
 from conebell.errors import CapExceededError
@@ -16,8 +16,9 @@ from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec
 
-from .reference import (party_swap, random_full_dim_vertices, reference_facets, sympy_rank,
-                        sympy_nullspace_rays, sympy_simplex_rays)
+from .reference import (off_hyperplane_rejections, party_swap, random_full_dim_vertices,
+                        reference_adjacent_pairs, reference_facets, sympy_nullspace_rays,
+                        sympy_rank, sympy_simplex_rays)
 
 
 def _projection_sources(cone, basis, projected):
@@ -156,6 +157,55 @@ def test_dd_output_does_not_depend_on_the_chunk_bound(monkeypatch):
     # one outer ray per pair filter and one candidate per superset scan
     monkeypatch.setattr("conebell.cone._ADJACENCY_ENTRIES", 1)
     assert [output(cone) for cone in cones] == expected
+
+
+def _insertion_states(a, monkeypatch):
+    """The arguments (rays, zero, values, bit, r) of every _combine_adjacent
+    call in the DD of {y : a y <= 0}."""
+    states = []
+
+    def record(*args):
+        states.append(args)
+        return _combine_adjacent(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("conebell.cone._combine_adjacent", record)
+        _dd_extreme_rays(a, DD_CAP_DEFAULT)
+    return states
+
+
+def _set_value(words):
+    """A zero set's bit words as one Python int."""
+    return sum(int(w) << 64 * j for j, w in enumerate(words))
+
+
+def test_adjacency_matches_the_per_pair_oracle(monkeypatch):
+    v33 = enumerate_vertices(Scenario((3, 3)))
+    rng = np.random.default_rng(19)
+    orders = [np.arange(len(v33)), rng.permutation(len(v33)), rng.permutation(len(v33))]
+    xs = rng.permutation(np.arange(-35, 35))
+    cones = [lift_polytope(v33[order]) for order in orders]
+    cones.append(Cone(3, np.stack([np.ones_like(xs), xs, xs * xs], axis=1)))
+    cones.append(Cone(4, random_full_dim_vertices(rng, 3, 8, spread=10 ** 6)))
+    states = [s for cone in cones for s in _insertion_states(cone.rays, monkeypatch)]
+    # the (3,3) DDs' later insertions hold up to 84,436 pairs, too many for the oracle
+    states = [s for s in states if (s[2] > 0).sum() * (s[2] < 0).sum() <= 25_000]
+    assert any(s[1].shape[1] == 2 for s in states)
+    assert any(s[0].dtype == object for s in states)
+    # some pair is rejected only by a ray off the inserted hyperplane, which
+    # the second scan alone can see
+    assert sum(off_hyperplane_rejections(s[1], s[2], s[4]) for s in states) > 0
+    for rays, zero, values, bit, r in states:
+        new_rays, new_zero = _combine_adjacent(rays, zero, values, bit, r)
+        expected_rays, expected_zero = [], []
+        for p, n, common in reference_adjacent_pairs(zero, values, r):
+            ray = [int(values[p]) * int(x) - int(values[n]) * int(y)
+                   for x, y in zip(rays[n], rays[p])]
+            g = math.gcd(*ray)
+            expected_rays.append([x // g for x in ray])
+            expected_zero.append(common | _set_value(bit))
+        assert [[int(x) for x in ray] for ray in new_rays] == expected_rays
+        assert [_set_value(z) for z in new_zero] == expected_zero
 
 
 def test_dd_stays_on_int64_for_small_entries():

@@ -316,6 +316,26 @@ def test_generalize_worker_pool_reports_progress():
     assert [done for done, _, _ in reports[1]] == list(range(1, len(reports[1]) + 1))
 
 
+def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
+    # a fork pool starts max_workers processes at its first submit
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    xi_space = search._xi_space
+    monkeypatch.setattr(search, "_xi_space", lambda *args: xi_space(*args)[:2])
+    seq = _chsh_to_three_parties(workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    par = _chsh_to_three_parties(workers=8)
+    assert sizes == [2]
+    assert par == seq
+
+
 def test_generalize_multi_rejects_non_facet_lower():
     weak = from_terms(Scenario((2, 2)), 2, {(1, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="facet"):
