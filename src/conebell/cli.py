@@ -119,7 +119,8 @@ def cmd_classify(args):
                 members.append(parse_inequality(block, start_line=start))
             start += block.count("\n") + 2
     classes = classify(members, cap=args.orbit_cap)
-    print(f"classes: {len(classes)}")
+    # stdout may carry the class list itself, which must parse back
+    print(f"classes: {len(classes)}", file=sys.stdout if args.out else sys.stderr)
     _write(args.out, write_class_list(classes))
     return 0
 
@@ -208,10 +209,15 @@ def cmd_npa_export(args):
 def parse_record(text):
     """(inequality, BoundsRecord) of a record; the algebraic bound is computed
     from the inequality, and an algebraic: line that differs from it raises
-    InvariantViolationError."""
+    InvariantViolationError.  A line that write_record does not write, such
+    as an observable of a party or setting the inequality lacks, raises
+    ParseError."""
     ineq, fields = read_fields(text)
     if ineq is None:
         raise ParseError("the record holds no inequality")
+    sc = ineq.scenario
+    written = {"state", "m_Q", "m_32", "m_N", "m_A"} | {
+        f"observable {p} {s}" for p in range(sc.parties) for s in range(1, sc.settings[p] + 1)}
     algebraic = algebraic_bound(ineq)
     values = {}
     for key, field in fields.items():
@@ -222,7 +228,7 @@ def parse_record(text):
                 raise InvariantViolationError(
                     f"the record's algebraic bound {field[0]} (line {field[1]}) differs "
                     f"from the inequality's {algebraic}")
-        elif not (key in ("state", "trace", "dim") or key.startswith(("observable", "m_"))):
+        elif key not in written:
             raise ParseError(f"unrecognized line '{key}: {field[0]}'", line=field[1])
     rec = BoundsRecord(classical=ineq.bound, algebraic=algebraic, **values)
     return ineq, rec

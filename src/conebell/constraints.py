@@ -12,10 +12,11 @@ matrix P has per party the signed permutation of settings 1..m that fixes
 setting 0, and symmetry_rows gives the nonzero rows of I - P^T.  The
 embedding map M of a lower inequality (_embedding_map) has the identity on
 each embedded party and the column (1, xi_1, ..., xi_m) on each extra
-party.  search._branch maps the lower scenario's saturating vertices V to
-the extended behaviors V M^T and the lower normal n to the row M n.  A
-target normal b reduces to b M; when b is tight on the extended behaviors,
-b M is a multiple of n, so the sign of b . (M n) checks the reduction.
+party; search._reduction_options checks the embedding first.  For each
+lower variant and xi it maps the saturating vertices V to the extended
+behaviors V M^T and the lower normal n to the row M n.  A target normal b
+reduces to b M; when b is tight on the extended behaviors, b M is a
+multiple of n, so the sign of b . (M n) checks the reduction.
 """
 from __future__ import annotations
 
@@ -99,19 +100,11 @@ class XiAssignment:
                 raise ValueError("xi entries must be +-1")
 
     def label(self):
-        return ";".join("".join("+" if x > 0 else "-" for x in v) for v in self.values)
+        """One +- string per party, joined by ;, or () when there is none."""
+        return ";".join("".join("+" if x > 0 else "-" for x in v) for v in self.values) or "()"
 
 
-def parse_xi_label(text):
-    values = []
-    for part in text.split(";"):
-        if not part or any(ch not in "+-" for ch in part):
-            raise ParseError(f"malformed xi label {text!r}")
-        values.append(tuple(1 if ch == "+" else -1 for ch in part))
-    return XiAssignment(tuple(values))
-
-
-def _embedding_map(lower_scenario, xi, target, embed):
+def _embedding_map(xi, target, embed):
     """int64 matrix M from lower to target coordinates that embeds the lower
     scenario on the target parties embed and fixes xi on the others.
 
@@ -119,19 +112,9 @@ def _embedding_map(lower_scenario, xi, target, embed):
     t when t restricted to embed is s, else 0.  M maps a lower vertex to its
     extended behavior; a target normal b reduces to b @ M.
     """
-    bad = sorted({p for p in embed if embed.count(p) > 1 or not 0 <= p < target.parties})
-    if bad:
-        raise ValueError(f"embedded parties {bad} are repeated or not among the "
-                         f"target's {target.parties} parties")
     extras = tuple(i for i in range(target.parties) if i not in embed)
-    if tuple(target.settings[i] for i in embed) != lower_scenario.settings:
-        raise ValueError("embedded parties do not match the lower scenario's settings")
-    if len(xi.values) != len(extras):
-        raise ValueError(f"xi supplies {len(xi.values)} parties, need {len(extras)}")
     blocks = [np.eye(m + 1, dtype=np.int64) for m in target.settings]
     for v, party in zip(xi.values, extras):
-        if len(v) != target.settings[party]:
-            raise ValueError(f"xi for party {party} has {len(v)} settings, need {target.settings[party]}")
         blocks[party] = np.array((1,) + v, dtype=np.int64)[:, None]
     return _coordinate_map(blocks, tuple(embed) + extras)
 

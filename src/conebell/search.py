@@ -15,6 +15,14 @@ Blocks are compared as int64 codes, the rank of each value in the sorted set
 of the coefficients and their negations, so the comparison is exact for any
 Python-int coefficient; the result is built from the coefficients
 themselves.  relabeling_orbit lists an orbit from the same per-party tables.
+
+A generalization search does its per-reduction work once: _reduction_options
+checks the embedding, certifies the lower inequality on one enumeration of
+its vertices and returns an option (label, extended behaviors, M n) per
+lower variant and xi.  A branch takes one option per reduction
+(itertools.product) and is one constrained_facets call; survivors merge by
+lifted normal, and a class is witnessed by the labels of the branches that
+found it.
 """
 from __future__ import annotations
 
@@ -22,12 +30,13 @@ import contextlib
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cone import DD_CAP_DEFAULT, _certify, constrained_facets, lift_polytope
-from .constraints import XiAssignment, _embedding_map, parse_xi_label, symmetry_rows
+from .constraints import XiAssignment, _embedding_map, symmetry_rows
 from .errors import CapExceededError, ParseError
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
                          write_inequality)
@@ -37,13 +46,17 @@ ORBIT_CAP_DEFAULT = 10_000_000
 # entries of one canonical-form gather (8 MB of int64); a slot whose rows are
 # more is gathered in chunks of whole (state, party) pairs
 _GATHER_ENTRIES = 1 << 20
+# a branch label: one xi label per reduction, joined by |, each prefixed by
+# vK: when it comes from the K-th variant of an orbit sweep
+_XI = r"(?:v[1-9][0-9]*:)?(?:\(\)|[+-]+(?:;[+-]+)*)"
+_WITNESS = re.compile(rf"{_XI}(?:\|{_XI})*")
 
 
 @dataclass(frozen=True)
 class EquivalenceClass:
     canonical: Inequality
     members_found: int
-    witnesses: tuple[XiAssignment, ...] = ()
+    witnesses: tuple[str, ...] = ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,7 +159,7 @@ def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT):
     """Group inequalities by canonical form.
 
     Member counts reflect the inputs as given.  witnesses, when passed, is a
-    parallel list of XiAssignment iterables (or None) that get merged per
+    parallel list of branch label iterables (or None) that get merged per
     class.  Classes are ordered by simplicity: distinct-term count of the
     canonical form, then the canonical coefficient vector.
     """
@@ -165,7 +178,7 @@ def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT):
     for canon, count, wit in buckets.values():
         classes.append(EquivalenceClass(
             canonical=canon, members_found=count,
-            witnesses=tuple(sorted(wit, key=lambda x: x.label()))))
+            witnesses=tuple(sorted(wit))))
     classes.sort(key=lambda cl: (term_count(cl.canonical), cl.canonical.coefficients))
     return classes
 
@@ -223,35 +236,45 @@ def relabeling_orbit(ineq, cap=ORBIT_CAP_DEFAULT):
     return [Inequality(sc, vec) for vec in vecs]
 
 
-def _xi_space(target, reductions):
-    """All joint deterministic-outcome choices, one XiAssignment per reduction."""
-    spaces = []
-    for spec in reductions:
-        extras = tuple(i for i in range(target.parties) if i not in spec.embed)
-        per_party = [list(itertools.product((-1, 1), repeat=target.settings[p]))
-                     for p in extras]
-        spaces.append([XiAssignment(tuple(vals)) for vals in itertools.product(*per_party)])
-    return list(itertools.product(*spaces))
+def _reduction_options(target, spec, orbit_cap, vertex_cap):
+    """Branch options of one reduction: (label, V M^T, M n) per lower variant
+    (outer loop) and choice xi of the extra parties' outcomes (inner loop),
+    for the variant's saturating vertices V, cone normal n and embedding map
+    M.  The variants are the lower inequality, or its relabeling_orbit when
+    swept; the label is xi's, prefixed by vK: for the K-th variant of a
+    sweep.  One enumeration of the lower vertices serves the facet
+    certificate and every saturating set."""
+    lower, embed = spec.lower, spec.embed
+    bad = sorted({p for p in embed if embed.count(p) > 1 or not 0 <= p < target.parties})
+    if bad:
+        raise ValueError(f"embedded parties {bad} are repeated or not among the "
+                         f"target's {target.parties} parties")
+    if tuple(target.settings[i] for i in embed) != lower.scenario.settings:
+        raise ValueError("embedded parties do not match the lower scenario's settings")
+    verts = enumerate_vertices(lower.scenario, cap=vertex_cap)
+    if not _certify(lift_polytope(verts), lower.cone_normal()[None])[0]:
+        raise ValueError("a lower inequality is not facet-defining on its scenario")
+    variants = relabeling_orbit(lower, cap=orbit_cap) if spec.sweep_orbit else [lower]
+    extras = [p for p in range(target.parties) if p not in embed]
+    xis = map(XiAssignment, itertools.product(
+        *(itertools.product((-1, 1), repeat=target.settings[p]) for p in extras)))
+    maps = [(xi.label(), _embedding_map(xi, target, embed)) for xi in xis]
+    options = []
+    for k, variant in enumerate(variants, start=1):
+        normal = variant.cone_normal()
+        tight = verts[verts @ normal == 0]
+        prefix = f"v{k}:" if spec.sweep_orbit else ""
+        options.extend((prefix + label, tight @ emb.T, emb @ normal) for label, emb in maps)
+    return options
 
 
-def _branch(target, cone, sym, dd_cap, reductions, xi_combo):
-    """One deterministic-outcome branch: constraint rows -> surviving facets.
-
-    Each reduction's embedding map M gives its extended behaviors V M^T, for
-    the lower inequality's saturating vertices V, and its row M n of
-    positive, for the lower cone normal n.
-    """
-    # the last reduction's extended behaviors first, the symmetry rows last
-    rows, positive = [sym], []
-    for spec, xi in zip(reductions, xi_combo):
-        emb = _embedding_map(spec.lower.scenario, xi, target, spec.embed)
-        normal = spec.lower.cone_normal()
-        verts = enumerate_vertices(spec.lower.scenario)
-        rows.insert(0, verts[verts @ normal == 0] @ emb.T)
-        positive.insert(0, emb @ normal)
-    return [(from_cone_normal(target, lifted), xi_combo)
-            for lifted in constrained_facets(cone, np.vstack(rows), np.array(positive),
-                                             cap=dd_cap)]
+def _branch(cone, sym, dd_cap, job):
+    """The certified lifted facet normals of one branch, a job of one option
+    per reduction: the constraint rows stack the last reduction's extended
+    behaviors first and the symmetry rows last."""
+    rows = [ext for _, ext, _ in reversed(job)] + [sym]
+    positive = [w for _, _, w in reversed(job)]
+    return constrained_facets(cone, np.vstack(rows), np.array(positive), cap=dd_cap)
 
 
 def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
@@ -259,63 +282,46 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
                      progress=None):
     """Facets of the target polytope reducing to every lower inequality.
 
-    For each joint choice of deterministic outcomes (a branch), tightness on
-    the extended behaviors and invariance under the symmetry generators are
-    imposed, and constrained_facets keeps the facets c with c . (M n) > 0
-    for each lower normal n and embedding map M: a lower inequality is a
-    facet, so c reduces to a multiple of n.  A branch whose kernel is
-    orthogonal to some M n skips its DD and reports no survivor.  Survivors
-    from all branches are merged into equivalence classes.
+    A branch (job) takes one option per reduction (see _reduction_options):
+    tightness on its extended behaviors and invariance under the symmetry
+    generators are imposed, and constrained_facets keeps the facets c with
+    c . (M n) > 0 for each option's M n: a lower inequality is a facet, so c
+    reduces to a multiple of n.  A branch whose kernel is orthogonal to some
+    M n skips its DD and reports no survivor.  Survivors from all branches
+    are merged by lifted normal into equivalence classes, each witnessed by
+    the labels of the branches that found it: the options' labels in
+    reduction order, joined by |.
     """
-    for spec in reductions:
-        lower_cone = lift_polytope(enumerate_vertices(spec.lower.scenario, cap=vertex_cap))
-        if not _certify(lower_cone, spec.lower.cone_normal()[None])[0]:
-            raise ValueError("a lower inequality is not facet-defining on its scenario")
-    for gen in symmetry:
-        gen.validate(target)
-    cone = lift_polytope(enumerate_vertices(target, cap=vertex_cap))
+    options = [_reduction_options(target, spec, orbit_cap, vertex_cap) for spec in reductions]
     sym = symmetry_rows(symmetry, target)
-    variant_lists = []
-    for spec in reductions:
-        if spec.sweep_orbit:
-            variant_lists.append([ReductionSpec(lower=v, embed=spec.embed)
-                                  for v in relabeling_orbit(spec.lower, cap=orbit_cap)])
-        else:
-            variant_lists.append([ReductionSpec(lower=spec.lower, embed=spec.embed)])
-    context = (target, cone, sym, dd_cap)
-    jobs = [(list(chosen), combo) for chosen in itertools.product(*variant_lists)
-            for combo in _xi_space(target, chosen)]
+    context = (lift_polytope(enumerate_vertices(target, cap=vertex_cap)), sym, dd_cap)
+    jobs = list(itertools.product(*options))
     # a fork pool starts all its processes at the first submit, so it gets
     # no more than there are jobs
     pool_size = min(workers, len(jobs))
-    survivors = []
+    witnesses = {}
     with contextlib.ExitStack() as stack:
         if pool_size > 1:
             # imported here so that a serial run never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            # each worker receives the cone once; a job is its reductions and xi
+            # each worker receives the cone once; a job is its options
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=pool_size, initializer=_set_worker_context, initargs=context))
             results = pool.map(_worker_branch, jobs)
         else:
-            results = (_branch(*context, *job) for job in jobs)
-        for k, found in enumerate(results):
-            survivors.extend(found)
+            results = (_branch(*context, job) for job in jobs)
+        for k, (job, found) in enumerate(zip(jobs, results)):
+            for lifted in found:
+                witnesses.setdefault(tuple(lifted.tolist()), set()).add(
+                    "|".join(label for label, _, _ in job))
             if progress is not None:
                 progress(k + 1, len(jobs), len(found))
-    # one entry per distinct facet, witnesses merged across branches
-    by_vec = {}
-    for ineq, combo in survivors:
-        entry = by_vec.setdefault(ineq.coefficients, [ineq, set()])
-        for xi in combo:
-            entry[1].add(xi)
-    members = [v[0] for v in by_vec.values()]
-    witnesses = [v[1] for v in by_vec.values()]
-    return classify(members, witnesses=witnesses, cap=orbit_cap)
+    return classify([from_cone_normal(target, vec) for vec in witnesses],
+                    witnesses=list(witnesses.values()), cap=orbit_cap)
 
 
-# (target, cone, sym, dd_cap) of the generalize_multi call a worker process
+# (cone, sym, dd_cap) of the generalize_multi call a worker process
 # serves, set by the pool initializer
 _worker_context = ()
 
@@ -326,7 +332,7 @@ def _set_worker_context(*context):
 
 
 def _worker_branch(job):
-    return _branch(*_worker_context, *job)
+    return _branch(*_worker_context, job)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,7 @@ def write_class_list(classes):
     for k, cl in enumerate(classes, start=1):
         head = f"class {k}: members={cl.members_found}"
         if cl.witnesses:
-            head += " witnesses=" + ",".join(x.label() for x in cl.witnesses)
+            head += " witnesses=" + ",".join(cl.witnesses)
         blocks.append(head + "\n" + write_inequality(cl.canonical))
     return "\n".join(blocks)
 
@@ -357,7 +363,9 @@ def parse_class_list(text):
         try:
             head = dict(part.split("=", 1) for part in lines[a].partition(":")[2].split())
             members = int(head["members"])
-            wits = tuple(parse_xi_label(x) for x in head.get("witnesses", "").split(",") if x)
+            wits = tuple(head["witnesses"].split(",")) if "witnesses" in head else ()
+            if not all(_WITNESS.fullmatch(x) for x in wits):
+                raise ValueError
         except (ValueError, KeyError):
             raise ParseError(f"malformed class header {lines[a].strip()!r}", line=a + 1) from None
         ineq = parse_inequality("\n".join(lines[a + 1:b]), start_line=a + 2)

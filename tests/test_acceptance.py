@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria marked `long`
 (full three-party enumeration, the generalization searches and the two
 reproduction runs) are excluded from the default run; select them with
-`-m long`, about 2.5 min on a 2-vCPU VM.  The reproduction runs, I3322 to
-three parties (~35 s) and the hybrid CHSH+I3322 search (~60 s), report count
+`-m long`, about 1.7 min on a 2-vCPU VM.  The reproduction runs, I3322 to
+three parties (~35 s) and the hybrid CHSH+I3322 search (~31 s), report count
 mismatches against the published figures as findings.
 """
 import hashlib
@@ -234,7 +234,7 @@ def test_criterion_7_finding_hybrid_full_run():
           "CHSH must be demanded up to relabeling (sweep_orbit); with the exact "
           "printed CHSH form the run yields 242 classes.")
     assert exemplars and len(classes) == 475
-    assert _digest(classes) == "e233ae40bdb1b51214ad6ba106750faaed949f7ce5dfd6fafa5ef547cc52aaa1"
+    assert _digest(classes) == "2117282e2f0a3c5143a965e67f3e213cfb99b1689798d6aa031f9eb8d059ffb6"
 
 
 def test_criterion_8_seesaw_reference_values():

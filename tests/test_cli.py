@@ -103,8 +103,11 @@ def test_generalize_reduce_orbit_sweep(tmp_path, chsh_file, capsys):
     assert run("?orbit", "2") == swept
     classes = parse_class_list(swept)
     assert [cl.members_found for cl in classes] == [4, 8, 8, 8, 8, 8]
-    assert [cl.canonical for cl in classes] == \
-        [cl.canonical for cl in parse_class_list(run("", "1"))]
+    plain = parse_class_list(run("", "1"))
+    assert [cl.canonical for cl in classes] == [cl.canonical for cl in plain]
+    # a swept witness names the variant, 1 to 8 in relabeling_orbit order
+    assert all(re.fullmatch(r"v[1-8]:[+-]{2}", w) for cl in classes for w in cl.witnesses)
+    assert all(re.fullmatch(r"[+-]{2}", w) for cl in plain for w in cl.witnesses)
 
 
 def test_classify_command(tmp_path):
@@ -116,6 +119,22 @@ def test_classify_command(tmp_path):
     assert main(["classify", str(src), "--out", str(out)]) == 0
     classes = parse_class_list(out.read_text())
     assert len(classes) == 1 and classes[0].members_found == 8
+
+
+def test_classify_to_stdout_parses_back(tmp_path, capsys):
+    # the class count goes to stderr, so stdout is a class list on its own
+    src = tmp_path / "ineqs.txt"
+    src.write_text("\n\n".join(write_inequality(v) for v in relabeling_orbit(catalog.chsh())))
+    assert main(["classify", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "classes: 1\n"
+    classes = parse_class_list(out)
+    assert len(classes) == 1 and classes[0].members_found == 8
+    again = tmp_path / "classes.txt"
+    again.write_text(out)
+    assert main(["classify", str(again)]) == 0
+    assert [cl.canonical for cl in parse_class_list(capsys.readouterr().out)] == \
+        [classes[0].canonical]
 
 
 def test_seesaw_command_gyni_not_violated(tmp_path, gyni_file, capsys):
@@ -297,6 +316,18 @@ def test_report_command(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("record,bound,algebraic")
     assert "433.33" in lines[1]
+
+
+@pytest.mark.parametrize("line", ["dim: 2", "trace: junk", "m_bogus: 7", "observable 9 9: 1 0",
+                                  "observable 0 3: 1 0", "observable 2 1: 1 0"])
+def test_report_rejects_a_line_no_record_has(tmp_path, capsys, line):
+    # a record holds only the lines write_record writes: observables of the
+    # inequality's own parties (0, 1) and settings (1, 2) among them
+    rec = tmp_path / "rec.txt"
+    rec.write_text(write_inequality(catalog.chsh(), comments=False)
+                   + f"algebraic: 4\nqubit: 2.8\nqutrit: 2.8\nobservable 1 2: 1 0\n{line}\n")
+    assert main(["report", str(rec)]) == 2
+    assert f"unrecognized line '{line}' (line 11)" in capsys.readouterr().err
 
 
 def test_report_rejects_a_wrong_algebraic_bound(tmp_path, capsys):

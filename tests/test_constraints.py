@@ -136,11 +136,7 @@ def test_extended_behaviors_i3322_count(branch_constraints):
     assert ext.tolist() == reference_extended_behaviors(i3322, xi, target)
 
 
-def test_extended_behaviors_validation(branch_constraints):
-    chsh = catalog.chsh()
-    with pytest.raises(ValueError, match="xi"):
-        _extended_behaviors(branch_constraints, chsh, XiAssignment(((1,),)),
-                            Scenario((2, 2, 2)), (0, 1))
+def test_extended_behaviors_validation():
     # an inequality that no vertex saturates cannot be extended to a facet
     loose = from_terms(Scenario((2, 2)), 3, {(1, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="not facet-defining"):
@@ -151,12 +147,10 @@ def test_embedding_rejects_repeated_or_missing_parties():
     chsh, target = catalog.chsh(), Scenario((2, 2, 2))
     for embed, named in [((0, 0), r"\[0\]"), ((0, 5), r"\[5\]"), ((-1, 1), r"\[-1\]")]:
         with pytest.raises(ValueError, match=named):
-            _embedding_map(chsh.scenario, XiAssignment(((1, 1),)), target, embed)
-    with pytest.raises(ValueError, match=r"\[5\]"):
-        generalize_multi(target, [ReductionSpec(chsh, (0, 5))], [])
+            generalize_multi(target, [ReductionSpec(chsh, embed)], [])
     # CHSH on parties with 2 and 3 settings: the settings do not match
     with pytest.raises(ValueError, match="settings"):
-        _embedding_map(chsh.scenario, XiAssignment(((1, 1),)), Scenario((2, 3, 2)), (0, 1))
+        generalize_multi(Scenario((2, 3, 2)), [ReductionSpec(chsh, (0, 1))], [])
 
 
 @pytest.mark.parametrize("lower, target, embed", [
@@ -222,7 +216,7 @@ def _check_sign_test(target, specs, combo, rows, positive, rng, lifts):
     live = True
     for spec, xi in zip(specs, combo):
         n = spec.lower.cone_normal()
-        btm = basis.T @ _embedding_map(spec.lower.scenario, xi, target, spec.embed).astype(object)
+        btm = basis.T @ _embedding_map(xi, target, spec.embed).astype(object)
         u = btm @ n // (n @ n)
         assert (btm == np.outer(u, n)).all()
         live &= bool(u.any())

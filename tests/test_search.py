@@ -292,8 +292,8 @@ def test_generalize_invariant_under_xi_order(monkeypatch):
     # the order in which deterministic-outcome choices are enumerated must not
     # change the class list: canonical forms, member counts or witnesses
     forward = _chsh_to_three_parties()
-    xi_space = search._xi_space
-    monkeypatch.setattr(search, "_xi_space", lambda *args: xi_space(*args)[::-1])
+    options = search._reduction_options
+    monkeypatch.setattr(search, "_reduction_options", lambda *args: options(*args)[::-1])
     backward = _chsh_to_three_parties()
     assert len(forward) == 6
     assert backward == forward
@@ -327,13 +327,27 @@ def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    xi_space = search._xi_space
-    monkeypatch.setattr(search, "_xi_space", lambda *args: xi_space(*args)[:2])
+    options = search._reduction_options
+    monkeypatch.setattr(search, "_reduction_options", lambda *args: options(*args)[:2])
     seq = _chsh_to_three_parties(workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     par = _chsh_to_three_parties(workers=8)
     assert sizes == [2]
     assert par == seq
+
+
+def test_a_search_enumerates_each_scenario_once(monkeypatch):
+    # the lower vertices serve the facet certificate and every branch, the
+    # swept variants included
+    calls = []
+    enumerate_vertices = search.enumerate_vertices
+    monkeypatch.setattr(search, "enumerate_vertices",
+                        lambda sc, **kw: calls.append(sc.settings) or enumerate_vertices(sc, **kw))
+    target = Scenario((2, 2, 2))
+    specs = [ReductionSpec(catalog.chsh(), (0, 1), sweep_orbit=True),
+             ReductionSpec(catalog.chsh(), (1, 2))]
+    generalize_multi(target, specs, [parse_relabeling("perm:ABC->BCA", target)])
+    assert sorted(calls) == [(2, 2), (2, 2), (2, 2, 2)]
 
 
 def test_generalize_multi_rejects_non_facet_lower():
@@ -350,6 +364,42 @@ def test_class_list_round_trip():
         [cl.canonical.coefficients for cl in classes]
     assert [cl.witnesses for cl in back] == [cl.witnesses for cl in classes]
     assert write_class_list(back) == text
+
+
+def test_a_witness_names_the_branch_of_each_reduction(branch_constraints):
+    # CHSH on A,B and on B,C: 16 branches, and a class is witnessed by
+    # exactly the branches whose survivors hold one of its members
+    from conebell.cone import constrained_facets, lift_polytope
+    from conebell.inequality import from_cone_normal
+    from conebell.scenario import enumerate_vertices
+
+    target = Scenario((2, 2, 2))
+    specs = [ReductionSpec(catalog.chsh(), (0, 1)), ReductionSpec(catalog.chsh(), (1, 2))]
+    classes = generalize_multi(target, specs, [])
+    cone = lift_polytope(enumerate_vertices(target))
+    want = {}
+    for values in itertools.product(itertools.product((-1, 1), repeat=2), repeat=2):
+        combo = tuple(XiAssignment((v,)) for v in values)
+        for lifted in constrained_facets(cone, *branch_constraints(target, specs, combo)):
+            canon = canonical_form(from_cone_normal(target, lifted)).coefficients
+            want.setdefault(canon, set()).add("|".join(xi.label() for xi in combo))
+    assert classes and {cl.canonical.coefficients: set(cl.witnesses) for cl in classes} == want
+
+
+def test_a_search_with_no_extra_party_round_trips_its_witness():
+    # CHSH searched on its own scenario: one branch, with the empty xi
+    classes = generalize_multi(Scenario((2, 2)), [ReductionSpec(catalog.chsh(), (0, 1))], [])
+    assert [cl.witnesses for cl in classes] == [("()",)]
+    text = write_class_list(classes)
+    assert "witnesses=()" in text
+    assert parse_class_list(text) == classes
+
+
+@pytest.mark.parametrize("witnesses", ["", "+-,", "+ -", "v0:+-", "v1+-", "+-|", "(+)", "+-=+"])
+def test_class_list_rejects_a_malformed_witness(witnesses):
+    text = f"class 1: members=1 witnesses={witnesses}\n" + write_inequality(catalog.chsh())
+    with pytest.raises(ParseError, match="malformed class header"):
+        parse_class_list(text)
 
 
 def test_class_list_rejects_lines_before_the_first_header():
