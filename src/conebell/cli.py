@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .cone import DD_CAP_DEFAULT, enumerate_facets_dd, lift_polytope
+from .cone import DD_CAP_DEFAULT, enumerate_facets_dd, local_cone
 from .constraints import parse_relabeling
 from .errors import CapExceededError, InvariantViolationError, ParseError
 from .inequality import (algebraic_bound, from_cone_normal, parse_inequality, read_field,
@@ -24,7 +24,7 @@ from .inequality import (algebraic_bound, from_cone_normal, parse_inequality, re
 from .quantum import (BoundsRecord, SeesawConfig, metrics, replay_seesaw_result, seesaw,
                       write_seesaw_result)
 from .npa import export_sdpa
-from .scenario import VERTEX_CAP_DEFAULT, _PARTY_LETTERS, Scenario, enumerate_vertices
+from .scenario import VERTEX_CAP_DEFAULT, _PARTY_LETTERS, Scenario
 from .search import (ORBIT_CAP_DEFAULT, ReductionSpec, classify, generalize_multi,
                      parse_class_list, write_class_list)
 
@@ -45,7 +45,7 @@ def _write(path, text):
 
 def cmd_facets(args):
     scenario = _scenario_from_arg(args.scenario)
-    cone = lift_polytope(enumerate_vertices(scenario, cap=args.vertex_cap))
+    cone = local_cone(scenario, cap=args.vertex_cap)
     facets = enumerate_facets_dd(cone, cap=args.dd_cap)
     ineqs = [from_cone_normal(scenario, f.vector) for f in facets]
     classes = classify(ineqs, cap=args.orbit_cap)
@@ -110,15 +110,21 @@ def cmd_generalize(args):
 def cmd_classify(args):
     text = Path(args.input).read_text()
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    # a class list keeps its member counts and witnesses; classes whose
+    # canonical forms coincide merge
+    counts = witnesses = None
     if first.startswith("class "):
-        members = [cl.canonical for cl in parse_class_list(text)]
+        parsed = parse_class_list(text)
+        members = [cl.canonical for cl in parsed]
+        counts = [cl.members_found for cl in parsed]
+        witnesses = [cl.witnesses for cl in parsed]
     else:
         members, start = [], 1
         for block in text.split("\n\n"):
             if block.strip():
                 members.append(parse_inequality(block, start_line=start))
             start += block.count("\n") + 2
-    classes = classify(members, cap=args.orbit_cap)
+    classes = classify(members, witnesses=witnesses, cap=args.orbit_cap, counts=counts)
     # stdout may carry the class list itself, which must parse back
     print(f"classes: {len(classes)}", file=sys.stdout if args.out else sys.stderr)
     _write(args.out, write_class_list(classes))

@@ -12,16 +12,18 @@ matrix, or a projection whose products fit int64), Python-int objects
 otherwise.  Non-integral input raises ValueError.
 
 constrained_facets is the constrained search that generalize_multi runs on
-every branch: project the rays onto the kernel B of the constraint rows (an
-integer matrix, one constraint per row), run the double description (DD)
-core _polar, which enumerate_facets_dd shares, on the small projected cone,
+every branch: project the rays onto a basis B of the branch's kernel (an
+integer matrix of full column rank), run the double description (DD) core
+_polar, which enumerate_facets_dd shares, on the small projected cone,
 keep the normals y with y . (B^T w) > 0 for each demanded row w (the
 reduction check, in a search), lift them back in one product and certify
 them on the full cone in one batch.  If some B^T w is zero no normal can
 pass, so the projection and the DD are skipped.  A valid, proper candidate
 is a facet when its saturating rays have rank rank(cone) - 1, the most they
 can have, so one call of exactlinalg.capped_ranks with that cap decides
-every candidate; Cone.rank is the same call with the cap min(shape).
+every candidate; Cone.rank is the same call with the cap min(shape), made
+only where the rank is not known: local_cone and constrained_facets record
+the full rank of the cones that span their space.
 generalize_multi certifies each lower inequality on its own scenario with
 the same batched test.
 
@@ -57,6 +59,7 @@ import numpy as np
 from .errors import CapExceededError, DegenerateVectorError
 from .exactlinalg import (_as_int_rows, _primitive_rows, _products_overflow, capped_ranks,
                           integer_kernel_basis, pivot_columns)
+from .scenario import VERTEX_CAP_DEFAULT, enumerate_vertices
 
 DD_CAP_DEFAULT = 5_000_000
 # entries per broadcast and scan of the DD adjacency test (256 KB of uint64).
@@ -67,9 +70,12 @@ _ADJACENCY_ENTRIES = 1 << 15
 
 
 class Cone:
-    """A finitely generated cone: dim and a deduplicated primitive ray list."""
+    """A finitely generated cone: dim and a deduplicated primitive ray list.
 
-    def __init__(self, dim, rays):
+    rank, when the caller knows it, is recorded instead of computed.
+    """
+
+    def __init__(self, dim, rays, rank=None):
         self.dim = int(dim)
         arr = np.array(rays)
         if arr.size == 0:
@@ -84,7 +90,7 @@ class Cone:
         for i, key in enumerate(map(tuple, arr.tolist())):
             first.setdefault(key, i)
         self.rays = arr[list(first.values())]
-        self._rank = None
+        self._rank = rank
 
     @property
     def ray_count(self):
@@ -122,6 +128,16 @@ def lift_polytope(vertices):
     if (arr[:, 0] != 1).any():
         raise ValueError("vertices must be lifted with leading coordinate 1")
     return Cone(arr.shape[1], arr)
+
+
+def local_cone(scenario, cap=VERTEX_CAP_DEFAULT):
+    """The cone over a scenario's lifted local vertices (enumerate_vertices,
+    under the vertex cap), with its rank recorded: the vertex matrix is a
+    Kronecker product of per-party blocks (1, +-1, ..., +-1) of full column
+    rank, so the cone spans its space.  Its rays are the vertices, in order.
+    """
+    verts = enumerate_vertices(scenario, cap=cap)
+    return Cone(verts.shape[1], verts, rank=verts.shape[1])
 
 
 def _exact_products(mat, other):
@@ -346,26 +362,31 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
             for vec, b in zip(normals.tolist(), bits)]
 
 
-def constrained_facets(cone, constraint_rows, positive, cap=DD_CAP_DEFAULT):
-    """Facet normals c of the cone in the kernel of the constraint rows with
-    c . w > 0 for every row w of positive, a (k, dim) integer matrix.
+def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):
+    """Facet normals c of the cone in the column span of basis, an integer
+    matrix of full column rank such as an integer_kernel_basis, with c . w > 0
+    for every row w of positive, a (k, dim) integer matrix.
 
-    Projects the rays onto an integer kernel basis B, enumerates facets of
-    the projected cone (cap bounds its intermediate rays), keeps the normals
-    y with y . (B^T w) > 0, lifts them back in one product and certifies them
-    in one batch (see _certify); if some B^T w is zero, it returns [] before
-    the projection.  In a search, w = M n for a lower normal n and embedding
-    map M, and the constraint rows hold every saturating vertex of n embedded
-    by M, so c M is a multiple of n and the sign is the reduction check.
-    Returns the certified lifted normals in the projected cone's facet order.
+    Projects the rays onto B = basis, enumerates facets of the projected
+    cone (cap bounds its intermediate rays), keeps the normals y with
+    y . (B^T w) > 0, lifts them back in one product and certifies them in
+    one batch (see _certify); if some B^T w is zero, it returns [] before
+    the projection.  A spanning cone projects onto a spanning cone, so its
+    rank is recorded, not computed.  In a search, w = M n for a lower normal
+    n and embedding map M, and B spans the normals tight on every saturating
+    vertex of n embedded by M, so c M is a multiple of n and the sign is the
+    reduction check.  Returns the certified lifted normals in the projected
+    cone's facet order.
     """
-    basis = integer_kernel_basis(constraint_rows, columns=cone.dim)
     if basis.shape[1] == 0:
         return []
     signs = _exact_products(basis.T, _as_int_rows(positive, columns=cone.dim).T)
     if not signs.any(axis=0).all():
         return []
-    normals, _ = _polar(project_rays(cone, basis), cap)
+    projected = project_rays(cone, basis)
+    if cone.rank == cone.dim:
+        projected._rank = projected.dim
+    normals, _ = _polar(projected, cap)
     normals = normals[(_exact_products(normals, signs) > 0).all(axis=1)]
     if not len(normals):
         return []

@@ -19,10 +19,14 @@ themselves.  relabeling_orbit lists an orbit from the same per-party tables.
 A generalization search does its per-reduction work once: _reduction_options
 checks the embedding, certifies the lower inequality on one enumeration of
 its vertices and returns an option (label, extended behaviors, M n) per
-lower variant and xi.  A branch takes one option per reduction
+lower variant and xi.  A branch (job) takes one option per reduction
 (itertools.product) and is one constrained_facets call; survivors merge by
 lifted normal, and a class is witnessed by the labels of the branches that
-found it.
+found it.  Many jobs are relabelings of one another (Bancal, Gisin and
+Pironio 2010): the group G of _search_group maps jobs onto jobs, only the
+first job of each orbit runs, and the other jobs' survivors are its
+survivors mapped by one element of G, with no DD, certification or
+canonical form of their own.
 """
 from __future__ import annotations
 
@@ -35,12 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DD_CAP_DEFAULT, _certify, constrained_facets, lift_polytope
-from .constraints import XiAssignment, _embedding_map, symmetry_rows
+from .cone import DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets, local_cone
+from .constraints import XiAssignment, _embedding_map, _local_maps, symmetry_rows
 from .errors import CapExceededError, ParseError
+from .exactlinalg import integer_kernel_basis
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
                          write_inequality)
-from .scenario import VERTEX_CAP_DEFAULT, enumerate_vertices
+from .scenario import VERTEX_CAP_DEFAULT
 
 ORBIT_CAP_DEFAULT = 10_000_000
 # entries of one canonical-form gather (8 MB of int64); a slot whose rows are
@@ -155,13 +160,14 @@ def canonical_form(ineq, cap=ORBIT_CAP_DEFAULT):
     return Inequality(prim.scenario, vec)
 
 
-def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT):
+def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT, counts=None):
     """Group inequalities by canonical form.
 
-    Member counts reflect the inputs as given.  witnesses, when passed, is a
-    parallel list of branch label iterables (or None) that get merged per
-    class.  Classes are ordered by simplicity: distinct-term count of the
-    canonical form, then the canonical coefficient vector.
+    Each input is one member, or counts[k] members when counts, a parallel
+    list, is passed.  witnesses, when passed, is a parallel list of branch
+    label iterables (or None) that get merged per class.  Classes are
+    ordered by simplicity: distinct-term count of the canonical form, then
+    the canonical coefficient vector.
     """
     cache = {}
     buckets = {}
@@ -171,7 +177,7 @@ def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT):
             cache[key] = canonical_form(ineq, cap=cap)
         canon = cache[key]
         entry = buckets.setdefault(canon.coefficients, [canon, 0, set()])
-        entry[1] += 1
+        entry[1] += 1 if counts is None else counts[pos]
         if witnesses is not None and witnesses[pos] is not None:
             entry[2].update(witnesses[pos])
     classes = []
@@ -251,9 +257,10 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
                          f"target's {target.parties} parties")
     if tuple(target.settings[i] for i in embed) != lower.scenario.settings:
         raise ValueError("embedded parties do not match the lower scenario's settings")
-    verts = enumerate_vertices(lower.scenario, cap=vertex_cap)
-    if not _certify(lift_polytope(verts), lower.cone_normal()[None])[0]:
+    cone = local_cone(lower.scenario, cap=vertex_cap)
+    if not _certify(cone, lower.cone_normal()[None])[0]:
         raise ValueError("a lower inequality is not facet-defining on its scenario")
+    verts = cone.rays
     variants = relabeling_orbit(lower, cap=orbit_cap) if spec.sweep_orbit else [lower]
     extras = [p for p in range(target.parties) if p not in embed]
     xis = map(XiAssignment, itertools.product(
@@ -268,13 +275,107 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
     return options
 
 
-def _branch(cone, sym, dd_cap, job):
+def _passing(tables, rows, width, test):
+    """The rows of slot-table rows whose signed permutations (src, sign)
+    pass test(src, sign), a boolean per relabeling; width is the number of
+    entries test gathers per relabeling, and the rows go in chunks of about
+    _GATHER_ENTRIES entries."""
+    step = max(1, _GATHER_ENTRIES // width)
+    keep = [np.zeros(0, dtype=bool)]
+    for lo in range(0, len(rows), step):
+        keep.append(test(*_local_maps(tables, rows[lo:lo + step])))
+    return rows[np.concatenate(keep)]
+
+
+def _stabilizer(ineq):
+    """Slot-table rows, one column per party, of the local relabelings that
+    keep every party in place and fix ineq coefficient for coefficient: a
+    brute force over all of them."""
+    tables = [_slot_table(m) for m in ineq.scenario.settings]
+    rows = np.indices([len(src) for src, _ in tables]).reshape(len(tables), -1).T
+    coeffs = np.array(ineq.coefficients)
+    return _passing(tables, rows, len(coeffs),
+                    lambda src, sign: (coeffs[src] * sign == coeffs).all(axis=1))
+
+
+def _search_group(target, reductions, sym, basis, cap):
+    """Slot-table rows, one column per target party, of the group G of
+    target relabelings that keep every party in place, fix each unswept
+    lower inequality on its embedded parties (_stabilizer), act by any local
+    relabeling on the other parties, and map the symmetry-invariant subspace,
+    the span of basis, into itself: sym P basis = 0 for their signed
+    permutation P.  Row 0 is the identity.  G is the identity alone when a
+    lower scenario has more local relabelings than cap, or G has more
+    candidates.
+    """
+    tables = [_slot_table(m) for m in target.settings]
+    rows = np.zeros((1, target.parties), dtype=np.int64)
+    fixed = np.zeros(target.parties, dtype=bool)
+    for spec in reductions:
+        if spec.sweep_orbit:
+            continue
+        embed = np.array(spec.embed)
+        if math.prod(len(tables[p][0]) for p in embed) > cap:
+            return rows[:1]
+        stab = _stabilizer(spec.lower)
+        # a party shared with an earlier reduction must agree with it
+        shared = fixed[embed]
+        i, j = np.nonzero((rows[:, None, embed[shared]] == stab[None, :, shared]).all(axis=2))
+        rows = rows[i]
+        rows[:, embed] = stab[j]
+        fixed[embed] = True
+    free = np.flatnonzero(~fixed)
+    if len(rows) * math.prod(len(tables[p][0]) for p in free) > cap:
+        return rows[:1]
+    for p in free:
+        size = len(tables[p][0])
+        rows = np.repeat(rows, size, axis=0)
+        rows[:, p] = np.tile(np.arange(size), len(rows) // size)
+    # the sum of the basis columns first: a relabeling that maps it out of
+    # the subspace fails, and the few others take the whole test
+    for cols in (basis.sum(axis=1, keepdims=True), basis):
+        if len(sym):
+            rows = _passing(tables, rows, cols.size, lambda src, sign: ~_exact_products(
+                sym, cols[src] * sign[..., None]).any(axis=(1, 2)))
+    return rows
+
+
+def _job_orbits(options, src, sign):
+    """(source, via) for the jobs itertools.product(*options) under the
+    group of signed permutations (src[g], sign[g]), g = 0 the identity:
+    source[j] is the first job of j's orbit and via[j] the first g that maps
+    it onto j.  g maps an option (label, V M^T, M n) onto the option of the
+    same reduction whose row M n is (M n)[src[g]] * sign[g], and a job onto
+    the job of its options' images.
+    """
+    sizes = [len(opts) for opts in options]
+    digits = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
+    image = np.zeros((len(src), digits.shape[1]), dtype=np.int64)
+    for opts, column in zip(options, digits):
+        index = {tuple(w.tolist()): k for k, (_, _, w) in enumerate(opts)}
+        mapped = (np.array([w for _, _, w in opts])[:, src] * sign).transpose(1, 0, 2)
+        table = np.array([[index[tuple(w)] for w in row] for row in mapped.tolist()])
+        image = image * len(opts) + table[:, column]
+    source = np.full(digits.shape[1], -1)
+    via = np.zeros(digits.shape[1], dtype=np.int64)
+    for j in range(digits.shape[1]):
+        if source[j] < 0:
+            jobs, first = np.unique(image[:, j], return_index=True)
+            new = source[jobs] < 0
+            source[jobs[new]] = j
+            via[jobs[new]] = first[new]
+    return source, via
+
+
+def _branch(cone, sym_basis, dd_cap, job):
     """The certified lifted facet normals of one branch, a job of one option
-    per reduction: the constraint rows stack the last reduction's extended
-    behaviors first and the symmetry rows last."""
-    rows = [ext for _, ext, _ in reversed(job)] + [sym]
-    positive = [w for _, _, w in reversed(job)]
-    return constrained_facets(cone, np.vstack(rows), np.array(positive), cap=dd_cap)
+    per reduction.  The candidates are tight on every option's extended
+    behaviors E and invariant under the symmetries: they span the columns of
+    B K, for B the kernel of the symmetry rows and K that of E B."""
+    ext = np.vstack([ext for _, ext, _ in job])
+    kernel = integer_kernel_basis(_exact_products(ext, sym_basis), columns=sym_basis.shape[1])
+    positive = np.array([w for _, _, w in job])
+    return constrained_facets(cone, _exact_products(sym_basis, kernel), positive, cap=dd_cap)
 
 
 def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
@@ -288,18 +389,48 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
     c . (M n) > 0 for each option's M n: a lower inequality is a facet, so c
     reduces to a multiple of n.  A branch whose kernel is orthogonal to some
     M n skips its DD and reports no survivor.  Survivors from all branches
-    are merged by lifted normal into equivalence classes, each witnessed by
-    the labels of the branches that found it: the options' labels in
-    reduction order, joined by |.
+    (_survivors) are merged by lifted normal into equivalence classes, each
+    witnessed by the labels of the branches that found it: the options'
+    labels in reduction order, joined by |.  A survivor mapped from another
+    branch's is in that survivor's class, so only the survivors of the
+    branches that ran get a canonical form.
+    """
+    members, witnesses = {}, {}
+    for origin, labels in _survivors(target, reductions, symmetry, dd_cap, orbit_cap,
+                                     vertex_cap, workers, progress).values():
+        members[origin] = members.get(origin, 0) + 1
+        witnesses.setdefault(origin, set()).update(labels)
+    return classify([from_cone_normal(target, vec) for vec in members],
+                    witnesses=list(witnesses.values()), cap=orbit_cap,
+                    counts=list(members.values()))
+
+
+def _survivors(target, reductions, symmetry, dd_cap, orbit_cap, vertex_cap, workers, progress):
+    """{lifted normal: [origin, labels]} over every job of a search.
+
+    The jobs fall into orbits of the group G of _search_group (_job_orbits),
+    and _branch runs on the first job of each.  A relabeling g of G that
+    maps job J onto J' maps the certified survivors of J onto those of J':
+    it maps the polytope onto itself, the symmetric subspace onto itself,
+    and each option's extended behaviors and row M n onto the image
+    option's.  So J''s survivors are J's mapped by g, and their origin is
+    the survivor of the job that ran.  progress(done, total, found) fires
+    once per job, each image right after the job that ran.
     """
     options = [_reduction_options(target, spec, orbit_cap, vertex_cap) for spec in reductions]
     sym = symmetry_rows(symmetry, target)
-    context = (lift_polytope(enumerate_vertices(target, cap=vertex_cap)), sym, dd_cap)
+    basis = integer_kernel_basis(sym, columns=target.dimension + 1)
+    context = (local_cone(target, cap=vertex_cap), basis, dd_cap)
     jobs = list(itertools.product(*options))
+    src, sign = _local_maps([_slot_table(m) for m in target.settings],
+                            _search_group(target, reductions, sym, basis, orbit_cap))
+    source, via = _job_orbits(options, src, sign)
+    runs = np.flatnonzero(source == np.arange(len(jobs)))
     # a fork pool starts all its processes at the first submit, so it gets
-    # no more than there are jobs
-    pool_size = min(workers, len(jobs))
-    witnesses = {}
+    # no more than there are jobs to run
+    pool_size = min(workers, len(runs))
+    found = {}
+    done = 0
     with contextlib.ExitStack() as stack:
         if pool_size > 1:
             # imported here so that a serial run never loads multiprocessing
@@ -308,21 +439,25 @@ def generalize_multi(target, reductions, symmetry, dd_cap=DD_CAP_DEFAULT,
             # each worker receives the cone once; a job is its options
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=pool_size, initializer=_set_worker_context, initargs=context))
-            results = pool.map(_worker_branch, jobs)
+            results = pool.map(_worker_branch, [jobs[j] for j in runs])
         else:
-            results = (_branch(*context, job) for job in jobs)
-        for k, (job, found) in enumerate(zip(jobs, results)):
-            for lifted in found:
-                witnesses.setdefault(tuple(lifted.tolist()), set()).add(
-                    "|".join(label for label, _, _ in job))
-            if progress is not None:
-                progress(k + 1, len(jobs), len(found))
-    return classify([from_cone_normal(target, vec) for vec in witnesses],
-                    witnesses=list(witnesses.values()), cap=orbit_cap)
+            results = (_branch(*context, jobs[j]) for j in runs)
+        for run, lifted in zip(runs, results):
+            origins = [tuple(vec.tolist()) for vec in lifted]
+            for j in np.flatnonzero(source == run):
+                g = via[j]
+                label = "|".join(label for label, _, _ in jobs[j])
+                for origin, vec in zip(origins, lifted):
+                    image = tuple((vec[src[g]] * sign[g]).tolist())
+                    found.setdefault(image, [origin, set()])[1].add(label)
+                done += 1
+                if progress is not None:
+                    progress(done, len(jobs), len(lifted))
+    return found
 
 
-# (cone, sym, dd_cap) of the generalize_multi call a worker process
-# serves, set by the pool initializer
+# (cone, symmetry kernel, dd_cap) of the search a worker process serves,
+# set by the pool initializer
 _worker_context = ()
 
 

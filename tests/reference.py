@@ -20,7 +20,7 @@ import math
 import numpy as np
 import sympy
 
-from conebell.constraints import Relabeling
+from conebell.constraints import Relabeling, XiAssignment
 from conebell.inequality import Inequality
 from conebell.npa import MomentProblem, inequality_digest
 from conebell.scenario import Scenario
@@ -448,3 +448,95 @@ def reference_export_sdpa(ineq, level):
         f"var {k}: " + "*".join(f"{'ABCDEFGHIJKLMNOPQRSTUVWXYZ'[p]}{s}" for p, s in word)
         for k, word in enumerate(problem.classes[1:], start=1)]
     return "\n".join(lines) + "\n", "\n".join(index) + "\n"
+
+
+def _signed_permutation(g, scenario):
+    """(src, sign) of relabeling g by reference_relabel: image coordinate t
+    reads source coordinate src[t] times sign[t]."""
+    image = np.array(reference_relabel(g, scenario, range(1, scenario.dimension + 2)))
+    return np.abs(image) - 1, np.sign(image)
+
+
+def reference_search_group(target, reductions, symmetry):
+    """(group, orbit of each job label) of a generalization search, by brute
+    force over every relabeling of the target, party permutations included.
+
+    A relabeling belongs to the group when it maps the symmetry-invariant
+    subspace (a sympy nullspace) into itself and maps the data of every job
+    onto the data of a job: the set of its extended behaviors
+    (reference_extended_behaviors) and the set of its embedded lower
+    normals, built term by term.  Jobs, variants (sorted brute-force orbit)
+    and labels are enumerated as the search enumerates them.  group is a set
+    of (src, sign) tuples of _signed_permutation.
+    """
+    d1 = target.dimension + 1
+    tuples = index_tuples(target)
+    fixed = [np.zeros((0, d1), dtype=np.int64)]
+    for h in symmetry:
+        src, sign = _signed_permutation(h, target)
+        perm = np.zeros((d1, d1), dtype=np.int64)
+        perm[np.arange(d1), src] = sign
+        fixed.append(perm - np.eye(d1, dtype=np.int64))
+    fixed = np.vstack(fixed)
+    # integer rows spanning the sympy nullspace
+    invariant = [[int(x) for x in vec * math.lcm(*(int(sympy.fraction(x)[1]) for x in vec))]
+                 for vec in sympy.Matrix(fixed.tolist()).nullspace()]
+    invariant = np.array(invariant, dtype=np.int64).reshape(-1, d1)
+    options = []
+    for spec in reductions:
+        lower = spec.lower
+        variants = [lower.coefficients]
+        if spec.sweep_orbit:
+            variants = sorted({reference_relabel(g, lower.scenario, lower.coefficients)
+                               for g in full_relabeling_group(lower.scenario)})
+        extras = [p for p in range(target.parties) if p not in spec.embed]
+        xis = list(itertools.product(*[itertools.product((-1, 1), repeat=target.settings[p])
+                                       for p in extras]))
+        opts = []
+        for k, coeffs in enumerate(variants, start=1):
+            variant = Inequality(lower.scenario, coeffs)
+            normal = (-coeffs[0],) + coeffs[1:]
+            for values in xis:
+                xi = XiAssignment(values)
+                label = (f"v{k}:" if spec.sweep_orbit else "") + xi.label()
+                ext = reference_extended_behaviors(variant, xi, target, spec.embed)
+                xi_of = dict(zip(extras, values))
+                w = [normal[lower.scenario.index_of(tuple(t[p] for p in spec.embed))]
+                     * math.prod(xi_of[p][t[p] - 1] for p in extras if t[p]) for t in tuples]
+                opts.append((label, ext, w))
+        options.append(opts)
+    labels, vectors, kinds, owners = [], [], [], []
+    for job in itertools.product(*options):
+        for _, ext, w in job:
+            for kind, rows in enumerate((ext, [w])):
+                vectors += rows
+                kinds += [kind] * len(rows)
+                owners += [len(labels)] * len(rows)
+        labels.append("|".join(label for label, _, _ in job))
+    vectors = np.array(vectors, dtype=np.int64)
+
+    def job_data(vecs):
+        data = [(set(), set()) for _ in labels]
+        for vec, kind, owner in zip(map(tuple, vecs.tolist()), kinds, owners):
+            data[owner][kind].add(vec)
+        return [(frozenset(a), frozenset(b)) for a, b in data]
+
+    by_data = {data: label for label, data in zip(labels, job_data(vectors))}
+    group = set()
+    parent = {label: label for label in labels}
+
+    def root(label):
+        while parent[label] != label:
+            label = parent[label]
+        return label
+
+    for g in full_relabeling_group(target):
+        src, sign = _signed_permutation(g, target)
+        if ((invariant[:, src] * sign) @ fixed.T).any():
+            continue
+        images = [by_data.get(data) for data in job_data(vectors[:, src] * sign)]
+        if None not in images:
+            group.add((tuple(src.tolist()), tuple(sign.tolist())))
+            for label, image in zip(labels, images):
+                parent[root(image)] = root(label)
+    return group, {label: root(label) for label in labels}

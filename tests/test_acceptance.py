@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria marked `long`
 (full three-party enumeration, the generalization searches and the two
 reproduction runs) are excluded from the default run; select them with
-`-m long`, about 1.7 min on a 2-vCPU VM.  The reproduction runs, I3322 to
-three parties (~35 s) and the hybrid CHSH+I3322 search (~31 s), report count
+`-m long`, about 45 s on a 2-vCPU VM.  The reproduction runs, I3322 to
+three parties (~13 s) and the hybrid CHSH+I3322 search (~2 s), report count
 mismatches against the published figures as findings.
 """
 import hashlib
@@ -16,6 +16,7 @@ import pytest
 from conebell import catalog
 from conebell.cone import Cone, constrained_facets, enumerate_facets_dd, lift_polytope
 from conebell.constraints import Relabeling, XiAssignment
+from conebell.exactlinalg import integer_kernel_basis
 from conebell.inequality import (Inequality, algebraic_bound, from_cone_normal,
                                  from_terms, parse_inequality, write_inequality)
 from conebell.quantum import BoundsRecord, SeesawConfig, metrics, seesaw
@@ -112,7 +113,7 @@ def test_criterion_4_projection_equals_filtered_enumeration():
         g = np.array([row], dtype=object)
         expected = {f.vector for f in all_facets
                     if not (g @ np.array(f.vector, dtype=object)).any()}
-        got = constrained_facets(cone, g, g[:0])
+        got = constrained_facets(cone, integer_kernel_basis(g, columns=dim + 1), g[:0])
         assert {tuple(int(x) for x in v) for v in got} == expected
         instances += 1
     elapsed = time.time() - t0

@@ -13,7 +13,8 @@ from conebell import catalog
 from conebell.cli import build_parser, main
 from conebell.inequality import Inequality, write_inequality
 from conebell.scenario import Scenario
-from conebell.search import classify, parse_class_list, relabeling_orbit, write_class_list
+from conebell.search import (EquivalenceClass, canonical_form, classify, parse_class_list,
+                             relabeling_orbit, write_class_list)
 
 
 @pytest.fixture
@@ -64,12 +65,11 @@ def test_facets_command(tmp_path, capsys):
     assert "non-trivial facets: 8" in printed
     classes = parse_class_list(out.read_text())
     assert sorted(cl.members_found for cl in classes) == [8, 16]
-    # classify reads a class list as one member per class
+    # classify keeps the member counts of a class list
     again = tmp_path / "again.txt"
     assert main(["classify", str(out), "--out", str(again)]) == 0
     reclassified = parse_class_list(again.read_text())
-    assert [cl.canonical for cl in reclassified] == [cl.canonical for cl in classes]
-    assert [cl.members_found for cl in reclassified] == [1, 1]
+    assert reclassified == classes
 
 
 def test_generalize_command(tmp_path, chsh_file, capsys):
@@ -135,6 +135,22 @@ def test_classify_to_stdout_parses_back(tmp_path, capsys):
     assert main(["classify", str(again)]) == 0
     assert [cl.canonical for cl in parse_class_list(capsys.readouterr().out)] == \
         [classes[0].canonical]
+
+
+def test_classify_keeps_the_counts_and_witnesses_of_a_class_list(tmp_path):
+    # the 8-member CHSH class keeps its count; a relabeled CHSH class in the
+    # same list merges into it, members summed and witnesses united
+    variants = relabeling_orbit(catalog.chsh())
+    src, out = tmp_path / "classes.txt", tmp_path / "again.txt"
+    src.write_text(write_class_list([EquivalenceClass(variants[0], 8, ("++", "--"))]))
+    assert main(["classify", str(src), "--out", str(out)]) == 0
+    assert parse_class_list(out.read_text()) == \
+        [EquivalenceClass(canonical_form(catalog.chsh()), 8, ("++", "--"))]
+    src.write_text(write_class_list([EquivalenceClass(variants[0], 8, ("++", "--")),
+                                     EquivalenceClass(variants[5], 3, ("+-", "--"))]))
+    assert main(["classify", str(src), "--out", str(out)]) == 0
+    assert parse_class_list(out.read_text()) == \
+        [EquivalenceClass(canonical_form(catalog.chsh()), 11, ("++", "+-", "--"))]
 
 
 def test_seesaw_command_gyni_not_violated(tmp_path, gyni_file, capsys):

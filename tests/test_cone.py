@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conebell import catalog
 from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _combine_adjacent, _dd_extreme_rays,
                            _lift, constrained_facets, enumerate_facets_dd, lift_polytope,
-                           project_rays)
+                           local_cone, project_rays)
 from conebell.constraints import XiAssignment
 from conebell.errors import CapExceededError
 from conebell.exactlinalg import _PRIME, capped_ranks, integer_kernel_basis, pivot_columns
@@ -459,10 +459,11 @@ def test_theorem_pipeline_matches_filtered_enumeration():
         expected = {f.vector for f in facets
                     if not (g @ np.array(f.vector, dtype=object)).any()
                     and (positive @ np.array(f.vector, dtype=object) > 0).all()}
-        got = constrained_facets(cone, g, positive)
+        basis = integer_kernel_basis(g, columns=dim + 1)
+        got = constrained_facets(cone, basis, positive)
         assert {tuple(int(x) for x in vec) for vec in got} == expected
         # the object path of the sign test gives the same normals
-        big = constrained_facets(cone, g, positive.astype(object) * 10 ** 20)
+        big = constrained_facets(cone, basis, positive.astype(object) * 10 ** 20)
         assert [v.tolist() for v in big] == [v.tolist() for v in got]
         checked += 1
     assert dead
@@ -541,7 +542,8 @@ def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch,
              (random_cone, np.array([[0, 1, -1, 0, 0, 0]], dtype=np.int64))]
 
     def output():
-        return [[vec.tolist() for vec in constrained_facets(cone, rows, rows[:0])]
+        return [[vec.tolist() for vec in constrained_facets(
+                     cone, integer_kernel_basis(rows, columns=cone.dim), rows[:0])]
                 for cone, rows in cases]
 
     expected = output()
@@ -549,6 +551,27 @@ def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch,
     # one candidate per padded stack
     monkeypatch.setattr("conebell.exactlinalg._STACK_ENTRIES", 1)
     assert output() == expected
+
+
+@pytest.mark.parametrize("settings", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 2)])
+def test_a_local_polytope_cone_spans_its_space(settings):
+    # local_cone records the full rank, and elimination agrees
+    cone = local_cone(Scenario(settings))
+    assert cone.rank == cone.dim == len(pivot_columns(cone.rays))
+
+
+def test_a_spanning_cone_projects_onto_a_spanning_cone():
+    # the image of a spanning cone under a kernel basis spans the kernel's
+    # coordinates: the rank constrained_facets records
+    rng = np.random.default_rng(11)
+    cone = local_cone(Scenario((2, 2, 2)))
+    checked = 0
+    for _ in range(20):
+        basis = integer_kernel_basis(rng.integers(-2, 3, size=(int(rng.integers(1, 26)), 27)))
+        if basis.shape[1]:
+            assert len(pivot_columns(project_rays(cone, basis).rays)) == basis.shape[1]
+            checked += 1
+    assert checked
 
 
 def test_cone_rank_matches_sympy():

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from conebell import catalog, search
-from conebell.constraints import XiAssignment, parse_relabeling
+from conebell.constraints import XiAssignment, _local_maps, parse_relabeling, symmetry_rows
 from conebell.errors import CapExceededError, ParseError
+from conebell.exactlinalg import integer_kernel_basis
 from conebell.inequality import Inequality, from_terms, write_inequality
-from conebell.scenario import Scenario
+from conebell.scenario import VERTEX_CAP_DEFAULT, Scenario
 from conebell.search import (ReductionSpec, canonical_form, classify, generalize_multi,
                              parse_class_list, relabeling_orbit, write_class_list)
 
 from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
-                        reference_reduces, reference_relabel)
+                        reference_reduces, reference_relabel, reference_search_group)
 
 
 def test_canonical_form_idempotent():
@@ -256,11 +257,12 @@ def test_branch_survivors_are_the_kernel_facets_that_reduce(branch_constraints):
     for values in itertools.product((-1, 1), repeat=2):
         xi = XiAssignment((values,))
         rows, positive = branch_constraints(target, [spec], (xi,), sym)
-        every = constrained_facets(cone, rows, positive[:0])
+        basis = integer_kernel_basis(rows, columns=cone.dim)
+        every = constrained_facets(cone, basis, positive[:0])
         want = [c.tolist() for c in every
                 if reference_reduces(c, xi, spec.lower, target, spec.embed)]
         assert len(want) < len(every)
-        got = [c.tolist() for c in constrained_facets(cone, rows, positive)]
+        got = [c.tolist() for c in constrained_facets(cone, basis, positive)]
         assert got == want
         kept += len(got)
     assert kept
@@ -329,6 +331,7 @@ def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
 
     options = search._reduction_options
     monkeypatch.setattr(search, "_reduction_options", lambda *args: options(*args)[:2])
+    _every_branch(monkeypatch)
     seq = _chsh_to_three_parties(workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     par = _chsh_to_three_parties(workers=8)
@@ -336,12 +339,93 @@ def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
     assert par == seq
 
 
+def _orbit_cases():
+    """(2,2,2) searches for CHSH on A,B, exact and up to relabeling, under a
+    cyclic and under a party-swap symmetry."""
+    target = Scenario((2, 2, 2))
+    cyclic = [parse_relabeling("perm:ABC->BCA", target)]
+    swap = [party_swap(target, 0, 1)]
+    return [(target, [ReductionSpec(catalog.chsh(), (0, 1), sweep)], sym)
+            for sweep in (False, True) for sym in (cyclic, swap)]
+
+
+def _fast_group(target, specs, symmetry):
+    """(options, the group of _search_group as (src, sign), source, via)."""
+    options = [search._reduction_options(target, spec, search.ORBIT_CAP_DEFAULT,
+                                         VERTEX_CAP_DEFAULT) for spec in specs]
+    sym = symmetry_rows(symmetry, target)
+    basis = integer_kernel_basis(sym, columns=target.dimension + 1)
+    rows = search._search_group(target, specs, sym, basis, search.ORBIT_CAP_DEFAULT)
+    src, sign = _local_maps([search._slot_table(m) for m in target.settings], rows)
+    return options, src, sign, search._job_orbits(options, src, sign)
+
+
+@pytest.mark.parametrize("target, specs, symmetry", _orbit_cases())
+def test_the_search_group_lies_inside_the_brute_force_group(target, specs, symmetry):
+    # every relabeling of the fast group is one of the oracle's, which maps
+    # the symmetric subspace and the jobs onto themselves, and every orbit
+    # of jobs that it finds lies inside one oracle orbit
+    options, src, sign, (source, _) = _fast_group(target, specs, symmetry)
+    group, orbit = reference_search_group(target, specs, symmetry)
+    assert {(tuple(s), tuple(g)) for s, g in zip(src.tolist(), sign.tolist())} <= group
+    labels = ["|".join(label for label, _, _ in job) for job in itertools.product(*options)]
+    assert all(orbit[labels[j]] == orbit[labels[k]] for j, k in enumerate(source))
+    assert len(set(source.tolist())) < len(labels)
+
+
+def test_the_search_group_fixes_each_unswept_lower_inequality():
+    # with no symmetry, G is the 8 relabelings of A,B that fix CHSH times
+    # all 8 of C; each fixes CHSH embedded on A,B with C at setting 0
+    target = Scenario((2, 2, 2))
+    _, src, sign, _ = _fast_group(target, [ReductionSpec(catalog.chsh(), (0, 1))], [])
+    embedded = np.zeros(target.shape, dtype=np.int64)
+    embedded[..., 0] = np.reshape(catalog.chsh().coefficients, (3, 3))
+    embedded = embedded.ravel()
+    assert len(src) == 64
+    assert (embedded[src] * sign == embedded).all()
+    stabilizer = [g for g in full_relabeling_group(catalog.chsh().scenario)
+                  if g.party_map == (0, 1) and reference_relabel(
+                      g, catalog.chsh().scenario, catalog.chsh().coefficients)
+                  == catalog.chsh().coefficients]
+    assert len(stabilizer) == 8
+
+
+def _every_branch(monkeypatch):
+    """Make every search run all its branches: G is the identity alone."""
+    monkeypatch.setattr(search, "_search_group",
+                        lambda target, *args: np.zeros((1, target.parties), dtype=np.int64))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("target, specs, symmetry", _orbit_cases())
+def test_orbit_path_matches_every_branch(monkeypatch, target, specs, symmetry, workers):
+    # the survivors mapped from one branch per orbit are the survivors of
+    # every branch, job label for job label, and the class lists agree byte
+    # for byte; progress still fires once per job, in order
+    def run():
+        reports = []
+        found = search._survivors(target, specs, symmetry, search.DD_CAP_DEFAULT,
+                                  search.ORBIT_CAP_DEFAULT, VERTEX_CAP_DEFAULT, workers,
+                                  lambda *args: reports.append(args))
+        text = write_class_list(generalize_multi(target, specs, symmetry, workers=workers))
+        return {key: labels for key, (_, labels) in found.items()}, text, reports
+
+    orbit = run()
+    _every_branch(monkeypatch)
+    every = run()
+    assert orbit[0] == every[0] and orbit[1] == every[1]
+    assert [done for done, _, _ in orbit[2]] == list(range(1, len(every[2]) + 1))
+    assert sorted(r[1:] for r in orbit[2]) == sorted(r[1:] for r in every[2])
+
+
 def test_a_search_enumerates_each_scenario_once(monkeypatch):
     # the lower vertices serve the facet certificate and every branch, the
     # swept variants included
+    from conebell import cone
+
     calls = []
-    enumerate_vertices = search.enumerate_vertices
-    monkeypatch.setattr(search, "enumerate_vertices",
+    enumerate_vertices = cone.enumerate_vertices
+    monkeypatch.setattr(cone, "enumerate_vertices",
                         lambda sc, **kw: calls.append(sc.settings) or enumerate_vertices(sc, **kw))
     target = Scenario((2, 2, 2))
     specs = [ReductionSpec(catalog.chsh(), (0, 1), sweep_orbit=True),
@@ -380,7 +464,9 @@ def test_a_witness_names_the_branch_of_each_reduction(branch_constraints):
     want = {}
     for values in itertools.product(itertools.product((-1, 1), repeat=2), repeat=2):
         combo = tuple(XiAssignment((v,)) for v in values)
-        for lifted in constrained_facets(cone, *branch_constraints(target, specs, combo)):
+        rows, positive = branch_constraints(target, specs, combo)
+        basis = integer_kernel_basis(rows, columns=cone.dim)
+        for lifted in constrained_facets(cone, basis, positive):
             canon = canonical_form(from_cone_normal(target, lifted)).coefficients
             want.setdefault(canon, set()).add("|".join(xi.label() for xi in combo))
     assert classes and {cl.canonical.coefficients: set(cl.witnesses) for cl in classes} == want
