@@ -13,9 +13,9 @@ otherwise.  Non-integral input raises ValueError.
 
 constrained_facets is the constrained search that generalize_multi runs on
 every branch: project the rays onto a basis B of the branch's kernel (an
-integer matrix of full column rank), run the double description (DD) core
-_polar, which enumerate_facets_dd shares, on the small projected cone,
-keep the normals y with y . (B^T w) > 0 for each demanded row w (the
+integer matrix of full column rank, checked), run the double description
+(DD) core _polar, which enumerate_facets_dd shares, on the small projected
+cone, keep the normals y with y . (B^T w) > 0 for each demanded row w (the
 reduction check, in a search), lift them back in one product and certify
 them on the full cone in one batch.  If some B^T w is zero no normal can
 pass, so the projection and the DD are skipped.  A valid, proper candidate
@@ -70,12 +70,9 @@ _ADJACENCY_ENTRIES = 1 << 15
 
 
 class Cone:
-    """A finitely generated cone: dim and a deduplicated primitive ray list.
+    """A finitely generated cone: dim and a deduplicated primitive ray list."""
 
-    rank, when the caller knows it, is recorded instead of computed.
-    """
-
-    def __init__(self, dim, rays, rank=None):
+    def __init__(self, dim, rays):
         self.dim = int(dim)
         arr = np.array(rays)
         if arr.size == 0:
@@ -90,7 +87,7 @@ class Cone:
         for i, key in enumerate(map(tuple, arr.tolist())):
             first.setdefault(key, i)
         self.rays = arr[list(first.values())]
-        self._rank = rank
+        self._rank = None
 
     @property
     def ray_count(self):
@@ -137,7 +134,9 @@ def local_cone(scenario, cap=VERTEX_CAP_DEFAULT):
     rank, so the cone spans its space.  Its rays are the vertices, in order.
     """
     verts = enumerate_vertices(scenario, cap=cap)
-    return Cone(verts.shape[1], verts, rank=verts.shape[1])
+    cone = Cone(verts.shape[1], verts)
+    cone._rank = cone.dim
+    return cone
 
 
 def _exact_products(mat, other):
@@ -363,23 +362,34 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
 
 
 def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):
-    """Facet normals c of the cone in the column span of basis, an integer
-    matrix of full column rank such as an integer_kernel_basis, with c . w > 0
+    """Facet normals c of the cone in the column span of basis with c . w > 0
     for every row w of positive, a (k, dim) integer matrix.
 
-    Projects the rays onto B = basis, enumerates facets of the projected
-    cone (cap bounds its intermediate rays), keeps the normals y with
-    y . (B^T w) > 0, lifts them back in one product and certifies them in
-    one batch (see _certify); if some B^T w is zero, it returns [] before
-    the projection.  A spanning cone projects onto a spanning cone, so its
-    rank is recorded, not computed.  In a search, w = M n for a lower normal
-    n and embedding map M, and B spans the normals tight on every saturating
-    vertex of n embedded by M, so c M is a multiple of n and the sign is the
-    reduction check.  Returns the certified lifted normals in the projected
-    cone's facet order.
+    basis is an integer matrix with cone.dim rows and full column rank, such
+    as integer_kernel_basis(rows, columns=cone.dim) for the normals tight on
+    constraint rows; a search passes the symmetry kernel times its branch's
+    kernel.  Any other basis raises ValueError.  Projects the rays onto B =
+    basis, enumerates facets of the projected cone (cap bounds its
+    intermediate rays), keeps the normals y with y . (B^T w) > 0, lifts them
+    back in one product and certifies them in one batch (see _certify); if
+    some B^T w is zero, it returns [] before the projection.  A spanning
+    cone projects onto a spanning cone, so its rank is recorded, not
+    computed.  In a search, w = M n for a lower normal n and embedding map
+    M, and B spans the normals tight on every saturating vertex of n
+    embedded by M, so c M is a multiple of n and the sign is the reduction
+    check.  Returns the certified lifted normals in the projected cone's
+    facet order.
     """
+    basis = np.asarray(basis)
+    if basis.ndim != 2 or basis.shape[0] != cone.dim:
+        raise ValueError(f"a basis has one row per coordinate, {cone.dim}, not shape "
+                         f"{basis.shape}; the kernel of constraint rows is "
+                         "integer_kernel_basis(rows, columns=cone.dim)")
     if basis.shape[1] == 0:
         return []
+    if capped_ranks(basis, np.ones((cone.dim, 1), dtype=bool), basis.shape[1])[0] \
+            < basis.shape[1]:
+        raise ValueError("a basis must have full column rank")
     signs = _exact_products(basis.T, _as_int_rows(positive, columns=cone.dim).T)
     if not signs.any(axis=0).all():
         return []

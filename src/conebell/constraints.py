@@ -9,9 +9,7 @@ Both come from linear maps that act on each party's axis of the coordinate
 array alone, so each map is np.kron of one small block per party followed
 by a permutation of the party axes (_coordinate_map).  A relabeling's
 matrix P has per party the signed permutation of settings 1..m that fixes
-setting 0, and symmetry_rows gives the nonzero rows of I - P^T.
-_local_maps gives the same P for a batch of relabelings that keep every
-party in place, as index and sign arrays (P c = c[src] * sign).  The
+setting 0, and symmetry_rows gives the nonzero rows of I - P^T.  The
 embedding map M of a lower inequality (_embedding_map) has the identity on
 each embedded party and the column (1, xi_1, ..., xi_m) on each extra
 party; search._reduction_options checks the embedding first.  For each
@@ -76,21 +74,6 @@ def _coordinate_map(blocks, order):
         mat = np.kron(mat, block)
     cols = mat.reshape((len(mat),) + tuple(block.shape[1] for block in blocks))
     return cols.transpose((0,) + tuple(1 + p for p in order)).reshape(len(mat), -1)
-
-
-def _local_maps(tables, rows):
-    """Signed permutations (src, sign) of local relabelings that keep every
-    party in place, one per row of rows: rows[k, p] picks row rows[k, p] of
-    party p's table (src, neg), whose row maps image setting s to source
-    setting src[.., s], negated when neg[.., s] is 1.  Relabeling k maps a
-    normal c to c[src[k]] * sign[k], the product P c of _relabeling_map.
-    """
-    src = np.zeros((len(rows), 1), dtype=np.int64)
-    sign = np.ones((len(rows), 1), dtype=np.int64)
-    for p, (s, neg) in enumerate(tables):
-        src = (src[:, :, None] * s.shape[1] + s[rows[:, p], None, :]).reshape(len(rows), -1)
-        sign = (sign[:, :, None] * (1 - 2 * neg[rows[:, p], None, :])).reshape(len(rows), -1)
-    return src, sign
 
 
 def _relabeling_map(r, scenario):

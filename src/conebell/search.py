@@ -26,7 +26,10 @@ found it.  Many jobs are relabelings of one another (Bancal, Gisin and
 Pironio 2010): the group G of _search_group maps jobs onto jobs, only the
 first job of each orbit runs, and the other jobs' survivors are its
 survivors mapped by one element of G, with no DD, certification or
-canonical form of their own.
+canonical form of their own.  G is carried by generators, and a
+breadth-first search over the jobs finds the orbits and one element of G
+per job (_job_orbits): the work grows with generators times jobs, never
+with the size of G times jobs.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets, local_cone
-from .constraints import XiAssignment, _embedding_map, _local_maps, symmetry_rows
+from .constraints import XiAssignment, _embedding_map, symmetry_rows
 from .errors import CapExceededError, ParseError
 from .exactlinalg import integer_kernel_basis
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
@@ -79,6 +82,36 @@ def _slot_table(m):
     neg = np.array([(0,) + flip for _ in perms for flip in flips], dtype=np.int64)
     src.flags.writeable = neg.flags.writeable = False
     return src, neg
+
+
+def _local_maps(tables, rows):
+    """Signed permutations (src, sign) of local relabelings that keep every
+    party in place, one per row of rows: rows[k, p] picks that row of party
+    p's table (src, neg) of _slot_table.  Relabeling k maps a normal c to
+    c[src[k]] * sign[k], the product P c of constraints._relabeling_map.
+    """
+    src = np.zeros((len(rows), 1), dtype=np.int64)
+    sign = np.ones((len(rows), 1), dtype=np.int64)
+    for p, (s, neg) in enumerate(tables):
+        width = src.shape[1] * s.shape[1]
+        src = (src[:, :, None] * s.shape[1] + s[rows[:, p], None, :]).reshape(len(rows), width)
+        sign = (sign[:, :, None] * (1 - 2 * neg[rows[:, p], None, :])).reshape(len(rows), width)
+    return src, sign
+
+
+@functools.lru_cache(maxsize=None)
+def _party_generators(m):
+    """Rows of _slot_table(m) that generate all of its rows: the flip of
+    setting 1, the swap of settings 1 and 2 and the cycle of settings 1..m,
+    the identity left out."""
+    src, neg = _slot_table(m)
+    row = {key: k for k, key in enumerate(zip(map(tuple, src.tolist()), map(tuple, neg.tolist())))}
+    settings = tuple(range(1, m + 1))
+    plain = (0,) * (m + 1)
+    wanted = [((0,) + settings, (0, 1) + (0,) * (m - 1)),
+              ((0,) + settings[1:2] + settings[:1] + settings[2:], plain),
+              ((0,) + settings[1:] + settings[:1], plain)]
+    return sorted({row[key] for key in wanted} - {0})
 
 
 def _lex_min_rows(blocks):
@@ -298,15 +331,23 @@ def _stabilizer(ineq):
                     lambda src, sign: (coeffs[src] * sign == coeffs).all(axis=1))
 
 
-def _search_group(target, reductions, sym, basis, cap):
-    """Slot-table rows, one column per target party, of the group G of
-    target relabelings that keep every party in place, fix each unswept
-    lower inequality on its embedded parties (_stabilizer), act by any local
-    relabeling on the other parties, and map the symmetry-invariant subspace,
-    the span of basis, into itself: sym P basis = 0 for their signed
-    permutation P.  Row 0 is the identity.  G is the identity alone when a
-    lower scenario has more local relabelings than cap, or G has more
-    candidates.
+def _search_group(target, reductions, sym, basis, cap, limit):
+    """Generators (src, sign) of the group G of target relabelings that keep
+    every party in place, fix each unswept lower inequality on its embedded
+    parties (_stabilizer), act by any local relabeling on the other parties,
+    and map the symmetry-invariant subspace, the span of basis, into itself:
+    sym P basis = 0 for their signed permutation P (_local_maps, one row
+    per generator, the identity left out).
+
+    The relabelings that pass the first three tests are the joined
+    stabilizers times the whole local group of each free party.  With no
+    symmetry rows that product is G, generated by the stabilizer elements
+    and each free party's _party_generators.  Otherwise each of its
+    candidates is tested, in chunks, and each one that passes is a
+    generator.  There is no generator (G is the identity alone) when a lower
+    scenario has more local relabelings than cap or there are more
+    candidates to test; past limit generators, the first limit generate a
+    subgroup of G, whose orbits only split into more.
     """
     tables = [_slot_table(m) for m in target.settings]
     rows = np.zeros((1, target.parties), dtype=np.int64)
@@ -316,7 +357,7 @@ def _search_group(target, reductions, sym, basis, cap):
             continue
         embed = np.array(spec.embed)
         if math.prod(len(tables[p][0]) for p in embed) > cap:
-            return rows[:1]
+            return _local_maps(tables, rows[:0])
         stab = _stabilizer(spec.lower)
         # a party shared with an earlier reduction must agree with it
         shared = fixed[embed]
@@ -325,28 +366,46 @@ def _search_group(target, reductions, sym, basis, cap):
         rows[:, embed] = stab[j]
         fixed[embed] = True
     free = np.flatnonzero(~fixed)
-    if len(rows) * math.prod(len(tables[p][0]) for p in free) > cap:
-        return rows[:1]
-    for p in free:
-        size = len(tables[p][0])
-        rows = np.repeat(rows, size, axis=0)
-        rows[:, p] = np.tile(np.arange(size), len(rows) // size)
-    # the sum of the basis columns first: a relabeling that maps it out of
-    # the subspace fails, and the few others take the whole test
-    for cols in (basis.sum(axis=1, keepdims=True), basis):
-        if len(sym):
-            rows = _passing(tables, rows, cols.size, lambda src, sign: ~_exact_products(
+    if not len(sym):
+        for p in free:
+            gens = np.zeros((len(_party_generators(target.settings[p])), target.parties),
+                            dtype=np.int64)
+            gens[:, p] = _party_generators(target.settings[p])
+            rows = np.concatenate([rows, gens])
+        return _local_maps(tables, rows[rows.any(axis=1)][:limit])
+    sizes = [len(tables[p][0]) for p in free]
+    per_row = math.prod(sizes)
+    if len(rows) * per_row > cap:
+        return _local_maps(tables, rows[:0])
+    kept = []
+    step = max(1, _GATHER_ENTRIES // (target.dimension + 1))
+    for lo in range(0, len(rows) * per_row, step):
+        flat = np.arange(lo, min(lo + step, len(rows) * per_row))
+        cand = rows[flat // per_row]
+        if len(free):
+            cand[:, free] = np.transpose(np.unravel_index(flat % per_row, sizes))
+        # the sum of the basis columns first: a relabeling that maps it out
+        # of the subspace fails, and the few others take the whole test
+        for cols in (basis.sum(axis=1, keepdims=True), basis):
+            cand = _passing(tables, cand, cols.size, lambda src, sign: ~_exact_products(
                 sym, cols[src] * sign[..., None]).any(axis=(1, 2)))
-    return rows
+        kept.append(cand[cand.any(axis=1)])
+        if sum(map(len, kept)) >= limit:
+            break
+    return _local_maps(tables, np.concatenate(kept)[:limit])
 
 
 def _job_orbits(options, src, sign):
-    """(source, via) for the jobs itertools.product(*options) under the
-    group of signed permutations (src[g], sign[g]), g = 0 the identity:
-    source[j] is the first job of j's orbit and via[j] the first g that maps
-    it onto j.  g maps an option (label, V M^T, M n) onto the option of the
-    same reduction whose row M n is (M n)[src[g]] * sign[g], and a job onto
-    the job of its options' images.
+    """(source, (msrc, msign)) for the jobs itertools.product(*options) under
+    the group generated by the signed permutations (src[i], sign[i]):
+    source[j] is the first job of j's orbit, and (msrc[j], msign[j]) is a
+    relabeling of the group, a product of generators, that maps source[j]
+    onto j (the identity on the first job).  A relabeling g maps an option
+    (label, V M^T, M n) onto the option of the same reduction whose row M n
+    is (M n)[src] * sign, and a job onto the job of its options' images.
+    A breadth-first search from each first job composes one generator per
+    step, so the work is one image per (generator, option) and (generator,
+    job), and one relabeling per job.
     """
     sizes = [len(opts) for opts in options]
     digits = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
@@ -354,17 +413,27 @@ def _job_orbits(options, src, sign):
     for opts, column in zip(options, digits):
         index = {tuple(w.tolist()): k for k, (_, _, w) in enumerate(opts)}
         mapped = (np.array([w for _, _, w in opts])[:, src] * sign).transpose(1, 0, 2)
-        table = np.array([[index[tuple(w)] for w in row] for row in mapped.tolist()])
+        table = np.array([[index[tuple(w)] for w in row] for row in mapped.tolist()],
+                         dtype=np.int64).reshape(len(src), len(opts))
         image = image * len(opts) + table[:, column]
     source = np.full(digits.shape[1], -1)
-    via = np.zeros(digits.shape[1], dtype=np.int64)
-    for j in range(digits.shape[1]):
-        if source[j] < 0:
-            jobs, first = np.unique(image[:, j], return_index=True)
-            new = source[jobs] < 0
-            source[jobs[new]] = j
-            via[jobs[new]] = first[new]
-    return source, via
+    msrc = np.tile(np.arange(src.shape[1]), (digits.shape[1], 1))
+    msign = np.ones_like(msrc)
+    for first in range(digits.shape[1]):
+        if source[first] >= 0:
+            continue
+        source[first] = first
+        queue = [first]
+        for u in queue:
+            reached, gen = np.unique(image[:, u], return_index=True)
+            new = source[reached] < 0
+            reached, gen = reached[new], gen[new]
+            source[reached] = first
+            # generator gen after the relabeling that reaches u
+            msrc[reached] = msrc[u][src[gen]]
+            msign[reached] = msign[u][src[gen]] * sign[gen]
+            queue.extend(reached.tolist())
+    return source, (msrc, msign)
 
 
 def _branch(cone, sym_basis, dd_cap, job):
@@ -409,22 +478,24 @@ def _survivors(target, reductions, symmetry, dd_cap, orbit_cap, vertex_cap, work
     """{lifted normal: [origin, labels]} over every job of a search.
 
     The jobs fall into orbits of the group G of _search_group (_job_orbits),
-    and _branch runs on the first job of each.  A relabeling g of G that
-    maps job J onto J' maps the certified survivors of J onto those of J':
-    it maps the polytope onto itself, the symmetric subspace onto itself,
-    and each option's extended behaviors and row M n onto the image
-    option's.  So J''s survivors are J's mapped by g, and their origin is
-    the survivor of the job that ran.  progress(done, total, found) fires
-    once per job, each image right after the job that ran.
+    and _branch runs on the first job of each.  Each generator of G costs
+    one image per option entry and per job, and orbit_cap bounds their
+    total.  A relabeling g of G that maps job J onto J' maps the certified
+    survivors of J onto those of J': it maps the polytope onto itself, the
+    symmetric subspace onto itself, and each option's extended behaviors
+    and row M n onto the image option's.  So J''s survivors are J's mapped
+    by g, and their origin is the survivor of the job that ran.
+    progress(done, total, found) fires once per job, each image right after
+    the job that ran.
     """
     options = [_reduction_options(target, spec, orbit_cap, vertex_cap) for spec in reductions]
     sym = symmetry_rows(symmetry, target)
     basis = integer_kernel_basis(sym, columns=target.dimension + 1)
     context = (local_cone(target, cap=vertex_cap), basis, dd_cap)
     jobs = list(itertools.product(*options))
-    src, sign = _local_maps([_slot_table(m) for m in target.settings],
-                            _search_group(target, reductions, sym, basis, orbit_cap))
-    source, via = _job_orbits(options, src, sign)
+    cost = sum(map(len, options)) * (target.dimension + 1) + len(jobs)
+    source, (msrc, msign) = _job_orbits(options, *_search_group(
+        target, reductions, sym, basis, orbit_cap, orbit_cap // cost))
     runs = np.flatnonzero(source == np.arange(len(jobs)))
     # a fork pool starts all its processes at the first submit, so it gets
     # no more than there are jobs to run
@@ -445,10 +516,9 @@ def _survivors(target, reductions, symmetry, dd_cap, orbit_cap, vertex_cap, work
         for run, lifted in zip(runs, results):
             origins = [tuple(vec.tolist()) for vec in lifted]
             for j in np.flatnonzero(source == run):
-                g = via[j]
                 label = "|".join(label for label, _, _ in jobs[j])
                 for origin, vec in zip(origins, lifted):
-                    image = tuple((vec[src[g]] * sign[g]).tolist())
+                    image = tuple((vec[msrc[j]] * msign[j]).tolist())
                     found.setdefault(image, [origin, set()])[1].add(label)
                 done += 1
                 if progress is not None:

@@ -574,6 +574,22 @@ def test_a_spanning_cone_projects_onto_a_spanning_cone():
     assert checked
 
 
+def test_constrained_facets_rejects_what_is_not_a_basis():
+    # constraint rows in place of their kernel, and a basis with dependent
+    # columns, raise instead of giving facets of some other cone
+    cone = local_cone(Scenario((2, 2)))
+    rows = np.zeros((2, cone.dim), dtype=np.int64)
+    rows[0, 1] = rows[1, 4] = 1
+    with pytest.raises(ValueError, match="one row per coordinate"):
+        constrained_facets(cone, rows, rows[:0])
+    basis = integer_kernel_basis(rows, columns=cone.dim)
+    with pytest.raises(ValueError, match="full column rank"):
+        constrained_facets(cone, np.hstack([basis, basis[:, :1]]), rows[:0])
+    with pytest.raises(ValueError, match="full column rank"):
+        constrained_facets(cone, np.zeros((cone.dim, cone.dim), dtype=np.int64), rows[:0])
+    assert len(constrained_facets(cone, basis, rows[:0]))
+
+
 def test_cone_rank_matches_sympy():
     rng = np.random.default_rng(8)
     p = _PRIME

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conebell import catalog, search
-from conebell.constraints import XiAssignment, _local_maps, parse_relabeling, symmetry_rows
+from conebell.constraints import XiAssignment, parse_relabeling, symmetry_rows
 from conebell.errors import CapExceededError, ParseError
 from conebell.exactlinalg import integer_kernel_basis
 from conebell.inequality import Inequality, from_terms, write_inequality
@@ -318,8 +318,8 @@ def test_generalize_worker_pool_reports_progress():
     assert [done for done, _, _ in reports[1]] == list(range(1, len(reports[1]) + 1))
 
 
-def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
-    # a fork pool starts max_workers processes at its first submit
+def _pool_sizes(monkeypatch):
+    """The max_workers of every process pool made from now on, as a list."""
     import concurrent.futures
 
     sizes = []
@@ -329,11 +329,26 @@ def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
+    # a fork pool starts max_workers processes at its first submit
     options = search._reduction_options
     monkeypatch.setattr(search, "_reduction_options", lambda *args: options(*args)[:2])
     _every_branch(monkeypatch)
     seq = _chsh_to_three_parties(workers=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    sizes = _pool_sizes(monkeypatch)
+    par = _chsh_to_three_parties(workers=8)
+    assert sizes == [2]
+    assert par == seq
+
+
+def test_worker_pool_has_no_more_processes_than_branches_to_run(monkeypatch):
+    # the 4 jobs of the CHSH search form 2 orbits, so 2 branches run
+    seq = _chsh_to_three_parties(workers=1)
+    sizes = _pool_sizes(monkeypatch)
     par = _chsh_to_three_parties(workers=8)
     assert sizes == [2]
     assert par == seq
@@ -341,36 +356,67 @@ def test_worker_pool_has_no_more_processes_than_jobs(monkeypatch):
 
 def _orbit_cases():
     """(2,2,2) searches for CHSH on A,B, exact and up to relabeling, under a
-    cyclic and under a party-swap symmetry."""
+    cyclic symmetry, under a party-swap symmetry and with none."""
     target = Scenario((2, 2, 2))
     cyclic = [parse_relabeling("perm:ABC->BCA", target)]
     swap = [party_swap(target, 0, 1)]
     return [(target, [ReductionSpec(catalog.chsh(), (0, 1), sweep)], sym)
-            for sweep in (False, True) for sym in (cyclic, swap)]
+            for sweep in (False, True) for sym in (cyclic, swap, [])]
 
 
 def _fast_group(target, specs, symmetry):
-    """(options, the group of _search_group as (src, sign), source, via)."""
+    """(options, the generators (src, sign) of _search_group, (source, maps)
+    of _job_orbits)."""
     options = [search._reduction_options(target, spec, search.ORBIT_CAP_DEFAULT,
                                          VERTEX_CAP_DEFAULT) for spec in specs]
     sym = symmetry_rows(symmetry, target)
     basis = integer_kernel_basis(sym, columns=target.dimension + 1)
-    rows = search._search_group(target, specs, sym, basis, search.ORBIT_CAP_DEFAULT)
-    src, sign = _local_maps([search._slot_table(m) for m in target.settings], rows)
+    src, sign = search._search_group(target, specs, sym, basis, search.ORBIT_CAP_DEFAULT,
+                                     search.ORBIT_CAP_DEFAULT)
     return options, src, sign, search._job_orbits(options, src, sign)
+
+
+def _closure(src, sign):
+    """Every product of the signed permutations (src, sign) as (src, sign)
+    tuples, the identity included."""
+    start = (tuple(range(src.shape[1])), (1,) * src.shape[1])
+    group, frontier = {start}, [start]
+    while frontier:
+        reached = []
+        for s, g in frontier:
+            s, g = np.array(s), np.array(g)
+            for elem in zip(map(tuple, s[src].tolist()), map(tuple, (g[src] * sign).tolist())):
+                if elem not in group:
+                    group.add(elem)
+                    reached.append(elem)
+        frontier = reached
+    return group
+
+
+def _maps_job_data(options, source, maps):
+    """Whether each job's relabeling maps the rows M n of its orbit's first
+    job onto its own, option for option."""
+    jobs = list(itertools.product(*options))
+    return all(
+        (np.array(w)[msrc] * msign == np.array(wj)).all()
+        for job, first, msrc, msign in zip(jobs, source, *maps)
+        for (_, _, w), (_, _, wj) in zip(jobs[first], job))
 
 
 @pytest.mark.parametrize("target, specs, symmetry", _orbit_cases())
 def test_the_search_group_lies_inside_the_brute_force_group(target, specs, symmetry):
-    # every relabeling of the fast group is one of the oracle's, which maps
-    # the symmetric subspace and the jobs onto themselves, and every orbit
-    # of jobs that it finds lies inside one oracle orbit
-    options, src, sign, (source, _) = _fast_group(target, specs, symmetry)
+    # every relabeling that the generators give is one of the oracle's,
+    # which map the symmetric subspace and the jobs onto themselves; every
+    # orbit of jobs lies inside one oracle orbit, and each job's relabeling
+    # maps its orbit's first job onto it
+    options, src, sign, (source, maps) = _fast_group(target, specs, symmetry)
     group, orbit = reference_search_group(target, specs, symmetry)
-    assert {(tuple(s), tuple(g)) for s, g in zip(src.tolist(), sign.tolist())} <= group
+    assert _closure(src, sign) <= group
+    assert {(tuple(s), tuple(g)) for s, g in zip(maps[0].tolist(), maps[1].tolist())} <= group
     labels = ["|".join(label for label, _, _ in job) for job in itertools.product(*options)]
     assert all(orbit[labels[j]] == orbit[labels[k]] for j, k in enumerate(source))
     assert len(set(source.tolist())) < len(labels)
+    assert _maps_job_data(options, source, maps)
 
 
 def test_the_search_group_fixes_each_unswept_lower_inequality():
@@ -381,8 +427,9 @@ def test_the_search_group_fixes_each_unswept_lower_inequality():
     embedded = np.zeros(target.shape, dtype=np.int64)
     embedded[..., 0] = np.reshape(catalog.chsh().coefficients, (3, 3))
     embedded = embedded.ravel()
-    assert len(src) == 64
-    assert (embedded[src] * sign == embedded).all()
+    group = np.array(sorted(_closure(src, sign)))
+    assert len(group) == 64
+    assert (embedded[group[:, 0]] * group[:, 1] == embedded).all()
     stabilizer = [g for g in full_relabeling_group(catalog.chsh().scenario)
                   if g.party_map == (0, 1) and reference_relabel(
                       g, catalog.chsh().scenario, catalog.chsh().coefficients)
@@ -391,24 +438,48 @@ def test_the_search_group_fixes_each_unswept_lower_inequality():
 
 
 def _every_branch(monkeypatch):
-    """Make every search run all its branches: G is the identity alone."""
-    monkeypatch.setattr(search, "_search_group",
-                        lambda target, *args: np.zeros((1, target.parties), dtype=np.int64))
+    """Make every search run all its branches: G has no generators."""
+    def no_generators(target, *args):
+        return (np.zeros((0, target.dimension + 1), dtype=np.int64),) * 2
+
+    monkeypatch.setattr(search, "_search_group", no_generators)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("target, specs, symmetry", _orbit_cases())
+def test_a_swept_search_without_symmetry_has_few_generators():
+    # I3322 on A,B of (3,3,3) up to relabeling: G is every local relabeling,
+    # 48^3 of them, and 3 generators per party give it; the 4608 jobs form
+    # one orbit, each reached by a product of generators
+    target = Scenario((3, 3, 3))
+    options, src, sign, (source, maps) = _fast_group(
+        target, [ReductionSpec(catalog.i3322(), (0, 1), sweep_orbit=True)], [])
+    assert src.shape == sign.shape == (9, target.dimension + 1)
+    assert len(source) == 4608 and not source.any()
+    assert _maps_job_data(options, source, maps)
+
+
+def _orbit_runs():
+    """Each of _orbit_cases with 1 and 2 workers.  The swept search with no
+    symmetry runs 32 DDs of about 0.3 s to every branch, so with 2 workers
+    it runs only under -m long."""
+    return [pytest.param(target, specs, symmetry, workers, marks=[pytest.mark.long] * (
+                workers == 2 and specs[0].sweep_orbit and not symmetry))
+            for target, specs, symmetry in _orbit_cases() for workers in (1, 2)]
+
+
+@pytest.mark.parametrize("target, specs, symmetry, workers", _orbit_runs())
 def test_orbit_path_matches_every_branch(monkeypatch, target, specs, symmetry, workers):
     # the survivors mapped from one branch per orbit are the survivors of
     # every branch, job label for job label, and the class lists agree byte
     # for byte; progress still fires once per job, in order
+    survivors = search._survivors
+    found = []
+    monkeypatch.setattr(search, "_survivors", lambda *args: found.append(survivors(*args)) or found[-1])
+
     def run():
         reports = []
-        found = search._survivors(target, specs, symmetry, search.DD_CAP_DEFAULT,
-                                  search.ORBIT_CAP_DEFAULT, VERTEX_CAP_DEFAULT, workers,
-                                  lambda *args: reports.append(args))
-        text = write_class_list(generalize_multi(target, specs, symmetry, workers=workers))
-        return {key: labels for key, (_, labels) in found.items()}, text, reports
+        text = write_class_list(generalize_multi(target, specs, symmetry, workers=workers,
+                                                 progress=lambda *args: reports.append(args)))
+        return {key: labels for key, (_, labels) in found[-1].items()}, text, reports
 
     orbit = run()
     _every_branch(monkeypatch)
