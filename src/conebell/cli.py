@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -109,7 +110,8 @@ def cmd_generalize(args):
 
 def cmd_classify(args):
     text = Path(args.input).read_text()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    first = next((ln for ln in map(str.strip, text.splitlines())
+                  if ln and not ln.startswith("#")), "")
     # a class list keeps its member counts and witnesses; classes whose
     # canonical forms coincide merge
     counts = witnesses = None
@@ -278,7 +280,10 @@ def _integer_at_least(low):
     return parse
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process and shared by every main
+    call; parse_args gives each call fresh values."""
     parser = argparse.ArgumentParser(prog="conebell")
     parser.add_argument("--workers", type=_integer_at_least(1), default=1,
                         help="worker pool size, at least 1")

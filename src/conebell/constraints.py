@@ -3,20 +3,21 @@
 A search demands tightness on extended behaviors and invariance under
 relabeling symmetries.  Both kinds of row are int64 matrices over the
 lifted coordinate space, one constraint per row, so a normal b satisfies a
-constraint iff row . b = 0; search._branch stacks them into one matrix.
+constraint iff row . b = 0.
 
-Both come from linear maps that act on each party's axis of the coordinate
-array alone, so each map is np.kron of one small block per party followed
-by a permutation of the party axes (_coordinate_map).  A relabeling's
-matrix P has per party the signed permutation of settings 1..m that fixes
-setting 0, and symmetry_rows gives the nonzero rows of I - P^T.  The
-embedding map M of a lower inequality (_embedding_map) has the identity on
-each embedded party and the column (1, xi_1, ..., xi_m) on each extra
-party; search._reduction_options checks the embedding first.  For each
-lower variant and xi it maps the saturating vertices V to the extended
-behaviors V M^T and the lower normal n to the row M n.  A target normal b
-reduces to b M; when b is tight on the extended behaviors, b M is a
-multiple of n, so the sign of b . (M n) checks the reduction.
+Both come from coordinate maps that send each coordinate to one signed
+coordinate, so each is applied as a signed gather (src, sign) with
+(P c)[t] = sign[t] * c[src[t]], built from one index array per party.  A
+relabeling's map (_signed_permutation) permutes the parties and, per party,
+the settings 1..m with outcome signs, setting 0 fixed; symmetry_rows gives
+the nonzero rows of I - P^T.  The embedding map M of a lower inequality
+(_embedding_map) reads the lower coordinate of t restricted to the embedded
+parties, with sign the product of xi over the extra parties' settings in t.
+search._reduction_options checks the embedding first.  For each lower
+variant and xi it maps the saturating vertices V to the extended behaviors
+V M^T and the lower normal n to the row M n.  A target normal b reduces to
+b M; when b is tight on the extended behaviors, b M is a multiple of n, so
+the sign of b . (M n) checks the reduction.
 """
 from __future__ import annotations
 
@@ -61,71 +62,45 @@ class Relabeling:
                 raise ValueError(f"sign flips for party {i} must be +-1 per setting")
 
 
-def _coordinate_map(blocks, order):
-    """int64 matrix that applies blocks[p] to party axis p of the image.
-
-    blocks[p] has one row per setting 0..m_p of image party p.  The columns
-    of np.kron(*blocks) form an array with one axis per block, and column
-    axis k of the result is its axis order[k], a permutation of the parties;
-    an axis of length 1 (a one-column block) drops out.
-    """
-    mat = np.ones((1, 1), dtype=np.int64)
-    for block in blocks:
-        mat = np.kron(mat, block)
-    cols = mat.reshape((len(mat),) + tuple(block.shape[1] for block in blocks))
-    return cols.transpose((0,) + tuple(1 + p for p in order)).reshape(len(mat), -1)
-
-
-def _relabeling_map(r, scenario):
-    """Signed permutation matrix P with (P c)[image] = sign * c[source]."""
+def _signed_permutation(r, scenario):
+    """(src, sign) of relabeling r: its signed permutation P maps a
+    coefficient vector c to (P c)[t] = sign[t] * c[src[t]].  Image party
+    party_map[i] reads source party i: its setting setting_maps[i][s-1]
+    reads setting s with sign sign_flips[i][s-1], and setting 0 reads 0."""
     r.validate(scenario)
-    blocks = [None] * scenario.parties
-    for i, m in enumerate(scenario.settings):
-        block = np.zeros((m + 1, m + 1), dtype=np.int64)
-        block[0, 0] = 1
-        block[r.setting_maps[i], np.arange(1, m + 1)] = r.sign_flips[i]
-        blocks[r.party_map[i]] = block
-    return _coordinate_map(blocks, r.party_map)
+    image = np.indices(scenario.shape).reshape(scenario.parties, -1)
+    source = np.empty_like(image)
+    sign = np.ones(image.shape[1], dtype=np.int64)
+    for i in range(scenario.parties):
+        source[i] = np.argsort((0, *r.setting_maps[i]))[image[r.party_map[i]]]
+        sign *= np.array((1, *r.sign_flips[i]))[source[i]]
+    return np.ravel_multi_index(source, scenario.shape), sign
 
 
-@dataclass(frozen=True)
-class XiAssignment:
-    """Deterministic outcomes for extra parties: one +-1 tuple per party."""
-
-    values: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for v in self.values:
-            if any(x not in (-1, 1) for x in v):
-                raise ValueError("xi entries must be +-1")
-
-    def label(self):
-        """One +- string per party, joined by ;, or () when there is none."""
-        return ";".join("".join("+" if x > 0 else "-" for x in v) for v in self.values) or "()"
-
-
-def _embedding_map(xi, target, embed):
-    """int64 matrix M from lower to target coordinates that embeds the lower
-    scenario on the target parties embed and fixes xi on the others.
-
-    Row t, column s is the product of xi over the extra parties' settings in
-    t when t restricted to embed is s, else 0.  M maps a lower vertex to its
-    extended behavior; a target normal b reduces to b @ M.
-    """
-    extras = tuple(i for i in range(target.parties) if i not in embed)
-    blocks = [np.eye(m + 1, dtype=np.int64) for m in target.settings]
-    for v, party in zip(xi.values, extras):
-        blocks[party] = np.array((1,) + v, dtype=np.int64)[:, None]
-    return _coordinate_map(blocks, tuple(embed) + extras)
+def _embedding_map(xis, target, embed):
+    """(sel, sgn) of the embedding maps M of the lower scenario on the
+    target parties embed, one per xi of xis, a +-1 tuple per extra party:
+    row t of the k-th M is sgn[k, t] times the unit row of lower coordinate
+    sel[t], the index of t restricted to embed, and sgn[k, t] is the
+    product of xis[k] over the extra parties' settings in t."""
+    image = np.indices(target.shape).reshape(target.parties, -1)
+    sel = np.ravel_multi_index(image[list(embed)], [target.shape[p] for p in embed])
+    extras = [p for p in range(target.parties) if p not in embed]
+    sgn = np.ones((len(xis), image.shape[1]), dtype=np.int64)
+    for j, p in enumerate(extras):
+        sgn *= np.array([(1, *xi[j]) for xi in xis], dtype=np.int64)[:, image[p]]
+    return sel, sgn
 
 
 def symmetry_rows(generators, scenario):
-    """Rows of I - P^T per generator, zero rows dropped, as a (k, D+1) int64
-    matrix; its kernel, that of I - P, is the invariant subspace."""
-    d1 = scenario.dimension + 1
-    blocks = [np.zeros((0, d1), dtype=np.int64)]
+    """Rows e[src[t]] - sign[t] e[t] per generator (_signed_permutation),
+    zero rows dropped, as a (k, D+1) int64 matrix: the nonzero rows of
+    I - P^T, whose kernel, that of I - P, is the invariant subspace."""
+    eye = np.eye(scenario.dimension + 1, dtype=np.int64)
+    blocks = [eye[:0]]
     for gen in generators:
-        rows = np.eye(d1, dtype=np.int64) - _relabeling_map(gen, scenario).T
+        src, sign = _signed_permutation(gen, scenario)
+        rows = eye[src] - sign[:, None] * eye
         blocks.append(rows[rows.any(axis=1)])
     return np.vstack(blocks)
 

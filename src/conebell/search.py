@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets, local_cone
-from .constraints import XiAssignment, _embedding_map, symmetry_rows
+from .constraints import _embedding_map, symmetry_rows
 from .errors import CapExceededError, ParseError
 from .exactlinalg import integer_kernel_basis
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
@@ -88,7 +88,7 @@ def _local_maps(tables, rows):
     """Signed permutations (src, sign) of local relabelings that keep every
     party in place, one per row of rows: rows[k, p] picks that row of party
     p's table (src, neg) of _slot_table.  Relabeling k maps a normal c to
-    c[src[k]] * sign[k], the product P c of constraints._relabeling_map.
+    c[src[k]] * sign[k], as constraints._signed_permutation maps it.
     """
     src = np.zeros((len(rows), 1), dtype=np.int64)
     sign = np.ones((len(rows), 1), dtype=np.int64)
@@ -279,10 +279,11 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
     """Branch options of one reduction: (label, V M^T, M n) per lower variant
     (outer loop) and choice xi of the extra parties' outcomes (inner loop),
     for the variant's saturating vertices V, cone normal n and embedding map
-    M.  The variants are the lower inequality, or its relabeling_orbit when
-    swept; the label is xi's, prefixed by vK: for the K-th variant of a
-    sweep.  One enumeration of the lower vertices serves the facet
-    certificate and every saturating set."""
+    M, applied as its signed gather (constraints._embedding_map).  The
+    variants are the lower inequality, or its relabeling_orbit when swept;
+    the label is xi's, prefixed by vK: for the K-th variant of a sweep.  One
+    enumeration of the lower vertices serves the facet certificate and every
+    saturating set."""
     lower, embed = spec.lower, spec.embed
     bad = sorted({p for p in embed if embed.count(p) > 1 or not 0 <= p < target.parties})
     if bad:
@@ -296,15 +297,19 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
     verts = cone.rays
     variants = relabeling_orbit(lower, cap=orbit_cap) if spec.sweep_orbit else [lower]
     extras = [p for p in range(target.parties) if p not in embed]
-    xis = map(XiAssignment, itertools.product(
+    xis = list(itertools.product(
         *(itertools.product((-1, 1), repeat=target.settings[p]) for p in extras)))
-    maps = [(xi.label(), _embedding_map(xi, target, embed)) for xi in xis]
+    # one +- string per extra party, joined by ;, or () when there is none
+    labels = [";".join("".join("+" if x > 0 else "-" for x in v) for v in xi) or "()"
+              for xi in xis]
+    sel, sgn = _embedding_map(xis, target, embed)
     options = []
     for k, variant in enumerate(variants, start=1):
         normal = variant.cone_normal()
-        tight = verts[verts @ normal == 0]
+        tight = verts[verts @ normal == 0][:, sel]
         prefix = f"v{k}:" if spec.sweep_orbit else ""
-        options.extend((prefix + label, tight @ emb.T, emb @ normal) for label, emb in maps)
+        options.extend((prefix + label, tight * row, normal[sel] * row)
+                       for label, row in zip(labels, sgn))
     return options
 
 
@@ -556,8 +561,9 @@ def write_class_list(classes):
 
 def parse_class_list(text):
     """The classes of a write_class_list text.  A class k: header line opens
-    each block, and an inequality with no other field follows it.  Before
-    the first header only blank and # comment lines may stand."""
+    each block, and an inequality with no other field follows it.  A header
+    holds members=, a positive count, and optionally witnesses=, each once.
+    Before the first header only blank and # comment lines may stand."""
     lines = text.splitlines()
     heads = [i for i, line in enumerate(lines) if line.lstrip().startswith("class ")]
     for i, line in enumerate(lines[:heads[0] if heads else len(lines)]):
@@ -566,10 +572,12 @@ def parse_class_list(text):
     classes = []
     for a, b in zip(heads, heads[1:] + [len(lines)]):
         try:
-            head = dict(part.split("=", 1) for part in lines[a].partition(":")[2].split())
+            pairs = [part.split("=", 1) for part in lines[a].partition(":")[2].split()]
+            head = dict(pairs)
             members = int(head["members"])
             wits = tuple(head["witnesses"].split(",")) if "witnesses" in head else ()
-            if not all(_WITNESS.fullmatch(x) for x in wits):
+            if len(head) < len(pairs) or not head.keys() <= {"members", "witnesses"} \
+                    or members < 1 or not all(_WITNESS.fullmatch(x) for x in wits):
                 raise ValueError
         except (ValueError, KeyError):
             raise ParseError(f"malformed class header {lines[a].strip()!r}", line=a + 1) from None

@@ -6,7 +6,7 @@ Ranks, pivots and the rays of a simplex come from sympy's own elimination.
 Relabelings and reductions move one setting tuple at a time, term orbits
 are sets of permuted tuples, and extended behaviors are built assignment by
 assignment, with one product of outcomes per coordinate, where conebell
-multiplies by one per-party kron matrix or gathers per-party tables.
+gathers one signed coordinate per coordinate from per-party index arrays.
 The quantum oracles build every Bell-expression term on its own, with
 np.kron and one tensordot per party, where conebell.quantum contracts the
 whole coefficient tensor at once, and the seesaw's starting observables are
@@ -20,7 +20,7 @@ import math
 import numpy as np
 import sympy
 
-from conebell.constraints import Relabeling, XiAssignment
+from conebell.constraints import Relabeling
 from conebell.inequality import Inequality
 from conebell.npa import MomentProblem, inequality_digest
 from conebell.scenario import Scenario
@@ -243,8 +243,18 @@ def reference_symmetric_terms(ineq):
     return len(terms), terms if symmetric else None
 
 
+def xi_label(xi):
+    """The witness label of deterministic outcomes xi, a +-1 tuple per extra
+    party: a + or - per setting, parties separated by ;, and () for none."""
+    parts = []
+    for values in xi:
+        parts.append("".join({1: "+", -1: "-"}[x] for x in values))
+    return ";".join(parts) if parts else "()"
+
+
 def reference_reduce(candidate, xi, embed=None):
-    """Substitute deterministic outcomes for the non-embedded parties, term by term.
+    """Substitute deterministic outcomes xi, a +-1 tuple per non-embedded
+    party, for those parties, term by term.
 
     Returns the sub-scenario of the embedded parties and the reduced
     coefficient vector on it (bound first), constants folded into the bound.
@@ -252,13 +262,13 @@ def reference_reduce(candidate, xi, embed=None):
     sc = candidate.scenario
     n = sc.parties
     if embed is None:
-        embed = tuple(range(n - len(xi.values)))
+        embed = tuple(range(n - len(xi)))
     extras = tuple(i for i in range(n) if i not in embed)
-    assert len(extras) == len(xi.values)
+    assert len(extras) == len(xi)
     lower_sc = Scenario(tuple(sc.settings[i] for i in embed))
     reduced = [0] * (lower_sc.dimension + 1)
     reduced[0] = candidate.bound
-    xi_of = dict(zip(extras, xi.values))
+    xi_of = dict(zip(extras, xi))
     for t, coeff in candidate.nonzero_terms():
         sign = math.prod(xi_of[p][t[p] - 1] for p in extras if t[p])
         idx = lower_sc.index_of(tuple(t[i] for i in embed))
@@ -306,7 +316,7 @@ def reference_extended_behaviors(lower, xi, target, embed=None):
         assignment = [None] * target.parties
         for pos, party in enumerate(embed):
             assignment[party] = gamma[pos]
-        for party, v in zip(extras, xi.values):
+        for party, v in zip(extras, xi):
             assignment[party] = v
         out.append(coords(target, assignment))
     return out
@@ -496,11 +506,10 @@ def reference_search_group(target, reductions, symmetry):
         for k, coeffs in enumerate(variants, start=1):
             variant = Inequality(lower.scenario, coeffs)
             normal = (-coeffs[0],) + coeffs[1:]
-            for values in xis:
-                xi = XiAssignment(values)
-                label = (f"v{k}:" if spec.sweep_orbit else "") + xi.label()
+            for xi in xis:
+                label = (f"v{k}:" if spec.sweep_orbit else "") + xi_label(xi)
                 ext = reference_extended_behaviors(variant, xi, target, spec.embed)
-                xi_of = dict(zip(extras, values))
+                xi_of = dict(zip(extras, xi))
                 w = [normal[lower.scenario.index_of(tuple(t[p] for p in spec.embed))]
                      * math.prod(xi_of[p][t[p] - 1] for p in extras if t[p]) for t in tuples]
                 opts.append((label, ext, w))

@@ -153,6 +153,40 @@ def test_classify_keeps_the_counts_and_witnesses_of_a_class_list(tmp_path):
         [EquivalenceClass(canonical_form(catalog.chsh()), 11, ("++", "+-", "--"))]
 
 
+def test_classify_reads_a_class_list_that_opens_with_a_comment(tmp_path):
+    # the format is read off the first line that is neither blank nor a
+    # comment, so the list keeps its count and witnesses
+    chsh = canonical_form(catalog.chsh())
+    src, out = tmp_path / "classes.txt", tmp_path / "again.txt"
+    src.write_text("# my classes\n\n"
+                   + write_class_list([EquivalenceClass(chsh, 8, ("++", "--"))]))
+    assert main(["classify", str(src), "--out", str(out)]) == 0
+    assert parse_class_list(out.read_text()) == [EquivalenceClass(chsh, 8, ("++", "--"))]
+
+
+def test_successive_main_calls_give_what_each_gives_alone(tmp_path, chsh_file):
+    # one parser serves every call in a process, and no --reduce or
+    # --symmetry value of one call reaches the next
+    runs = [["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}@A,B",
+             "--symmetry", "perm:ABC->BCA"],
+            ["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}@B,C?orbit",
+             "--reduce", f"{chsh_file}@A,C", "--symmetry", "perm:ABC->BAC",
+             "--symmetry", "A:(1 2)"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(conebell.__file__).parents[1]))
+    alone = []
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"alone{k}.txt"
+        subprocess.run([sys.executable, "-m", "conebell.cli", *argv, "--quiet", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        alone.append(out.read_text())
+    assert alone[0] != alone[1]
+    for k, argv in enumerate(runs + runs):
+        out = tmp_path / f"in_process{k}.txt"
+        assert main(argv + ["--quiet", "--out", str(out)]) == 0
+        assert out.read_text() == alone[k % 2]
+    assert build_parser() is build_parser()
+
+
 def test_seesaw_command_gyni_not_violated(tmp_path, gyni_file, capsys):
     out = tmp_path / "seesaw.txt"
     code = main(["seesaw", "--ineq", str(gyni_file), "--dim", "2",

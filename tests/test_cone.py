@@ -9,7 +9,6 @@ from conebell import catalog
 from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _combine_adjacent, _dd_extreme_rays,
                            _lift, constrained_facets, enumerate_facets_dd, lift_polytope,
                            local_cone, project_rays)
-from conebell.constraints import XiAssignment
 from conebell.errors import CapExceededError
 from conebell.exactlinalg import _PRIME, capped_ranks, integer_kernel_basis, pivot_columns
 from conebell.inequality import from_terms
@@ -406,7 +405,7 @@ def test_projection_preserves_saturating_sets(branch_constraints):
     verts = enumerate_vertices(target)
     cone = lift_polytope(verts)
     rows, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
-                                 (XiAssignment(((1, 1),)),),
+                                 (((1, 1),),),
                                  [party_swap(target, 0, 1), party_swap(target, 0, 2)])
     basis = integer_kernel_basis(rows, columns=cone.dim)
     projected = project_rays(cone, basis)
@@ -536,7 +535,7 @@ def test_constrained_facets_do_not_depend_on_the_certify_budget(monkeypatch,
     rng = np.random.default_rng(5)
     random_cone = Cone(6, random_full_dim_vertices(rng, 5, 14))
     ext, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
-                                (XiAssignment(((1, 1),)),))
+                                (((1, 1),),))
     cases = [(three_party, ext),
              (two_party, np.zeros((0, two_party.dim), dtype=np.int64)),
              (random_cone, np.array([[0, 1, -1, 0, 0, 0]], dtype=np.int64))]

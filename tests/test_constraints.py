@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conebell import catalog
-from conebell.constraints import (Relabeling, XiAssignment, _embedding_map, _relabeling_map,
+from conebell.constraints import (Relabeling, _embedding_map, _signed_permutation,
                                   parse_relabeling, symmetry_rows)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, pivot_columns
@@ -13,48 +15,45 @@ from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec, generalize_multi
 
 from .reference import (party_swap, reference_extended_behaviors, reference_reduces,
-                        reference_relabel)
+                        reference_relabel, sympy_nullity)
 
 
-def test_relabeling_matrix_identity():
-    sc = Scenario((2, 2))
-    p = _relabeling_map(Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1))), sc)
-    assert p.dtype == np.int64 and (p == np.eye(9)).all()
+@st.composite
+def relabelings(draw):
+    """(scenario, relabeling, coefficients): a scenario among (2,2,2), (2,3,2)
+    and (3,3,2), a random relabeling of it (party permutation among
+    equal-setting parties, setting permutations, outcome flips) and random
+    coefficients times 10^20."""
+    sc = Scenario(draw(st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 3, 2)])))
+    perms = [p for p in itertools.permutations(range(sc.parties))
+             if all(sc.settings[p[i]] == sc.settings[i] for i in range(sc.parties))]
+    rel = Relabeling(draw(st.sampled_from(perms)),
+                     tuple(tuple(draw(st.permutations(range(1, m + 1)))) for m in sc.settings),
+                     tuple(tuple(draw(st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m)))
+                           for m in sc.settings))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=sc.dimension + 1,
+                           max_size=sc.dimension + 1))
+    return sc, rel, [c * 10 ** 20 for c in coeffs]
 
 
-def test_sign_flip_matrix_single_party():
-    sc = Scenario((1,))
-    rel = Relabeling((0,), ((1,),), ((-1,),))
-    p = _relabeling_map(rel, sc)
-    assert (p == np.diag([1, -1])).all()
-
-
-def test_relabeling_matrices_are_signed_permutations():
-    rng = np.random.default_rng(1)
-    sc = Scenario((2, 3, 2))
+@settings(max_examples=60, deadline=None)
+@given(relabelings())
+@example((Scenario((2, 2, 2)), Relabeling((0, 1, 2), ((1, 2),) * 3, ((1, 1),) * 3),
+          [k * 10 ** 20 for k in range(27)]))
+@example((Scenario((2, 3, 2)),
+          Relabeling((2, 1, 0), ((2, 1), (3, 1, 2), (1, 2)), ((1, -1), (1, 1, -1), (-1, 1))),
+          [k * 10 ** 20 for k in range(-18, 18)]))
+def test_signed_permutation_matches_the_relabeling(case):
+    sc, rel, c = case
+    src, sign = _signed_permutation(rel, sc)
+    # a signed permutation that keeps the constant coordinate in place
+    assert (np.sort(src) == np.arange(sc.dimension + 1)).all()
+    assert set(sign.tolist()) <= {-1, 1} and (src[0], sign[0]) == (0, 1)
+    # vertices map bijectively onto vertices
     verts = enumerate_vertices(sc)
-    for _ in range(25):
-        # random relabeling of the mixed scenario: parties 0 and 2 may swap
-        swap = bool(rng.integers(2))
-        pm = (2, 1, 0) if swap else (0, 1, 2)
-        sms, sfs = [], []
-        for m in sc.settings:
-            perm = tuple(rng.permutation(np.arange(1, m + 1)).tolist())
-            sms.append(perm)
-            sfs.append(tuple(int(x) for x in rng.choice([-1, 1], size=m)))
-        rel = Relabeling(pm, tuple(sms), tuple(sfs))
-        p = _relabeling_map(rel, sc)
-        absd = np.abs(p)
-        assert (absd.sum(axis=0) == 1).all() and (absd.sum(axis=1) == 1).all()
-        # vertices map bijectively onto vertices
-        images = set(map(tuple, (verts @ p.T).tolist()))
-        assert images == set(map(tuple, verts.tolist()))
-        # the constant coordinate stays fixed
-        assert p[0, 0] == 1
-        # the same map, one setting tuple at a time
-        c = [int(x) * 10 ** 20 for x in rng.integers(-3, 4, size=len(p))]
-        assert tuple((p.astype(object) @ np.array(c, dtype=object)).tolist()) \
-            == reference_relabel(rel, sc, c)
+    assert set(map(tuple, (verts[:, src] * sign).tolist())) == set(map(tuple, verts.tolist()))
+    # the same map, one setting tuple at a time
+    assert tuple((np.array(c, dtype=object)[src] * sign).tolist()) == reference_relabel(rel, sc, c)
 
 
 def test_party_permutation_requires_equal_settings():
@@ -69,7 +68,8 @@ def test_gyni_symmetries_fix_gyni():
     s1 = Relabeling((0, 1, 2), ((2, 1), (2, 1), (1, 2)), ((1, 1), (1, 1), (-1, -1)))
     s2 = Relabeling((0, 1, 2), ((2, 1), (1, 2), (2, 1)), ((-1, -1), (-1, -1), (1, 1)))
     for gen in (s1, s2):
-        assert (_relabeling_map(gen, sc) @ gyni.coefficients == gyni.coefficients).all()
+        src, sign = _signed_permutation(gen, sc)
+        assert (np.array(gyni.coefficients)[src] * sign == gyni.coefficients).all()
         assert reference_relabel(gen, sc, gyni.coefficients) == gyni.coefficients
     # so the symmetry rows, which the searches impose, vanish on it
     assert not (symmetry_rows([s1, s2], sc) @ gyni.cone_normal()).any()
@@ -101,10 +101,26 @@ def test_full_party_symmetry_kernel_dimension_three_parties():
 
 
 def test_symmetry_kernel_is_pointwise_invariant():
-    sc = Scenario((2, 2))
-    gens = [party_swap(sc, 0, 1)]
-    t = integer_kernel_basis(symmetry_rows(gens, sc), columns=9)
-    assert (_relabeling_map(gens[0], sc) @ t == t).all()
+    # every kernel vector is fixed by every generator, relabeled one setting
+    # tuple at a time, and the kernel has the dimension of the invariant
+    # subspace: the sympy nullity of the stacked P - I, whose column u is
+    # the relabeled unit vector e_u minus e_u.  A 3-cycle with a flip tells
+    # the sign of an image coordinate from that of its source.
+    for settings_, texts in [((2, 2), ["perm:AB->BA"]),
+                             ((2, 2, 2), ["perm:ABC->BAC; A1:-", "A:(1 2); B2:-"]),
+                             ((2, 2, 2), ["perm:ABC->BCA; A1:-"]),
+                             ((2, 3, 2), ["perm:ABC->CBA; B:(1 2 3); A2:-; C1:-"])]:
+        sc = Scenario(settings_)
+        d1 = sc.dimension + 1
+        gens = [parse_relabeling(text, sc) for text in texts]
+        t = integer_kernel_basis(symmetry_rows(gens, sc), columns=d1)
+        for gen in gens:
+            for col in t.T.tolist():
+                assert reference_relabel(gen, sc, col) == tuple(col)
+        eye = np.eye(d1, dtype=np.int64)
+        fixed = np.vstack([np.array([reference_relabel(gen, sc, e) for e in eye.tolist()]).T
+                           - eye for gen in gens])
+        assert t.shape[1] == sympy_nullity(fixed, d1) < d1
 
 
 def _extended_behaviors(branch_constraints, lower, xi, target, embed):
@@ -116,7 +132,7 @@ def _extended_behaviors(branch_constraints, lower, xi, target, embed):
 def test_extended_behaviors_chsh_count(branch_constraints):
     chsh = catalog.chsh()
     target = Scenario((2, 2, 2))
-    xi = XiAssignment(((1, 1),))
+    xi = ((1, 1),)
     ext = _extended_behaviors(branch_constraints, chsh, xi, target, (0, 1))
     assert ext.dtype == np.int64 and ext.shape == (8, 27)
     assert ext.tolist() == reference_extended_behaviors(chsh, xi, target)
@@ -130,7 +146,7 @@ def test_extended_behaviors_i3322_count(branch_constraints):
     i3322 = catalog.i3322()
     n_sat = int((enumerate_vertices(i3322.scenario) @ i3322.cone_normal() == 0).sum())
     target = Scenario((3, 3, 3))
-    xi = XiAssignment(((1, 1, 1),))
+    xi = ((1, 1, 1),)
     ext = _extended_behaviors(branch_constraints, i3322, xi, target, (0, 1))
     assert ext.dtype == np.int64 and ext.shape == (n_sat, 64) and n_sat > 0
     assert ext.tolist() == reference_extended_behaviors(i3322, xi, target)
@@ -153,7 +169,7 @@ def test_embedding_rejects_repeated_or_missing_parties():
         generalize_multi(Scenario((2, 3, 2)), [ReductionSpec(chsh, (0, 1))], [])
 
 
-@pytest.mark.parametrize("lower, target, embed", [
+_EMBEDDINGS = [
     (catalog.chsh, (2, 2, 2), None),
     (catalog.chsh, (2, 2, 2), (0, 1)),
     (catalog.chsh, (2, 2, 2), (1, 2)),
@@ -162,7 +178,28 @@ def test_embedding_rejects_repeated_or_missing_parties():
     (catalog.chsh, (3, 2, 2), (1, 2)),
     (catalog.i3322, (3, 2, 3), (2, 0)),
     (catalog.mermin, (2, 2, 2, 2), (3, 1, 0)),
-])
+]
+
+
+@pytest.mark.parametrize("lower, target, embed", _EMBEDDINGS)
+def test_embedding_map_matches_brute_force_for_every_xi(lower, target, embed):
+    # one sign row per xi, in order: each gathers the lower saturating
+    # vertices into that xi's extended behaviors, row by row
+    lower, target = lower(), Scenario(target)
+    embed = embed if embed is not None else tuple(range(lower.scenario.parties))
+    extras = [p for p in range(target.parties) if p not in embed]
+    xis = list(itertools.product(*(itertools.product((-1, 1), repeat=target.settings[p])
+                                   for p in extras)))
+    sel, sgn = _embedding_map(xis, target, embed)
+    assert sel.shape == (target.dimension + 1,) and sgn.shape == (len(xis), len(sel))
+    verts = enumerate_vertices(lower.scenario)
+    tight = verts[verts @ lower.cone_normal() == 0]
+    for xi, row in zip(xis, sgn):
+        assert (tight[:, sel] * row).tolist() == \
+            reference_extended_behaviors(lower, xi, target, embed)
+
+
+@pytest.mark.parametrize("lower, target, embed", _EMBEDDINGS)
 def test_extended_behaviors_match_brute_force(lower, target, embed, branch_constraints):
     # the same embedding gives the extended behaviors and the reduction
     # check, so both are compared with the term-by-term oracles; None embeds
@@ -172,8 +209,8 @@ def test_extended_behaviors_match_brute_force(lower, target, embed, branch_const
     extras = [p for p in range(target.parties) if p not in used]
     rng = np.random.default_rng(sum(target.settings))
     for _ in range(3):
-        xi = XiAssignment(tuple(tuple(int(x) for x in rng.choice([-1, 1], size=target.settings[p]))
-                                for p in extras))
+        xi = tuple(tuple(int(x) for x in rng.choice([-1, 1], size=target.settings[p]))
+                   for p in extras)
         want = reference_extended_behaviors(lower, xi, target, embed=embed)
         spec = ReductionSpec(lower, used)
         rows, positive = branch_constraints(target, [spec], (xi,))
@@ -199,7 +236,7 @@ def test_sign_test_matches_term_by_term_reduction(embeds, symmetric, branch_cons
     rng = np.random.default_rng(len(embeds) + 2 * symmetric)
     live = 0
     for values in itertools.product(itertools.product((-1, 1), repeat=2), repeat=len(specs)):
-        combo = tuple(XiAssignment((v,)) for v in values)
+        combo = tuple((v,) for v in values)
         rows, positive = branch_constraints(target, specs, combo, sym)
         live += _check_sign_test(target, specs, combo, rows, positive, rng, [])
     assert live
@@ -216,7 +253,10 @@ def _check_sign_test(target, specs, combo, rows, positive, rng, lifts):
     live = True
     for spec, xi in zip(specs, combo):
         n = spec.lower.cone_normal()
-        btm = basis.T @ _embedding_map(xi, target, spec.embed).astype(object)
+        sel, sgn = _embedding_map([xi], target, spec.embed)
+        emb = np.zeros((len(sel), len(n)), dtype=object)
+        emb[np.arange(len(sel)), sel] = sgn[0]
+        btm = basis.T @ emb
         u = btm @ n // (n @ n)
         assert (btm == np.outer(u, n)).all()
         live &= bool(u.any())
@@ -259,7 +299,7 @@ def _lifts(lower, xi, target, used, extras):
     # substitutes xi_1 for it: with coefficient xi_1 c every term doubles, and
     # with -xi_1 c (and bound 0) every term cancels, so the reduction is zero
     on_extra = (1,) + (0,) * (len(extras) - 1)
-    x = xi.values[0][0]
+    x = xi[0][0]
     for sign, bound in ((1, 2 * lower.bound), (-1, 0)):
         lifts.append(lift({**{t + pad: c for t, c in lower_terms.items()},
                            **{t + on_extra: sign * x * c for t, c in lower_terms.items()}},
@@ -271,11 +311,10 @@ def test_chsh_extension_kernel_dimension_matches_independent_nullspace(branch_co
     # the constraint system of the three-party CHSH extension: its kernel
     # dimension is the dimension of the projected cone behind Mermin
     from conebell.cone import lift_polytope, project_rays
-    from .reference import sympy_nullity
 
     target = Scenario((2, 2, 2))
     g, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
-                              (XiAssignment(((1, 1),)),),
+                              (((1, 1),),),
                               [party_swap(target, 0, 1), party_swap(target, 0, 2)])
     t = integer_kernel_basis(g, columns=27)
     assert t.shape[1] == sympy_nullity(g, 27)

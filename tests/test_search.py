@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conebell import catalog, search
-from conebell.constraints import XiAssignment, parse_relabeling, symmetry_rows
+from conebell.constraints import parse_relabeling, symmetry_rows
 from conebell.errors import CapExceededError, ParseError
 from conebell.exactlinalg import integer_kernel_basis
 from conebell.inequality import Inequality, from_terms, write_inequality
@@ -14,7 +14,8 @@ from conebell.search import (ReductionSpec, canonical_form, classify, generalize
                              parse_class_list, relabeling_orbit, write_class_list)
 
 from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
-                        reference_reduces, reference_relabel, reference_search_group)
+                        reference_reduces, reference_relabel, reference_search_group,
+                        xi_label)
 
 
 def test_canonical_form_idempotent():
@@ -183,10 +184,10 @@ def reduces(branch_constraints):
 
 def test_verify_reduction_mermin_to_chsh(reduces):
     mermin = catalog.mermin()
-    assert reduces([mermin], XiAssignment(((1, 1),)), catalog.chsh()) == [True]
+    assert reduces([mermin], ((1, 1),), catalog.chsh()) == [True]
     # with xi = (1, -1) Mermin is not tight on CHSH's extended behaviors
-    assert reduces([mermin], XiAssignment(((1, -1),)), catalog.chsh()) == [None]
-    assert not reference_reduces(mermin.cone_normal(), XiAssignment(((1, -1),)),
+    assert reduces([mermin], ((1, -1),), catalog.chsh()) == [None]
+    assert not reference_reduces(mermin.cone_normal(), ((1, -1),),
                                  catalog.chsh(), mermin.scenario, (0, 1))
 
 
@@ -196,7 +197,7 @@ def test_verify_reduction_trivial_lift(reduces):
     lifted = from_terms(target, 2, {(t[0], t[1], 0): c
                                     for t, c in chsh.nonzero_terms()})
     for xi in itertools.product((-1, 1), repeat=2):
-        assert reduces([lifted], XiAssignment((xi,)), chsh) == [True]
+        assert reduces([lifted], (xi,), chsh) == [True]
 
 
 def test_verify_reduction_scale_freedom(reduces):
@@ -207,7 +208,7 @@ def test_verify_reduction_scale_freedom(reduces):
     # -1 times the lift, bound included, is tight on the same behaviors
     flipped = from_terms(target, -2, {(t[0], t[1], 0): -c
                                       for t, c in chsh.nonzero_terms()})
-    assert reduces([doubled, flipped], XiAssignment(((1, 1),)), chsh) == [True, False]
+    assert reduces([doubled, flipped], ((1, 1),), chsh) == [True, False]
 
 
 def test_i4422_reduces_to_i3322():
@@ -255,7 +256,7 @@ def test_branch_survivors_are_the_kernel_facets_that_reduce(branch_constraints):
     spec = ReductionSpec(catalog.chsh(), (0, 1))
     kept = 0
     for values in itertools.product((-1, 1), repeat=2):
-        xi = XiAssignment((values,))
+        xi = (values,)
         rows, positive = branch_constraints(target, [spec], (xi,), sym)
         basis = integer_kernel_basis(rows, columns=cone.dim)
         every = constrained_facets(cone, basis, positive[:0])
@@ -534,12 +535,12 @@ def test_a_witness_names_the_branch_of_each_reduction(branch_constraints):
     cone = lift_polytope(enumerate_vertices(target))
     want = {}
     for values in itertools.product(itertools.product((-1, 1), repeat=2), repeat=2):
-        combo = tuple(XiAssignment((v,)) for v in values)
+        combo = tuple((v,) for v in values)
         rows, positive = branch_constraints(target, specs, combo)
         basis = integer_kernel_basis(rows, columns=cone.dim)
         for lifted in constrained_facets(cone, basis, positive):
             canon = canonical_form(from_cone_normal(target, lifted)).coefficients
-            want.setdefault(canon, set()).add("|".join(xi.label() for xi in combo))
+            want.setdefault(canon, set()).add("|".join(map(xi_label, combo)))
     assert classes and {cl.canonical.coefficients: set(cl.witnesses) for cl in classes} == want
 
 
@@ -557,6 +558,16 @@ def test_class_list_rejects_a_malformed_witness(witnesses):
     text = f"class 1: members=1 witnesses={witnesses}\n" + write_inequality(catalog.chsh())
     with pytest.raises(ParseError, match="malformed class header"):
         parse_class_list(text)
+
+
+@pytest.mark.parametrize("header", ["members=-3", "members=0", "members=1 foo=bar",
+                                    "members=2 members=5"])
+def test_class_list_rejects_a_bad_header(header):
+    # a count below 1, an unknown key and a repeated key name the header's line
+    text = "# classes\nclass 1: " + header + "\n" + write_inequality(catalog.chsh())
+    with pytest.raises(ParseError, match="malformed class header") as err:
+        parse_class_list(text)
+    assert err.value.line == 2
 
 
 def test_class_list_rejects_lines_before_the_first_header():
