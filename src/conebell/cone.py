@@ -367,7 +367,7 @@ def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):
 
     basis is an integer matrix with cone.dim rows and full column rank, such
     as integer_kernel_basis(rows, columns=cone.dim) for the normals tight on
-    constraint rows; a search passes the symmetry kernel times its branch's
+    constraint rows; a search passes its invariant basis times its branch's
     kernel.  Any other basis raises ValueError.  Projects the rays onto B =
     basis, enumerates facets of the projected cone (cap bounds its
     intermediate rays), keeps the normals y with y . (B^T w) > 0, lifts them

@@ -1,23 +1,20 @@
-"""Linear maps behind the constraint rows of targeted facet searches.
+"""Coordinate maps behind the constraints of targeted facet searches.
 
 A search demands tightness on extended behaviors and invariance under
-relabeling symmetries.  Both kinds of row are int64 matrices over the
-lifted coordinate space, one constraint per row, so a normal b satisfies a
-constraint iff row . b = 0.
-
-Both come from coordinate maps that send each coordinate to one signed
-coordinate, so each is applied as a signed gather (src, sign) with
-(P c)[t] = sign[t] * c[src[t]], built from one index array per party.  A
-relabeling's map (_signed_permutation) permutes the parties and, per party,
-the settings 1..m with outcome signs, setting 0 fixed; symmetry_rows gives
-the nonzero rows of I - P^T.  The embedding map M of a lower inequality
-(_embedding_map) reads the lower coordinate of t restricted to the embedded
-parties, with sign the product of xi over the extra parties' settings in t.
-search._reduction_options checks the embedding first.  For each lower
-variant and xi it maps the saturating vertices V to the extended behaviors
-V M^T and the lower normal n to the row M n.  A target normal b reduces to
-b M; when b is tight on the extended behaviors, b M is a multiple of n, so
-the sign of b . (M n) checks the reduction.
+relabeling symmetries.  Both come from coordinate maps that send each
+coordinate to one signed coordinate, so each is a signed gather (src, sign)
+with (P c)[t] = sign[t] * c[src[t]], built from one index array per party.
+A relabeling's map (_signed_permutation) permutes the parties and, per
+party, the settings 1..m with outcome signs, setting 0 fixed; the vectors
+that relabelings fix are spanned by signed orbit sums (invariant_basis),
+read off the maps with no elimination.  The embedding map M of a lower
+inequality (_embedding_map) reads the lower coordinate of t restricted to
+the embedded parties, with sign the product of xi over the extra parties'
+settings in t.  search._reduction_options checks the embedding first.  For
+each lower variant and xi it maps the saturating vertices V to the
+extended behaviors V M^T and the lower normal n to the row M n.  A target
+normal b reduces to b M; when b is tight on the extended behaviors, b M is
+a multiple of n, so the sign of b . (M n) checks the reduction.
 """
 from __future__ import annotations
 
@@ -92,17 +89,28 @@ def _embedding_map(xis, target, embed):
     return sel, sgn
 
 
-def symmetry_rows(generators, scenario):
-    """Rows e[src[t]] - sign[t] e[t] per generator (_signed_permutation),
-    zero rows dropped, as a (k, D+1) int64 matrix: the nonzero rows of
-    I - P^T, whose kernel, that of I - P, is the invariant subspace."""
-    eye = np.eye(scenario.dimension + 1, dtype=np.int64)
-    blocks = [eye[:0]]
-    for gen in generators:
-        src, sign = _signed_permutation(gen, scenario)
-        rows = eye[src] - sign[:, None] * eye
-        blocks.append(rows[rows.any(axis=1)])
-    return np.vstack(blocks)
+def invariant_basis(generators, scenario):
+    """The (D+1, K) int64 basis of the vectors c that every generator fixes,
+    c[t] = sign[t] c[src[t]] (_signed_permutation): per coordinate orbit
+    with largest coordinate x, in order of x, a column of the signs of
+    c[t] / c[x], unless the orbit ties some c[t] to -c[t].  This is
+    integer_kernel_basis of the conditions, column order included, and that
+    order sets the insertion order of every projected DD."""
+    size = scenario.dimension + 1
+    maps = [_signed_permutation(gen, scenario) for gen in generators]
+    src, sign = np.array(maps, dtype=np.int64).reshape(-1, 2, size).transpose(1, 0, 2)
+    # node t + size stands for -c[t], and node t reads node image[g, t]
+    image = np.hstack([src + size * (sign < 0), src + size * (sign > 0)])
+    # the largest of 2x + 1 for c[x] and 2x for -c[x] over each node's
+    # orbit, breadth first: each pass takes every node one step further
+    label = np.concatenate([2 * np.arange(size) + 1, 2 * np.arange(size)])
+    while (label[image] > label).any():
+        label = np.maximum(label, label[image].max(axis=0))
+    keep = label[:size] != label[size:]
+    top, col = np.unique(label[:size][keep] // 2, return_inverse=True)
+    basis = np.zeros((size, len(top)), dtype=np.int64)
+    basis[keep, col] = label[:size][keep] % 2 * 2 - 1
+    return basis
 
 
 # ---------------------------------------------------------------------------

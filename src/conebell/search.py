@@ -20,15 +20,16 @@ A generalization search does its per-reduction work once: _reduction_options
 checks the embedding, certifies the lower inequality on one enumeration of
 its vertices and returns an option (label, extended behaviors, M n) per
 lower variant and xi.  A branch (job) takes one option per reduction
-(itertools.product) and is one constrained_facets call; survivors merge by
-lifted normal, and a class is witnessed by the labels of the branches that
-found it.  Many jobs are relabelings of one another (Bancal, Gisin and
-Pironio 2010): the group G of _search_group maps jobs onto jobs, only the
-first job of each orbit runs, and the other jobs' survivors are its
-survivors mapped by one element of G, with no DD, certification or
-canonical form of their own.  G is carried by generators, and a
-breadth-first search over the jobs finds the orbits and one element of G
-per job (_job_orbits): the work grows with generators times jobs, never
+(itertools.product) and is one constrained_facets call in the symmetric
+subspace, spanned by signed orbit sums (constraints.invariant_basis);
+survivors merge by lifted normal, and a class is witnessed by the labels of
+the branches that found it.  Many jobs are relabelings of one another
+(Bancal, Gisin and Pironio 2010): the group G of _search_group maps jobs
+onto jobs, only the first job of each orbit runs, and the other jobs'
+survivors are its survivors mapped by one element of G, with no DD,
+certification or canonical form of their own.  G is carried by generators,
+and a breadth-first search over the jobs finds the orbits and one element of
+G per job (_job_orbits): the work grows with generators times jobs, never
 with the size of G times jobs.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets, local_cone
-from .constraints import _embedding_map, symmetry_rows
+from .constraints import _embedding_map, invariant_basis
 from .errors import CapExceededError, ParseError
 from .exactlinalg import integer_kernel_basis
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
@@ -213,11 +214,8 @@ def classify(ineqs, witnesses=None, cap=ORBIT_CAP_DEFAULT, counts=None):
         entry[1] += 1 if counts is None else counts[pos]
         if witnesses is not None and witnesses[pos] is not None:
             entry[2].update(witnesses[pos])
-    classes = []
-    for canon, count, wit in buckets.values():
-        classes.append(EquivalenceClass(
-            canonical=canon, members_found=count,
-            witnesses=tuple(sorted(wit))))
+    classes = [EquivalenceClass(canon, count, tuple(sorted(wit)))
+               for canon, count, wit in buckets.values()]
     classes.sort(key=lambda cl: (term_count(cl.canonical), cl.canonical.coefficients))
     return classes
 
@@ -313,46 +311,36 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
     return options
 
 
-def _passing(tables, rows, width, test):
-    """The rows of slot-table rows whose signed permutations (src, sign)
-    pass test(src, sign), a boolean per relabeling; width is the number of
-    entries test gathers per relabeling, and the rows go in chunks of about
-    _GATHER_ENTRIES entries."""
-    step = max(1, _GATHER_ENTRIES // width)
-    keep = [np.zeros(0, dtype=bool)]
-    for lo in range(0, len(rows), step):
-        keep.append(test(*_local_maps(tables, rows[lo:lo + step])))
-    return rows[np.concatenate(keep)]
-
-
 def _stabilizer(ineq):
     """Slot-table rows, one column per party, of the local relabelings that
     keep every party in place and fix ineq coefficient for coefficient: a
-    brute force over all of them."""
+    brute force over all of them, in chunks."""
     tables = [_slot_table(m) for m in ineq.scenario.settings]
     rows = np.indices([len(src) for src, _ in tables]).reshape(len(tables), -1).T
     coeffs = np.array(ineq.coefficients)
-    return _passing(tables, rows, len(coeffs),
-                    lambda src, sign: (coeffs[src] * sign == coeffs).all(axis=1))
+    step = max(1, _GATHER_ENTRIES // len(coeffs))
+    maps = (_local_maps(tables, rows[lo:lo + step]) for lo in range(0, len(rows), step))
+    return rows[np.concatenate([(coeffs[src] * sign == coeffs).all(axis=1) for src, sign in maps])]
 
 
-def _search_group(target, reductions, sym, basis, cap, limit):
+def _search_group(target, reductions, basis, cap, limit):
     """Generators (src, sign) of the group G of target relabelings that keep
     every party in place, fix each unswept lower inequality on its embedded
     parties (_stabilizer), act by any local relabeling on the other parties,
-    and map the symmetry-invariant subspace, the span of basis, into itself:
-    sym P basis = 0 for their signed permutation P (_local_maps, one row
-    per generator, the identity left out).
+    and map the symmetric subspace, the span of basis (invariant_basis),
+    into itself (_local_maps, one row per generator, the identity left out).
 
     The relabelings that pass the first three tests are the joined
-    stabilizers times the whole local group of each free party.  With no
-    symmetry rows that product is G, generated by the stabilizer elements
-    and each free party's _party_generators.  Otherwise each of its
-    candidates is tested, in chunks, and each one that passes is a
-    generator.  There is no generator (G is the identity alone) when a lower
-    scenario has more local relabelings than cap or there are more
-    candidates to test; past limit generators, the first limit generate a
-    subgroup of G, whose orbits only split into more.
+    stabilizers times the whole local group of each free party.  When basis
+    spans every coordinate (no symmetry) that product is G, generated by the
+    stabilizer elements and each free party's _party_generators.  Otherwise
+    each candidate that passes the last test, in chunks, is a generator: the
+    columns of basis are signed indicators of disjoint orbits, so it passes
+    iff each coordinate off them reads none and each orbit reads one orbit
+    (or none) with one relative sign.  There is no generator (G is the
+    identity alone) when a lower scenario has more local relabelings than
+    cap or there are more candidates to test; past limit generators, the
+    first limit generate a subgroup of G, whose orbits only split into more.
     """
     tables = [_slot_table(m) for m in target.settings]
     rows = np.zeros((1, target.parties), dtype=np.int64)
@@ -371,7 +359,7 @@ def _search_group(target, reductions, sym, basis, cap, limit):
         rows[:, embed] = stab[j]
         fixed[embed] = True
     free = np.flatnonzero(~fixed)
-    if not len(sym):
+    if basis.shape[1] == target.dimension + 1:
         for p in free:
             gens = np.zeros((len(_party_generators(target.settings[p])), target.parties),
                             dtype=np.int64)
@@ -382,6 +370,9 @@ def _search_group(target, reductions, sym, basis, cap, limit):
     per_row = math.prod(sizes)
     if len(rows) * per_row > cap:
         return _local_maps(tables, rows[:0])
+    # each coordinate's signed orbit number (0 off the orbits) and orbit start
+    label = basis @ np.arange(1, basis.shape[1] + 1)
+    first = np.abs(basis).argmax(axis=0)[np.abs(label) - 1]
     kept = []
     step = max(1, _GATHER_ENTRIES // (target.dimension + 1))
     for lo in range(0, len(rows) * per_row, step):
@@ -389,11 +380,10 @@ def _search_group(target, reductions, sym, basis, cap, limit):
         cand = rows[flat // per_row]
         if len(free):
             cand[:, free] = np.transpose(np.unravel_index(flat % per_row, sizes))
-        # the sum of the basis columns first: a relabeling that maps it out
-        # of the subspace fails, and the few others take the whole test
-        for cols in (basis.sum(axis=1, keepdims=True), basis):
-            cand = _passing(tables, cand, cols.size, lambda src, sign: ~_exact_products(
-                sym, cols[src] * sign[..., None]).any(axis=(1, 2)))
+        src, sign = _local_maps(tables, cand)
+        # one value per (orbit read, sign relative to the reader), 0 for none
+        read = label[src] * sign * np.where(label < 0, -1, 1)
+        cand = cand[(read == read[:, first] * (label != 0)).all(axis=1)]
         kept.append(cand[cand.any(axis=1)])
         if sum(map(len, kept)) >= limit:
             break
@@ -445,7 +435,7 @@ def _branch(cone, sym_basis, dd_cap, job):
     """The certified lifted facet normals of one branch, a job of one option
     per reduction.  The candidates are tight on every option's extended
     behaviors E and invariant under the symmetries: they span the columns of
-    B K, for B the kernel of the symmetry rows and K that of E B."""
+    B K, for B the invariant basis and K the kernel of E B."""
     ext = np.vstack([ext for _, ext, _ in job])
     kernel = integer_kernel_basis(_exact_products(ext, sym_basis), columns=sym_basis.shape[1])
     positive = np.array([w for _, _, w in job])
@@ -494,13 +484,12 @@ def _survivors(target, reductions, symmetry, dd_cap, orbit_cap, vertex_cap, work
     the job that ran.
     """
     options = [_reduction_options(target, spec, orbit_cap, vertex_cap) for spec in reductions]
-    sym = symmetry_rows(symmetry, target)
-    basis = integer_kernel_basis(sym, columns=target.dimension + 1)
+    basis = invariant_basis(symmetry, target)
     context = (local_cone(target, cap=vertex_cap), basis, dd_cap)
     jobs = list(itertools.product(*options))
     cost = sum(map(len, options)) * (target.dimension + 1) + len(jobs)
     source, (msrc, msign) = _job_orbits(options, *_search_group(
-        target, reductions, sym, basis, orbit_cap, orbit_cap // cost))
+        target, reductions, basis, orbit_cap, orbit_cap // cost))
     runs = np.flatnonzero(source == np.arange(len(jobs)))
     # a fork pool starts all its processes at the first submit, so it gets
     # no more than there are jobs to run
@@ -531,7 +520,7 @@ def _survivors(target, reductions, symmetry, dd_cap, orbit_cap, vertex_cap, work
     return found
 
 
-# (cone, symmetry kernel, dd_cap) of the search a worker process serves,
+# (cone, invariant basis, dd_cap) of the search a worker process serves,
 # set by the pool initializer
 _worker_context = ()
 
@@ -560,24 +549,26 @@ def write_class_list(classes):
 
 
 def parse_class_list(text):
-    """The classes of a write_class_list text.  A class k: header line opens
-    each block, and an inequality with no other field follows it.  A header
-    holds members=, a positive count, and optionally witnesses=, each once.
-    Before the first header only blank and # comment lines may stand."""
+    """The classes of a write_class_list text.  The k-th header, class k:,
+    opens each block, and an inequality with no other field follows it.  A
+    header holds members=, a positive count, and optionally witnesses=, each
+    once.  Before the first header only blank and # comment lines may stand."""
     lines = text.splitlines()
     heads = [i for i, line in enumerate(lines) if line.lstrip().startswith("class ")]
     for i, line in enumerate(lines[:heads[0] if heads else len(lines)]):
         if line.strip() and not line.lstrip().startswith("#"):
             raise ParseError(f"line {line.strip()!r} before the first class header", line=i + 1)
     classes = []
-    for a, b in zip(heads, heads[1:] + [len(lines)]):
+    for k, (a, b) in enumerate(zip(heads, heads[1:] + [len(lines)]), start=1):
         try:
-            pairs = [part.split("=", 1) for part in lines[a].partition(":")[2].split()]
+            number, _, fields = lines[a].partition(":")
+            pairs = [part.split("=", 1) for part in fields.split()]
             head = dict(pairs)
             members = int(head["members"])
             wits = tuple(head["witnesses"].split(",")) if "witnesses" in head else ()
-            if len(head) < len(pairs) or not head.keys() <= {"members", "witnesses"} \
-                    or members < 1 or not all(_WITNESS.fullmatch(x) for x in wits):
+            if number.split() != ["class", str(k)] or len(head) < len(pairs) \
+                    or not head.keys() <= {"members", "witnesses"} or members < 1 \
+                    or not all(_WITNESS.fullmatch(x) for x in wits):
                 raise ValueError
         except (ValueError, KeyError):
             raise ParseError(f"malformed class header {lines[a].strip()!r}", line=a + 1) from None

@@ -467,6 +467,18 @@ def _signed_permutation(g, scenario):
     return np.abs(image) - 1, np.sign(image)
 
 
+def reference_fixed_rows(symmetry, target):
+    """P - I of each generator of symmetry, stacked into one int64 matrix
+    whose kernel is the subspace that every generator fixes: column u of P
+    is the unit vector e_u relabeled by reference_relabel."""
+    eye = np.eye(target.dimension + 1, dtype=np.int64)
+    blocks = [eye[:0]]
+    for h in symmetry:
+        perm = np.array([reference_relabel(h, target, e) for e in eye.tolist()]).T
+        blocks.append(perm - eye)
+    return np.vstack(blocks)
+
+
 def reference_search_group(target, reductions, symmetry):
     """(group, orbit of each job label) of a generalization search, by brute
     force over every relabeling of the target, party permutations included.
@@ -481,13 +493,7 @@ def reference_search_group(target, reductions, symmetry):
     """
     d1 = target.dimension + 1
     tuples = index_tuples(target)
-    fixed = [np.zeros((0, d1), dtype=np.int64)]
-    for h in symmetry:
-        src, sign = _signed_permutation(h, target)
-        perm = np.zeros((d1, d1), dtype=np.int64)
-        perm[np.arange(d1), src] = sign
-        fixed.append(perm - np.eye(d1, dtype=np.int64))
-    fixed = np.vstack(fixed)
+    fixed = reference_fixed_rows(symmetry, target)
     # integer rows spanning the sympy nullspace
     invariant = [[int(x) for x in vec * math.lcm(*(int(sympy.fraction(x)[1]) for x in vec))]
                  for vec in sympy.Matrix(fixed.tolist()).nullspace()]

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from conebell import catalog
 from conebell.constraints import (Relabeling, _embedding_map, _signed_permutation,
-                                  parse_relabeling, symmetry_rows)
+                                  invariant_basis, parse_relabeling)
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, pivot_columns
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec, generalize_multi
 
-from .reference import (party_swap, reference_extended_behaviors, reference_reduces,
-                        reference_relabel, sympy_nullity)
+from .reference import (party_swap, reference_extended_behaviors, reference_fixed_rows,
+                        reference_reduces, reference_relabel, sympy_nullity)
 
 
 @st.composite
@@ -71,38 +71,35 @@ def test_gyni_symmetries_fix_gyni():
         src, sign = _signed_permutation(gen, sc)
         assert (np.array(gyni.coefficients)[src] * sign == gyni.coefficients).all()
         assert reference_relabel(gen, sc, gyni.coefficients) == gyni.coefficients
-    # so the symmetry rows, which the searches impose, vanish on it
-    assert not (symmetry_rows([s1, s2], sc) @ gyni.cone_normal()).any()
+    # so it lies in the symmetric subspace that the searches project onto:
+    # each column of its basis is one orbit's signed indicator
+    basis = invariant_basis([s1, s2], sc)
+    n = np.array(gyni.cone_normal())
+    assert (basis @ (n @ basis // np.abs(basis).sum(axis=0)) == n).all()
 
 
-def test_symmetry_rows_identity_contributes_nothing():
+def test_identity_symmetry_keeps_every_coordinate():
     sc = Scenario((2, 2))
-    rows = symmetry_rows([Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))], sc)
-    assert rows.dtype == np.int64 and rows.shape == (0, 9)
-    t = integer_kernel_basis(rows, columns=9)
-    assert t.shape == (9, 9)
+    basis = invariant_basis([Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))], sc)
+    assert basis.dtype == np.int64 and (basis == np.eye(9, dtype=np.int64)).all()
 
 
 def test_swap_symmetry_kernel_dimension():
     # orbits of the 8 correlator coordinates under A<->B: {A1,B1}, {A2,B2},
     # {A1B2, A2B1}, {A1B1}, {A2B2}; plus the constant: kernel dimension 6
     sc = Scenario((2, 2))
-    rows = symmetry_rows([party_swap(sc, 0, 1)], sc)
-    t = integer_kernel_basis(rows, columns=9)
-    assert t.shape[1] == 6
+    assert invariant_basis([party_swap(sc, 0, 1)], sc).shape == (9, 6)
 
 
 def test_full_party_symmetry_kernel_dimension_three_parties():
     # one kernel dimension per multiset over {0..3}^3: C(6,3) = 20
     sc = Scenario((3, 3, 3))
-    rows = symmetry_rows([party_swap(sc, 0, 1), party_swap(sc, 0, 2)], sc)
-    t = integer_kernel_basis(rows, columns=65)
-    assert t.shape[1] == 20
+    assert invariant_basis([party_swap(sc, 0, 1), party_swap(sc, 0, 2)], sc).shape == (64, 20)
 
 
 def test_symmetry_kernel_is_pointwise_invariant():
-    # every kernel vector is fixed by every generator, relabeled one setting
-    # tuple at a time, and the kernel has the dimension of the invariant
+    # every basis vector is fixed by every generator, relabeled one setting
+    # tuple at a time, and the basis has the dimension of the invariant
     # subspace: the sympy nullity of the stacked P - I, whose column u is
     # the relabeled unit vector e_u minus e_u.  A 3-cycle with a flip tells
     # the sign of an image coordinate from that of its source.
@@ -113,14 +110,55 @@ def test_symmetry_kernel_is_pointwise_invariant():
         sc = Scenario(settings_)
         d1 = sc.dimension + 1
         gens = [parse_relabeling(text, sc) for text in texts]
-        t = integer_kernel_basis(symmetry_rows(gens, sc), columns=d1)
+        t = invariant_basis(gens, sc)
         for gen in gens:
             for col in t.T.tolist():
                 assert reference_relabel(gen, sc, col) == tuple(col)
-        eye = np.eye(d1, dtype=np.int64)
-        fixed = np.vstack([np.array([reference_relabel(gen, sc, e) for e in eye.tolist()]).T
-                           - eye for gen in gens])
-        assert t.shape[1] == sympy_nullity(fixed, d1) < d1
+        assert t.shape[1] == sympy_nullity(reference_fixed_rows(gens, sc), d1) < d1
+
+
+# every symmetry set of the tests, the long runs and the benchmark, each
+# with whether some orbit is tied to its own negative
+_SYMMETRY_SETS = [
+    # the benchmark's generalize runs and the cyclic searches of the tests
+    ((2, 2, 2), ["perm:ABC->BCA"], False),
+    ((2, 2, 2), [], False),
+    # criterion 5, the CLI's and the search tests' party swaps
+    ((2, 2, 2), ["perm:ABC->BAC", "perm:ABC->CBA"], False),
+    ((2, 2, 2), ["perm:ABC->BAC"], False),
+    ((2, 2, 2), ["perm:ABC->BAC", "A:(1 2)"], False),
+    # criterion 6, both symmetry choices
+    ((4, 4, 4), ["perm:ABC->BAC", "perm:ABC->CBA", "A:(1 2); B4:-; C4:-"], True),
+    ((4, 4, 4), ["perm:ABC->BAC", "perm:ABC->CBA", "A:(1 2); B:(1 2); C4:-"], True),
+    # criterion 7: GYNI, I3322 and the hybrid run
+    ((2, 2, 2, 2), ["A:(1 2); B:(1 2); C1:-; C2:-",
+                    "A:(1 2); C:(1 2); A1:-; A2:-; B1:-; B2:-"], True),
+    ((3, 3, 3), ["perm:ABC->BAC", "perm:ABC->CBA"], False),
+    ((3, 3, 2), ["perm:ABC->BAC"], False),
+    # the sets of the pointwise, swap and GYNI-symmetry tests above; a flip
+    # on a 3-cycle ties whole orbits to their negatives
+    ((2, 2), ["perm:AB->BA"], False),
+    ((2, 2, 2), ["perm:ABC->BAC; A1:-", "A:(1 2); B2:-"], True),
+    ((2, 2, 2), ["perm:ABC->BCA; A1:-"], True),
+    ((2, 3, 2), ["perm:ABC->CBA; B:(1 2 3); A2:-; C1:-"], True),
+    ((2, 2, 2), ["A:(1 2); B:(1 2); C1:-; C2:-", "A:(1 2); C:(1 2); A1:-; A2:-; B1:-; B2:-"],
+     True),
+]
+
+
+@pytest.mark.parametrize("settings_, texts, tied", _SYMMETRY_SETS)
+def test_invariant_basis_is_the_kernel_of_the_fixed_rows(settings_, texts, tied):
+    # array for array, dtype and column order included: the order sets the
+    # DD insertion order of every branch, and with each orbit's first
+    # coordinate instead of its largest the I3322 branch DDs take 16 times
+    # as long
+    sc = Scenario(settings_)
+    gens = [parse_relabeling(text, sc) for text in texts]
+    basis = invariant_basis(gens, sc)
+    want = integer_kernel_basis(reference_fixed_rows(gens, sc), columns=sc.dimension + 1)
+    assert basis.dtype == want.dtype == np.int64
+    assert basis.shape == want.shape and (basis == want).all()
+    assert basis.any(axis=1).all() != tied
 
 
 def _extended_behaviors(branch_constraints, lower, xi, target, embed):
@@ -227,7 +265,7 @@ def test_extended_behaviors_match_brute_force(lower, target, embed, branch_const
     (((0, 1), (1, 2)), True),
 ])
 def test_sign_test_matches_term_by_term_reduction(embeds, symmetric, branch_constraints):
-    # branches with two reductions, or with symmetry rows, on random kernel
+    # branches with two reductions, or with symmetries, on random kernel
     # vectors: a branch that lacks one reduction's extended behaviors breaks
     # B^T M = u n^T for that reduction
     target = Scenario((2, 2, 2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conebell import catalog, search
-from conebell.constraints import parse_relabeling, symmetry_rows
+from conebell.constraints import invariant_basis, parse_relabeling
 from conebell.errors import CapExceededError, ParseError
 from conebell.exactlinalg import integer_kernel_basis
 from conebell.inequality import Inequality, from_terms, write_inequality
@@ -14,8 +14,8 @@ from conebell.search import (ReductionSpec, canonical_form, classify, generalize
                              parse_class_list, relabeling_orbit, write_class_list)
 
 from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
-                        reference_reduces, reference_relabel, reference_search_group,
-                        xi_label)
+                        reference_fixed_rows, reference_reduces, reference_relabel,
+                        reference_search_group, xi_label)
 
 
 def test_canonical_form_idempotent():
@@ -88,7 +88,7 @@ def test_chsh_variants_share_canonical_form():
     assert all(canonical_form(v).coefficients == canon for v in variants)
 
 
-def _orbit_cases():
+def _relabeling_orbit_cases():
     chsh_32 = from_terms(Scenario((3, 2)), 2, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1})
     sc = Scenario((2, 1, 1))
     vec = [int(x) for x in np.random.default_rng(5).integers(-2, 3, size=sc.dimension + 1)]
@@ -96,7 +96,7 @@ def _orbit_cases():
     return [catalog.chsh(), chsh_32, catalog.gyni(), Inequality(sc, tuple(vec))]
 
 
-@pytest.mark.parametrize("ineq", _orbit_cases())
+@pytest.mark.parametrize("ineq", _relabeling_orbit_cases())
 def test_relabeling_orbit_matches_brute_force(ineq):
     sc = ineq.scenario
     want = sorted({reference_relabel(g, sc, ineq.coefficients)
@@ -355,7 +355,7 @@ def test_worker_pool_has_no_more_processes_than_branches_to_run(monkeypatch):
     assert par == seq
 
 
-def _orbit_cases():
+def _search_orbit_cases():
     """(2,2,2) searches for CHSH on A,B, exact and up to relabeling, under a
     cyclic symmetry, under a party-swap symmetry and with none."""
     target = Scenario((2, 2, 2))
@@ -370,10 +370,8 @@ def _fast_group(target, specs, symmetry):
     of _job_orbits)."""
     options = [search._reduction_options(target, spec, search.ORBIT_CAP_DEFAULT,
                                          VERTEX_CAP_DEFAULT) for spec in specs]
-    sym = symmetry_rows(symmetry, target)
-    basis = integer_kernel_basis(sym, columns=target.dimension + 1)
-    src, sign = search._search_group(target, specs, sym, basis, search.ORBIT_CAP_DEFAULT,
-                                     search.ORBIT_CAP_DEFAULT)
+    src, sign = search._search_group(target, specs, invariant_basis(symmetry, target),
+                                     search.ORBIT_CAP_DEFAULT, search.ORBIT_CAP_DEFAULT)
     return options, src, sign, search._job_orbits(options, src, sign)
 
 
@@ -404,7 +402,7 @@ def _maps_job_data(options, source, maps):
         for (_, _, w), (_, _, wj) in zip(jobs[first], job))
 
 
-@pytest.mark.parametrize("target, specs, symmetry", _orbit_cases())
+@pytest.mark.parametrize("target, specs, symmetry", _search_orbit_cases())
 def test_the_search_group_lies_inside_the_brute_force_group(target, specs, symmetry):
     # every relabeling that the generators give is one of the oracle's,
     # which map the symmetric subspace and the jobs onto themselves; every
@@ -438,6 +436,42 @@ def test_the_search_group_fixes_each_unswept_lower_inequality():
     assert len(stabilizer) == 8
 
 
+@pytest.mark.parametrize("settings, texts", [
+    ((2, 2, 2), ["perm:ABC->BCA"]),
+    ((2, 2, 2), ["perm:ABC->BCA; A1:-"]),
+    ((2, 3, 2), ["perm:ABC->CBA; B:(1 2 3); A2:-; C1:-"]),
+    ((3, 3, 2), ["perm:ABC->BAC"]),
+    ((3, 3, 3), ["perm:ABC->BAC", "perm:ABC->CBA"]),
+    ((2, 2, 2, 2), ["A:(1 2); B:(1 2); C1:-; C2:-", "A:(1 2); C:(1 2); A1:-; A2:-; B1:-; B2:-"]),
+])
+def test_the_orbit_gather_is_the_exact_subspace_test(settings, texts):
+    # with no reduction, the generators of G are every local relabeling g
+    # but the identity that maps the invariant basis B into its span: the
+    # products of the generators' P - I with g's B are 0.  Checked on random
+    # local relabelings, and on ones that relabel every equal-setting party
+    # alike, which pass more often
+    target = Scenario(settings)
+    gens = [parse_relabeling(text, target) for text in texts]
+    basis = invariant_basis(gens, target)
+    src, sign = search._search_group(target, [], basis, search.ORBIT_CAP_DEFAULT,
+                                     search.ORBIT_CAP_DEFAULT)
+    group = set(map(tuple, np.hstack([src, sign]).tolist()))
+    tables = [search._slot_table(m) for m in settings]
+    rng = np.random.default_rng(len(group))
+    rows = np.column_stack([rng.integers(len(tables[p][0]), size=400) for p in range(len(tables))])
+    # 384 is a multiple of every table size here, 8 and 48
+    alike = rng.integers(384, size=(400, max(settings) + 1))
+    rows = np.vstack([rows, [[alike[k, m] % len(tables[p][0]) for p, m in enumerate(settings)]
+                             for k in range(len(alike))]])
+    csrc, csign = search._local_maps(tables, rows)
+    fixed = reference_fixed_rows(gens, target)
+    exact = ~np.einsum("rd,ndk->nrk", fixed, basis[csrc] * csign[..., None]).any(axis=(1, 2))
+    kept = [tuple(row) in group or not k.any()
+            for row, k in zip(np.hstack([csrc, csign]).tolist(), rows)]
+    assert kept == exact.tolist()
+    assert 0 < exact.sum() < len(exact)
+
+
 def _every_branch(monkeypatch):
     """Make every search run all its branches: G has no generators."""
     def no_generators(target, *args):
@@ -459,12 +493,12 @@ def test_a_swept_search_without_symmetry_has_few_generators():
 
 
 def _orbit_runs():
-    """Each of _orbit_cases with 1 and 2 workers.  The swept search with no
-    symmetry runs 32 DDs of about 0.3 s to every branch, so with 2 workers
-    it runs only under -m long."""
+    """Each of _search_orbit_cases with 1 and 2 workers.  The swept search
+    with no symmetry runs 32 DDs of about 0.3 s to every branch, so with 2
+    workers it runs only under -m long."""
     return [pytest.param(target, specs, symmetry, workers, marks=[pytest.mark.long] * (
                 workers == 2 and specs[0].sweep_orbit and not symmetry))
-            for target, specs, symmetry in _orbit_cases() for workers in (1, 2)]
+            for target, specs, symmetry in _search_orbit_cases() for workers in (1, 2)]
 
 
 @pytest.mark.parametrize("target, specs, symmetry, workers", _orbit_runs())
@@ -568,6 +602,21 @@ def test_class_list_rejects_a_bad_header(header):
     with pytest.raises(ParseError, match="malformed class header") as err:
         parse_class_list(text)
     assert err.value.line == 2
+
+
+def test_class_list_headers_count_the_classes():
+    # the k-th header must read class k:, so a garbled or out-of-order
+    # number names its line
+    chsh = write_inequality(catalog.chsh())
+    for text, line in [("class 9: members=1\n" + chsh + "class banana: members=2\n" + chsh, 1),
+                       ("class 1: members=1\n" + chsh + "class banana: members=2\n" + chsh,
+                        len(chsh.splitlines()) + 2),
+                       ("class 2: members=1\n" + chsh + "class 1: members=2\n" + chsh, 1)]:
+        with pytest.raises(ParseError, match="malformed class header") as err:
+            parse_class_list(text)
+        assert err.value.line == line
+    two = parse_class_list("class 1: members=1\n" + chsh + "class 2: members=2\n" + chsh)
+    assert [cl.members_found for cl in two] == [1, 2]
 
 
 def test_class_list_rejects_lines_before_the_first_header():
