@@ -28,27 +28,30 @@ generalize_multi certifies each lower inequality on its own scenario with
 the same batched test.
 
 All arithmetic is exact, and the exact steps go through the one elimination
-of exactlinalg.  The DD's initial simplex comes from pivot_columns (which
-rows) and one integer_kernel_basis (every ray).  Its rays, the products with
-each inserted row and the combined rays stay int64 until exactlinalg's one
-bound, _products_overflow, says a sum of products could reach 2^62; from
-there they are Python-int object arrays.
+of exactlinalg.  One reduced elimination gives both the rows and the rays of
+the DD's initial simplex.  Its rays, the products with each inserted row and
+the combined rays stay int64 until exactlinalg's one bound,
+_products_overflow, says a sum of products could reach 2^62; from there
+they are Python-int object arrays.
 
 Each insertion finds the adjacent (positive, negative) ray pairs with the
 combinatorial test on zero sets (Fukuda and Prodon 1996), kept as bit words
-(bit i: constraint row i is tight).  A broadcast AND lists, for each ray on
-the smaller side, the rays that share at least r - 2 zeros with it, its
-near rays; the near rays on the other side are its candidate partners.  A
-third ray whose zero set holds a pair's common zero set is near both rays
-of the pair, so two scans over the near rays decide every pair exactly.
-The first tests the common sets against the near rays on the inserted
-hyperplane: neither ray of a pair is on it, so any holder there rejects the
-pair, and nearly all rejected pairs go there.  The second tests the few
-survivors against the near rays off the hyperplane and keeps a pair when
-only its own two rays hold the set.  One expression combines the kept
-pairs.  The broadcasts and scans go in chunks of about _ADJACENCY_ENTRIES
-entries: the DD already holds every intermediate ray, and larger chunks
-raise its peak memory for little speed.
+(bit i: constraint row i is tight).  A broadcast AND counts, for each ray on
+the smaller side of the inserted hyperplane, the zeros it shares with each
+ray on the other side; the pairs that share at least r - 2 are the
+candidates.  A candidate is adjacent when no third ray's zero set holds its
+common zero set C.  Byte tables of ray bitsets answer that subset query
+with one lookup per byte of C (the bit patterns of Terzer and Stelling
+2008): for a block of rays, T[p, v] is the bitset of the rays whose zero
+set holds every bit of v in byte p, so the rays that hold C are the AND
+over p of T[p, byte p of C].  Where one byte's table would outweigh testing
+every ray, as in the few-ray DDs of a search's branches, each ray is tested
+directly.  The rays on the inserted hyperplane fill the first blocks.
+Neither ray of a pair lies on it, so one holder there rejects the pair, and
+nearly every rejected pair leaves after those blocks.  One expression
+combines the kept pairs.  The shared-zero counts, the tables and their
+gathers go in blocks and chunks of about _ADJACENCY_ENTRIES entries,
+whatever the ray count.
 """
 from __future__ import annotations
 
@@ -57,15 +60,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DegenerateVectorError
-from .exactlinalg import (_as_int_rows, _primitive_rows, _products_overflow, capped_ranks,
-                          integer_kernel_basis, pivot_columns)
+from .exactlinalg import (_as_int_rows, _echelon, _primitive_rows, _products_overflow,
+                          capped_ranks, integer_kernel_basis)
 from .scenario import VERTEX_CAP_DEFAULT, enumerate_vertices
 
 DD_CAP_DEFAULT = 5_000_000
-# entries per broadcast and scan of the DD adjacency test (256 KB of uint64).
-# Larger chunks only cost memory: on a 2-vCPU VM four (3,3) DDs take 0.18 to
-# 0.21 s CPU from 2^13 to 2^16 entries, at a process peak RSS of 36.6 to
-# 37.6 MB, and 0.20 s at 46.5 MB at 2^22
+# entries per chunk or block of the DD adjacency test: shared-zero counts,
+# byte tables and their gathers (256 KB of uint64).  On a 2-vCPU VM four
+# (3,3) DDs take 0.11 to 0.13 s CPU from 2^13 to 2^18 entries, at a process
+# peak RSS of 37.4 to 39.4 MB.  The (2,2,2) DD takes 7.7 s at 2^13, 4.3 at
+# 2^14, 3.6 at 2^15, 3.5 at 2^16, 4.3 at 2^17, 7.8 at 2^18 and 30 at 2^20:
+# a larger table holds more rays, so a pair that a ray on the hyperplane
+# rejects leaves the query later
 _ADJACENCY_ENTRIES = 1 << 15
 
 
@@ -208,19 +214,20 @@ def _dd_extreme_rays(a, cap):
     a must have full column rank.  Returns (rays, zerosets) where bit i of a
     ray's zero set means constraint row i is satisfied with equality.
     The initial simplex is the first r independent rows b in lexicographic
-    order (the pivots of pivot_columns).  One kernel of [b | -I] gives all
-    its rays: free column j solves b x = L e_j with L > 0, so the primitive
-    form of -x, ray j, lies on the negative side of row j and on the other
+    order, and one reduced elimination of [a^T | I] (rows of a in that
+    order) gives both: its pivots are those rows, and its row transform S,
+    the right block, has S b^T = diag(p) for the pivot entries p, so row j
+    of S over p_j is column j of b^-1.  Ray j, the primitive form of
+    -sign(p_j) S_j, lies on the negative side of row j and on the other
     r - 1 rows.  The remaining rows are then inserted in lexicographic order.
     """
     m, r = a.shape
     order = sorted(range(m), key=a.tolist().__getitem__)
-    basis_ids = [order[i] for i in pivot_columns(a[order].T, stop_at=r)]
-    if len(basis_ids) < r:
+    red, pivots = _echelon(np.hstack([a[order].T, np.eye(r, dtype=a.dtype)]), reduced=True)
+    if pivots[-1] >= m:
         raise ValueError("constraint matrix does not have full column rank")
-    b = a[basis_ids]
-    x = integer_kernel_basis(np.hstack([b, -np.eye(r, dtype=b.dtype)]))[:r]
-    rays = _primitive_rows(-x.T)
+    basis_ids = [order[i] for i in pivots]
+    rays = _primitive_rows(-np.sign(red[np.arange(r), pivots])[:, None] * red[:, m:])
     words = (m + 63) >> 6
     bits = np.array([_bit(words, i) for i in basis_ids])
     zero = np.bitwise_or.reduce(bits) ^ bits
@@ -246,59 +253,29 @@ def _combine_adjacent(rays, zero, values, bit, r):
     """New extreme rays from adjacent (positive, negative) pairs.
 
     Two rays are adjacent when their common zero set has at least r - 2
-    bits and no third ray's zero set contains it.  The outer rays are the
-    smaller of the two sides.  For a chunk of them, one broadcast per word
-    counts the zeros each shares with every ray; the rays sharing at least
-    r - 2 are near, and one np.nonzero lists them, each with its side of
-    the inserted hyperplane.  The near rays on the other side are the
-    candidates.  A ray that holds a candidate's common zero set is near its
-    outer ray, so two scans over the chunk's near rays decide every
-    candidate exactly:
-    - the first tests the common sets against the near rays on the
-      hyperplane (value 0).  Neither ray of a pair is on it, so any holder
-      there is a third ray, and the pair is dropped;
-    - the second tests the survivors against the near rays off the
-      hyperplane, the pair's own two rays among them, and keeps a pair when
-      exactly two hold its common set.
-    The broadcasts and scans go in chunks of at most _ADJACENCY_ENTRIES
-    entries, or of one row where a row is longer.  Every new ray is one
-    combination values[p] * ray[n] - values[n] * ray[p]; bit is the
+    bits and no third ray's zero set holds it.  The outer rays are the
+    smaller of the two sides, and the candidates are the (outer, inner)
+    pairs whose zero sets share at least r - 2 bits (see _candidates).
+    Each batch of candidates is decided by one subset query against byte
+    tables of the ray bitsets, with the rays on the hyperplane (value 0)
+    first (see _only_two_hold): a pair is kept when only its own two rays
+    hold its common set.  This keeps the same pairs as testing every third
+    ray, in the same order.  Every new ray is one combination values[p] *
+    ray[n] - values[n] * ray[p], in (outer, inner) order; bit is the
     inserted row's word.
     """
-    pos_idx = np.flatnonzero(values > 0)
-    neg_idx = np.flatnonzero(values < 0)
+    # group 0 on the hyperplane, 1 positive, 2 negative, each in index order
+    group = (values > 0) + 2 * (values < 0)
+    order = np.argsort(group, kind="stable")
+    on, pos = np.bincount(group, minlength=3)[:2]
+    pos_idx, neg_idx = order[on:on + pos], order[on + pos:]
     swap = len(pos_idx) < len(neg_idx)
     outer, inner = (pos_idx, neg_idx) if swap else (neg_idx, pos_idx)
-    # 0 on the hyperplane, 1 on the inner side, 2 on the outer side
-    side = np.zeros(len(values), dtype=np.int8)
-    side[inner] = 1
-    side[outer] = 2
-    # one contiguous row per word: reducing over a short word axis would cost
-    # more than the AND it reduces.  free has the bits of the rows a ray is off
-    words = zero.T.copy()
-    free = ~words
+    tabled = zero[order]
     pairs = [(outer[:0], inner[:0], zero[:0])]
-    step = max(1, _ADJACENCY_ENTRIES // words.shape[1])
-    for lo in range(0, len(outer), step):
-        o = outer[lo:lo + step]
-        count = np.bitwise_count(words[0, o, None] & words[0])
-        for k in range(1, len(words)):
-            count = np.add(count, np.bitwise_count(words[k, o, None] & words[k]),
-                           dtype=np.int32)
-        # flat indices: np.nonzero of the 2-d matrix is several times slower
-        near = np.flatnonzero(count >= r - 2)
-        cand = near[side[near % len(side)] == 1]
-        o_c, i_c = o[cand // len(side)], cand % len(side)
-        near %= len(side)
+    for o_c, i_c in _candidates(zero, outer, inner, r):
         common = zero[o_c] & zero[i_c]
-        if len(o) > 1:
-            # a ray near several outer rays is one witness
-            seen = np.zeros(len(side), dtype=bool)
-            seen[near] = True
-            near = np.flatnonzero(seen)
-        on = side[near] == 0
-        keep = _holders(free[:, near[on]], common) == 0
-        keep[keep] = _holders(free[:, near[~on]], common[keep]) == 2
+        keep = _only_two_hold(tabled, on, common)
         pairs.append((o_c[keep], i_c[keep], common[keep]))
     o_i, i_i, common = (np.concatenate(x) for x in zip(*pairs))
     p_i, n_i = (o_i, i_i) if swap else (i_i, o_i)
@@ -309,19 +286,106 @@ def _combine_adjacent(rays, zero, values, bit, r):
     return _primitive_rows(new), common | bit
 
 
-def _holders(free, common):
-    """For each row of common, how many rays hold it in their zero set.  free
-    has one row per zero-set word and one column per ray, with the bits of
-    the rows the ray is off, so a ray holds a set that meets none of them."""
-    held = np.zeros(len(common), dtype=np.intp)
-    sub = max(1, _ADJACENCY_ENTRIES // max(1, free.shape[1]))
-    for c in range(0, len(common), sub):
-        z = common[c:c + sub].T[..., None]
-        miss = free[0] & z[0]
-        for k in range(1, len(free)):
-            miss |= free[k] & z[k]
-        held[c:c + sub] = (miss == 0).sum(axis=1)
-    return held
+def _candidates(zero, outer, inner, r):
+    """Batches of (outer index, inner index) arrays: the pairs whose zero
+    sets share at least r - 2 bits, in (outer, inner) order.  The shared
+    bits are counted for a chunk of outer rays against every inner ray at
+    once, at most _ADJACENCY_ENTRIES counts (or one row) per chunk, and a
+    batch closes once it holds _ADJACENCY_ENTRIES pairs, or at the end."""
+    # one contiguous row per word: reducing over a short word axis would cost
+    # more than the AND it reduces
+    words = zero[inner].T.copy()
+    outer_words = zero[outer, :, None]
+    step = max(1, _ADJACENCY_ENTRIES // len(inner))
+    o_parts, i_parts, size = [], [], 0
+    for lo in range(0, len(outer), step):
+        o = outer_words[lo:lo + step]
+        count = np.bitwise_count(o[:, 0] & words[0])
+        for k in range(1, len(words)):
+            count = np.add(count, np.bitwise_count(o[:, k] & words[k]), dtype=np.int32)
+        # flat indices: np.nonzero of the 2-d matrix is several times slower
+        at, i = np.divmod((count >= r - 2).ravel().nonzero()[0], len(inner))
+        o_parts.append(outer[lo + at])
+        i_parts.append(inner[i])
+        size += len(i)
+        if size >= _ADJACENCY_ENTRIES or lo + step >= len(outer):
+            yield np.concatenate(o_parts), np.concatenate(i_parts)
+            o_parts, i_parts, size = [], [], 0
+
+
+def _only_two_hold(zero, on, common):
+    """Whether no rows of zero but two hold each row of common, that is
+    have every bit of it.  Two rows after the first `on` always do (a
+    pair's own rays, off the hyperplane), so a set passes when its holders
+    count two.
+
+    Where testing every row of zero takes fewer word ANDs than one byte's
+    table has entries (256), as in the few-ray DDs of a search's branches,
+    each row is tested directly.  Otherwise the test is a subset query on
+    byte tables (Terzer and Stelling 2008).  The rows of zero go in blocks,
+    each with its table T[p, v] (see _byte_table), so that the rows holding
+    a set C are the AND over p of T[p, byte p of C]: one lookup per byte,
+    and only the bytes that some row of common uses.
+    Byte 0 always counts, since its entry T[0, 0], the block's mask of real
+    rows, is all that an empty C looks up.  A block has as many rows as
+    keep its table within _ADJACENCY_ENTRIES words (64 at least), and the
+    gathers go in chunks of as many words.  A set whose count passes two
+    leaves the query at the end of a block.  A holder in a block wholly
+    within the first `on` rows counts three, so that one such holder ends
+    the query there; it could not pass anyway, as the two given holders
+    are still to come.
+    """
+    if len(common) * zero.size <= 256:
+        held = (zero & common[:, None]) == common[:, None]
+        return held.all(axis=2).sum(axis=1) <= 2
+    cbytes = np.ascontiguousarray(common, dtype="<u8").view(np.uint8)
+    used = np.bitwise_or.reduce(cbytes, axis=0)
+    used[0] = 1
+    used = used.nonzero()[0]
+    cols = cbytes[:, used].T
+    zbytes = np.ascontiguousarray(zero, dtype="<u8").view(np.uint8)[:, used]
+    count = np.zeros(len(common), dtype=np.intp)
+    live = np.arange(len(common))
+    size = 64 * max(1, _ADJACENCY_ENTRIES // (256 * len(used)))
+    for lo in range(0, len(zbytes), size):
+        if lo:
+            live = live[count[live] <= 2]
+        table = _byte_table(zbytes[lo:lo + size])
+        weight = 3 if lo + size <= on else 1
+        sub = max(1, _ADJACENCY_ENTRIES // (2 * table.shape[2]))
+        for c in range(0, len(live), sub):
+            ids = live[c:c + sub]
+            at = cols[:, ids]
+            held = table[0, at[0]]
+            part = np.empty_like(held)
+            for p in range(1, len(at)):
+                held &= np.take(table[p], at[p], axis=0, out=part)
+            count[ids] += weight * np.bitwise_count(held).sum(axis=1, dtype=np.intp)
+    return count <= 2
+
+
+def _byte_table(zbytes):
+    """T[p, v] for the rays of zbytes, one row per ray and one column per
+    byte p: the bitset (little-endian uint64 words, bit i for row i) of the
+    rays whose byte p has every bit of v.  With R[j] the bitset of the rays
+    that have bit j, T[p, v] is the AND of R[8p + b] over the bits b of v,
+    and T[p, 0] the mask of real rays, so that no padding bit counts: the
+    AND-product of the eight tables (mask, R[8p + b]), formed by three
+    rounds of pairwise outer ANDs (2 x 2, 4 x 4 and 16 x 16 entries)."""
+    n, k = zbytes.shape
+    # row 8p + b of bits is R[8p + b]; the last row marks the real rays
+    bits = np.zeros((8 * k + 1, -(-n // 64) * 64), dtype=np.uint8)
+    bits[:-1, :n] = np.unpackbits(zbytes, axis=1, bitorder="little").T
+    bits[-1, :n] = 1
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    table = np.empty((k, 8, 2, words.shape[1]), dtype=np.uint64)
+    table[:, :, 0] = words[-1]
+    table[:, :, 1] = words[:-1].reshape(k, 8, -1)
+    for half in (4, 2, 1):
+        # entry h * len + l of a joined pair: h of the higher bits, l of the lower
+        pair = table[:, 1::2, :, None] & table[:, 0::2, None, :]
+        table = pair.reshape(k, half, -1, words.shape[1])
+    return table[:, 0]
 
 
 def _polar(cone, cap):
@@ -354,11 +418,20 @@ def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
     bounds the intermediate rays of the double description.
     """
     normals, zero = _polar(cone, cap)
-    # bit i of a zero set is bit i & 63 of word i >> 6, so little-endian
-    # bytes unpacked little-end first put row i at position i
-    bits = np.unpackbits(zero.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    return [FacetNormal(vector=tuple(vec), saturating=tuple(np.flatnonzero(b).tolist()))
-            for vec, b in zip(normals.tolist(), bits)]
+    facets = []
+    # one np.nonzero per chunk of about _ADJACENCY_ENTRIES bits
+    step = max(1, _ADJACENCY_ENTRIES // (64 * zero.shape[1]))
+    for lo in range(0, len(normals), step):
+        # bit i of a zero set is bit i & 63 of word i >> 6, so little-endian
+        # bytes unpacked little-end first put row i at position i
+        bits = np.unpackbits(zero[lo:lo + step].astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")
+        facet, ray = np.nonzero(bits)
+        ends = np.cumsum(np.bincount(facet, minlength=len(bits))).tolist()
+        ray = ray.tolist()
+        facets += [FacetNormal(vector=tuple(vec), saturating=tuple(ray[a:b]))
+                   for vec, a, b in zip(normals[lo:lo + step].tolist(), [0] + ends, ends)]
+    return facets
 
 
 def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):

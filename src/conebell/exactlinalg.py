@@ -5,12 +5,12 @@ modular_ranks.  Matrices are numpy arrays, either int64 (the fast path) or
 dtype=object holding arbitrary-precision Python integers.  One elimination,
 the fraction-free Gaussian elimination of _echelon, does every exact step:
 
-- pivot_columns returns its pivots.  The double description in cone picks
-  its initial simplex rows from them, and capped_ranks counts them.
+- pivot_columns returns its pivots, and capped_ranks counts them.
 - integer_kernel_basis reads a kernel off its reduced form, one primitive
   column per free column.  It gives the constraint kernels of the
-  projection, the span of a lower-dimensional cone, and the DD's initial
-  simplex, all of whose rays come from one kernel.
+  projection and the span of a lower-dimensional cone.
+- The double description in cone reads both the rows and the rays of its
+  initial simplex off one reduced form, of [a^T | I].
 
 _primitive_rows divides rows by their gcd with np.gcd.reduce, also on
 object rows, where np.gcd is math.gcd and exact.
@@ -70,20 +70,24 @@ def _products_overflow(a_max, b_max, terms):
 
 def _as_int_rows(data, columns=None):
     """A 2-d integer array: int64 for signed integer input, else exact Python
-    ints; (0, columns) if empty.  A non-integral entry raises ValueError."""
+    ints; (0, columns) if empty.  A non-integral entry raises ValueError, and
+    so does a matrix with rows whose column count is not columns, if given."""
     arr = np.array(data)
     if arr.dtype.kind == "i" and arr.ndim == 2:
-        return arr.astype(np.int64, copy=False)
-    if arr.size == 0:
+        out = arr.astype(np.int64, copy=False)
+    elif arr.size == 0:
         if columns is None:
             raise ValueError("empty matrix needs an explicit column count")
         return np.zeros((0, columns), dtype=object)
-    if arr.ndim != 2:
+    elif arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    # int() would truncate a non-integral entry
-    out = np.vectorize(int, otypes=[object])(arr)
-    if (out != arr).any():
-        raise ValueError("entries must be integers")
+    else:
+        # int() would truncate a non-integral entry
+        out = np.vectorize(int, otypes=[object])(arr)
+        if (out != arr).any():
+            raise ValueError("entries must be integers")
+    if columns is not None and out.shape[1] != columns:
+        raise ValueError(f"expected {columns} columns, got {out.shape[1]}")
     return out
 
 

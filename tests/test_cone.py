@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conebell import catalog
-from conebell.cone import (DD_CAP_DEFAULT, Cone, _certify, _combine_adjacent, _dd_extreme_rays,
-                           _lift, constrained_facets, enumerate_facets_dd, lift_polytope,
-                           local_cone, project_rays)
+from conebell.cone import (DD_CAP_DEFAULT, Cone, _byte_table, _certify, _combine_adjacent,
+                           _dd_extreme_rays, _lift, _only_two_hold, constrained_facets,
+                           enumerate_facets_dd, lift_polytope, local_cone, project_rays)
 from conebell.errors import CapExceededError
 from conebell.exactlinalg import _PRIME, capped_ranks, integer_kernel_basis, pivot_columns
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec
 
-from .reference import (off_hyperplane_rejections, party_swap, random_full_dim_vertices,
-                        reference_adjacent_pairs, reference_facets, sympy_nullspace_rays,
-                        sympy_rank, sympy_simplex_rays)
+from .reference import (_candidate_witnesses, off_hyperplane_rejections, party_swap,
+                        random_full_dim_vertices, reference_adjacent_pairs, reference_facets,
+                        sympy_nullspace_rays, sympy_rank, sympy_simplex_rays)
 
 
 def _projection_sources(cone, basis, projected):
@@ -194,17 +194,117 @@ def test_adjacency_matches_the_per_pair_oracle(monkeypatch):
     # some pair is rejected only by a ray off the inserted hyperplane, which
     # the second scan alone can see
     assert sum(off_hyperplane_rejections(s[1], s[2], s[4]) for s in states) > 0
-    for rays, zero, values, bit, r in states:
-        new_rays, new_zero = _combine_adjacent(rays, zero, values, bit, r)
-        expected_rays, expected_zero = [], []
-        for p, n, common in reference_adjacent_pairs(zero, values, r):
-            ray = [int(values[p]) * int(x) - int(values[n]) * int(y)
-                   for x, y in zip(rays[n], rays[p])]
-            g = math.gcd(*ray)
-            expected_rays.append([x // g for x in ray])
-            expected_zero.append(common | _set_value(bit))
-        assert [[int(x) for x in ray] for ray in new_rays] == expected_rays
-        assert [_set_value(z) for z in new_zero] == expected_zero
+    for state in states:
+        _assert_matches_the_oracle(*state)
+
+
+def _assert_matches_the_oracle(rays, zero, values, bit, r):
+    """_combine_adjacent gives the oracle's pairs, combined, in its order;
+    returns how many."""
+    new_rays, new_zero = _combine_adjacent(rays, zero, values, bit, r)
+    expected_rays, expected_zero = [], []
+    for p, n, common in reference_adjacent_pairs(zero, values, r):
+        ray = [int(values[p]) * int(x) - int(values[n]) * int(y)
+               for x, y in zip(rays[n], rays[p])]
+        g = math.gcd(*ray)
+        expected_rays.append([x // g for x in ray])
+        expected_zero.append(common | _set_value(bit))
+    assert [[int(x) for x in ray] for ray in new_rays] == expected_rays
+    assert [_set_value(z) for z in new_zero] == expected_zero
+    return len(expected_rays)
+
+
+def _drawn_insertion(seed, on, pos, neg, rows, r, python_ints=False):
+    """The arguments of one _combine_adjacent call, drawn at random: on, pos
+    and neg rays on, above and below the hyperplane of the last of `rows`
+    constraint rows, in a shuffled order.  Each ray is tight on about half
+    of 12 rows drawn from the others, so that third rays often hold a
+    pair's common set.  Every ray has first coordinate 1, so no combination
+    is zero."""
+    rng = np.random.default_rng(seed)
+    n = on + pos + neg
+    values = rng.permutation(np.concatenate([
+        np.zeros(on, dtype=np.int64), rng.integers(1, 9, pos), -rng.integers(1, 9, neg)]))
+    words = (rows + 63) // 64
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    tight = rng.choice(rows - 1, size=min(rows - 1, 12), replace=False)
+    bits[:, tight] = rng.random((n, len(tight))) < 0.5
+    bits[values == 0, rows - 1] = True
+    zero = np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    bit = np.zeros(words, dtype=np.uint64)
+    bit[(rows - 1) >> 6] = np.uint64(1) << np.uint64((rows - 1) & 63)
+    spread = 10 ** 20 if python_ints else 9
+    rays = np.array([[1] + [int(x) * spread for x in rng.integers(-9, 10, 3)]
+                     for _ in range(n)], dtype=object if python_ints else np.int64)
+    return rays, zero, values, bit, r
+
+
+# (on, pos, neg, rows, r, python_ints): counts off the multiples of 8 and 64
+# and on them, on each side of the hyperplane; insertions with no ray on it;
+# zero sets of one, two and three words; Python-int rays
+DRAWN_INSERTIONS = [(9, 65, 7, 64, 4, False), (0, 9, 63, 100, 3, False),
+                    (70, 8, 64, 150, 4, True), (1, 1, 1, 3, 2, False),
+                    (130, 17, 33, 129, 5, False), (0, 2, 3, 5, 2, False),
+                    (64, 1, 127, 65, 3, True)]
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("case", DRAWN_INSERTIONS)
+def test_adjacency_matches_the_oracle_on_drawn_insertions(case, entries, monkeypatch):
+    # entries=1 gives tables of 64 rays, gathers and batches of one pair
+    if entries is not None:
+        monkeypatch.setattr("conebell.cone._ADJACENCY_ENTRIES", entries)
+    for seed in range(3):
+        _assert_matches_the_oracle(*_drawn_insertion(seed, *case))
+
+
+def test_drawn_insertions_reject_pairs_on_and_off_the_hyperplane():
+    states = [_drawn_insertion(seed, *case) for case in DRAWN_INSERTIONS for seed in range(3)]
+    candidates = sum(1 for s in states for _ in _candidate_witnesses(s[1], s[2], s[4]))
+    kept = sum(len(reference_adjacent_pairs(s[1], s[2], s[4])) for s in states)
+    off = sum(off_hyperplane_rejections(s[1], s[2], s[4]) for s in states)
+    assert 0 < off < candidates - kept < candidates
+
+
+@pytest.mark.parametrize("rays, nbytes", [(1, 1), (7, 2), (64, 1), (65, 3), (130, 2)])
+def test_byte_table_is_the_bitset_of_the_rays_holding_each_byte(rays, nbytes):
+    # entry (p, 0) is every real ray and no padding bit
+    zbytes = np.random.default_rng(rays).integers(0, 256, size=(rays, nbytes), dtype=np.uint8)
+    table = _byte_table(zbytes)
+    assert table.shape == (nbytes, 256, -(-rays // 64)) and table.dtype == np.uint64
+    for p in range(nbytes):
+        for v in range(256):
+            holders = sum(1 << i for i in range(rays) if zbytes[i, p] & v == v)
+            assert _set_value(table[p, v]) == holders
+
+
+@pytest.mark.parametrize("rays, words, sets", [(5, 1, 4), (300, 1, 40), (130, 3, 6)])
+def test_only_two_hold_counts_the_holders(rays, words, sets):
+    # the first case is tested row by row, the others on byte tables; all
+    # sets empty, which every row holds, is the one batch that uses byte 0
+    # alone
+    rng = np.random.default_rng(rays)
+    zero = rng.integers(0, 2 ** 63, size=(rays, words), dtype=np.uint64)
+    pairs = zero[rng.integers(0, rays, sets)] & zero[rng.integers(0, rays, sets)]
+    for common in (pairs, zero[:sets], np.zeros_like(pairs)):
+        holders = [sum(all(int(z) & int(c) == int(c) for z, c in zip(row, cs)) for row in zero)
+                   for cs in common]
+        assert _only_two_hold(zero, 0, common).tolist() == [h <= 2 for h in holders]
+
+
+def test_adjacency_of_a_two_dimensional_cone(monkeypatch):
+    # r = 2: a pair needs no common zero.  Two rays with disjoint zero sets
+    # have an empty common set, which every ray holds, so only the mask of
+    # real rays in the tables keeps the pair: with padding bits counted as
+    # rays it would have 64 holders
+    pair = (np.array([[1, 0], [1, 1]]), np.array([[1], [2]], dtype=np.uint64),
+            np.array([3, -1]), np.array([4], dtype=np.uint64), 2)
+    assert _assert_matches_the_oracle(*pair) == 1
+    cone = Cone(2, [(1, 0), (2, 1), (1, 1), (1, 2)])
+    states = _insertion_states(cone.rays, monkeypatch)
+    for state in states:
+        _assert_matches_the_oracle(*state)
+    assert {f.vector for f in enumerate_facets_dd(cone)} == reference_facets(cone.rays)
 
 
 def test_dd_stays_on_int64_for_small_entries():

@@ -53,6 +53,14 @@ def test_kernel_of_empty_system_is_identity():
     assert rank(t) == 3
 
 
+def test_kernel_rejects_a_wrong_column_count():
+    rows = np.random.default_rng(2).integers(-2, 3, size=(3, 64))
+    for mat in (rows, rows.astype(object)):
+        assert integer_kernel_basis(mat, columns=64).shape == (64, 61)
+        with pytest.raises(ValueError, match="expected 65 columns, got 64"):
+            integer_kernel_basis(mat, columns=65)
+
+
 def test_kernel_single_row():
     t = integer_kernel_basis(np.array([[1, 1, 0]], dtype=object))
     assert t.shape == (3, 2)
