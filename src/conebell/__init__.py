@@ -12,7 +12,7 @@ from .inequality import (Inequality, algebraic_bound, from_cone_normal,
                          from_terms, parse_inequality, write_inequality)
 from .cone import (Cone, FacetNormal, constrained_facets, enumerate_facets_dd,
                    lift_polytope, project_rays)
-from .constraints import Relabeling, invariant_basis, parse_relabeling
+from .constraints import invariant_basis, parse_relabeling
 from .search import (EquivalenceClass, ReductionSpec, canonical_form, classify,
                      generalize_multi)
 from .quantum import (BoundsRecord, Metrics, SeesawConfig, SeesawResult,

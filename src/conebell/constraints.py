@@ -4,22 +4,24 @@ A search demands tightness on extended behaviors and invariance under
 relabeling symmetries.  Both come from coordinate maps that send each
 coordinate to one signed coordinate, so each is a signed gather (src, sign)
 with (P c)[t] = sign[t] * c[src[t]], built from one index array per party.
-A relabeling's map (_signed_permutation) permutes the parties and, per
-party, the settings 1..m with outcome signs, setting 0 fixed; the vectors
-that relabelings fix are spanned by signed orbit sums (invariant_basis),
-read off the maps with no elimination.  The embedding map M of a lower
-inequality (_embedding_map) reads the lower coordinate of t restricted to
-the embedded parties, with sign the product of xi over the extra parties'
-settings in t.  search._reduction_options checks the embedding first.  For
-each lower variant and xi it maps the saturating vertices V to the
-extended behaviors V M^T and the lower normal n to the row M n.  A target
-normal b reduces to b M; when b is tight on the extended behaviors, b M is
-a multiple of n, so the sign of b . (M n) checks the reduction.
+Every relabeling's gather is built by _maps from one row of _slot_table
+per party and a map of equal-setting parties, as parse_relabeling builds
+the one of a --symmetry clause text; the vectors that relabelings fix are
+spanned by signed orbit sums (invariant_basis), read off the gathers with no
+elimination.  The embedding map M of a lower inequality (_embedding_map)
+reads the lower coordinate of t restricted to the embedded parties, with
+sign the product of xi over the extra parties' settings in t.
+search._reduction_options checks the embedding first.  For each lower
+variant and xi it maps the saturating vertices V to the extended behaviors
+V M^T and the lower normal n to the row M n.  A target normal b reduces to
+b M; when b is tight on the extended behaviors, b M is a multiple of n, so
+the sign of b . (M n) checks the reduction.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,51 +29,51 @@ from .errors import ParseError
 from .scenario import _PARTY_LETTERS
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """A local relabeling: party permutation, setting permutations, sign flips.
-
-    party_map[i] is the party that party i becomes; setting_maps[i][s-1] is
-    the new setting index for setting s of party i (settings are 1-based, the
-    identity setting 0 is always fixed); sign_flips[i][s-1] is the outcome
-    sign attached to setting s of party i.
-    """
-
-    party_map: tuple[int, ...]
-    setting_maps: tuple[tuple[int, ...], ...]
-    sign_flips: tuple[tuple[int, ...], ...]
-
-    def validate(self, scenario):
-        n = scenario.parties
-        if sorted(self.party_map) != list(range(n)):
-            raise ValueError(f"party_map {self.party_map} is not a permutation of 0..{n - 1}")
-        if len(self.setting_maps) != n or len(self.sign_flips) != n:
-            raise ValueError("setting_maps and sign_flips need one entry per party")
-        for i in range(n):
-            m = scenario.settings[i]
-            if scenario.settings[self.party_map[i]] != m:
-                raise ValueError(
-                    f"party {i} ({m} settings) cannot map to party {self.party_map[i]} "
-                    f"({scenario.settings[self.party_map[i]]} settings)")
-            if sorted(self.setting_maps[i]) != list(range(1, m + 1)):
-                raise ValueError(f"setting map for party {i} is not a permutation of 1..{m}")
-            if len(self.sign_flips[i]) != m or any(s not in (-1, 1) for s in self.sign_flips[i]):
-                raise ValueError(f"sign flips for party {i} must be +-1 per setting")
+@functools.lru_cache(maxsize=None)
+def _slot_table(m):
+    """One party's m! 2^m relabelings, row 0 the identity, as read-only
+    int64 arrays (src, neg): row k maps image setting s to source setting
+    src[k, s], negated when neg[k, s] is 1; column 0 is the fixed setting 0."""
+    perms = list(itertools.permutations(range(1, m + 1)))
+    flips = list(itertools.product((0, 1), repeat=m))
+    src = np.array([(0,) + perm for perm in perms for _ in flips], dtype=np.int64)
+    neg = np.array([(0,) + flip for _ in perms for flip in flips], dtype=np.int64)
+    src.flags.writeable = neg.flags.writeable = False
+    return src, neg
 
 
-def _signed_permutation(r, scenario):
-    """(src, sign) of relabeling r: its signed permutation P maps a
-    coefficient vector c to (P c)[t] = sign[t] * c[src[t]].  Image party
-    party_map[i] reads source party i: its setting setting_maps[i][s-1]
-    reads setting s with sign sign_flips[i][s-1], and setting 0 reads 0."""
-    r.validate(scenario)
-    image = np.indices(scenario.shape).reshape(scenario.parties, -1)
-    source = np.empty_like(image)
-    sign = np.ones(image.shape[1], dtype=np.int64)
-    for i in range(scenario.parties):
-        source[i] = np.argsort((0, *r.setting_maps[i]))[image[r.party_map[i]]]
-        sign *= np.array((1, *r.sign_flips[i]))[source[i]]
-    return np.ravel_multi_index(source, scenario.shape), sign
+@functools.lru_cache(maxsize=None)
+def _slot_rows(m):
+    """{(src row, neg row): k} over the rows k of _slot_table(m), as tuples."""
+    src, neg = _slot_table(m)
+    return {key: k for k, key in enumerate(zip(map(tuple, src.tolist()), map(tuple, neg.tolist())))}
+
+
+@functools.lru_cache(maxsize=None)
+def _party_maps(settings):
+    """Every map perm of each party i to a party perm[i] with as many
+    settings, the identity first."""
+    return tuple(perm for perm in itertools.permutations(range(len(settings)))
+                 if tuple(settings[i] for i in perm) == settings)
+
+
+def _maps(scenario, rows, perm=None):
+    """Gathers (src, sign), one row each, of the relabelings that take row
+    rows[k, p] of _slot_table for each party p and, given perm, send party i
+    to party perm[i]: relabeling k maps c to c[src[k]] * sign[k].  src is
+    built mixed-radix, and perm is one transpose of the image axes."""
+    src = np.zeros((len(rows), 1), dtype=np.int64)
+    sign = np.ones((len(rows), 1), dtype=np.int64)
+    for p, m in enumerate(scenario.settings):
+        s, neg = _slot_table(m)
+        width = src.shape[1] * (m + 1)
+        src = (src[:, :, None] * (m + 1) + s[rows[:, p], None, :]).reshape(len(rows), width)
+        sign = (sign[:, :, None] * (1 - 2 * neg[rows[:, p], None, :])).reshape(len(rows), width)
+    if perm is not None:
+        axes = (0, *(1 + np.argsort(perm)))
+        src, sign = (a.reshape((len(rows),) + scenario.shape).transpose(axes)
+                     .reshape(len(rows), -1) for a in (src, sign))
+    return src, sign
 
 
 def _embedding_map(xis, target, embed):
@@ -90,15 +92,14 @@ def _embedding_map(xis, target, embed):
 
 
 def invariant_basis(generators, scenario):
-    """The (D+1, K) int64 basis of the vectors c that every generator fixes,
-    c[t] = sign[t] c[src[t]] (_signed_permutation): per coordinate orbit
+    """The (D+1, K) int64 basis of the vectors c that every generator, a
+    gather (src, sign), fixes, c[t] = sign[t] c[src[t]]: per coordinate orbit
     with largest coordinate x, in order of x, a column of the signs of
     c[t] / c[x], unless the orbit ties some c[t] to -c[t].  This is
     integer_kernel_basis of the conditions, column order included, and that
     order sets the insertion order of every projected DD."""
     size = scenario.dimension + 1
-    maps = [_signed_permutation(gen, scenario) for gen in generators]
-    src, sign = np.array(maps, dtype=np.int64).reshape(-1, 2, size).transpose(1, 0, 2)
+    src, sign = np.array(generators, dtype=np.int64).reshape(-1, 2, size).transpose(1, 0, 2)
     # node t + size stands for -c[t], and node t reads node image[g, t]
     image = np.hstack([src + size * (sign < 0), src + size * (sign > 0)])
     # the largest of 2x + 1 for c[x] and 2x for -c[x] over each node's
@@ -118,11 +119,15 @@ def invariant_basis(generators, scenario):
 
 
 def parse_relabeling(text, scenario):
-    """Parse the clause syntax; raises ParseError with the failing offset."""
+    """The gather (src, sign), which maps c to c[src] * sign, of a relabeling
+    in the clause syntax.  Each clause is checked as it is applied; a
+    malformed one raises ParseError with its column."""
     n = scenario.parties
     party_map = list(range(n))
-    setting_maps = [list(range(1, m + 1)) for m in scenario.settings]
-    sign_flips = [[1] * m for m in scenario.settings]
+    # per party, the source setting that each image setting reads, and
+    # whether each source setting is flipped; setting 0 stays put
+    srcs = [list(range(m + 1)) for m in scenario.settings]
+    flips = [[0] * (m + 1) for m in scenario.settings]
     offset = 0
     for raw in text.split(";"):
         clause = raw.strip()
@@ -142,8 +147,11 @@ def parse_relabeling(text, scenario):
                 dst_idx = [_PARTY_LETTERS.index(ch) for ch in dst]
             except ValueError:
                 raise ParseError(f"unknown party letter in {body!r}", column=col) from None
-            if sorted(src_idx) != list(range(n)) or sorted(dst_idx) != list(range(n)):
-                raise ParseError(f"perm clause {body!r} is not a permutation", column=col)
+            if sorted(src_idx) != list(range(n)) or sorted(dst_idx) != list(range(n)) \
+                    or any(scenario.settings[s] != scenario.settings[d]
+                           for s, d in zip(src_idx, dst_idx)):
+                raise ParseError(f"perm clause {body!r} is not a permutation of parties with "
+                                 "equal setting counts", column=col)
             for s, d in zip(src_idx, dst_idx):
                 party_map[s] = d
         elif re.fullmatch(r"[A-Z]\d+:[+-]", clause):
@@ -152,7 +160,7 @@ def parse_relabeling(text, scenario):
             if party >= n or not (1 <= setting <= scenario.settings[party]):
                 raise ParseError(f"no setting {clause[:clause.index(':')]} in this scenario", column=col)
             if clause.endswith("-"):
-                sign_flips[party][setting - 1] *= -1
+                flips[party][setting] ^= 1
         elif re.fullmatch(r"[A-Z]:(\(\s*\d+(\s+\d+)*\s*\))+", clause):
             party = _PARTY_LETTERS.index(clause[0])
             if party >= n:
@@ -163,11 +171,12 @@ def parse_relabeling(text, scenario):
                 if len(set(members)) != len(members) or any(not (1 <= s <= m) for s in members):
                     raise ParseError(f"bad cycle ({cyc}) for party {clause[0]}", column=col)
                 for a, b in zip(members, members[1:] + members[:1]):
-                    setting_maps[party][a - 1] = b
+                    srcs[party][b] = a
+            if sorted(srcs[party]) != list(range(m + 1)):
+                raise ParseError(f"overlapping cycles for party {clause[0]}", column=col)
         else:
             raise ParseError(f"unrecognized clause {clause!r}", column=col)
-    rel = Relabeling(tuple(party_map), tuple(tuple(sm) for sm in setting_maps),
-                     tuple(tuple(sf) for sf in sign_flips))
-    rel.validate(scenario)
-    return rel
-
+    rows = [_slot_rows(len(src) - 1)[tuple(src), tuple(flip[a] for a in src)]
+            for src, flip in zip(srcs, flips)]
+    src, sign = _maps(scenario, np.array([rows]), party_map)
+    return src[0], sign[0]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import _maps
 from .errors import DegenerateVectorError, ParseError
 from .scenario import _PARTY_LETTERS, Scenario, parse_scenario_header
 
@@ -99,15 +100,18 @@ def _term_orbits(settings):
     """Read-only int64 array: coordinate -> its orbit's representative.
 
     Orbits are those of permutations of equal-setting parties; the
-    representative's setting tuple is sorted in descending order within each
-    group of equal-setting parties.
+    representative is the orbit's largest coordinate, found one transposition
+    of two such parties (constraints._maps) at a time, so its setting tuple is
+    sorted in descending order within each group of equal-setting parties.
     """
-    shape = tuple(m + 1 for m in settings)
-    tuples = np.indices(shape).reshape(len(shape), -1)
-    for m in set(settings):
-        group = [p for p, mp in enumerate(settings) if mp == m]
-        tuples[group] = -np.sort(-tuples[group], axis=0)
-    rep = np.ravel_multi_index(tuples, shape)
+    n = len(settings)
+    swaps = [tuple(j if k == i else i if k == j else k for k in range(n))
+             for j in range(n) for i in range(j) if settings[i] == settings[j]]
+    image = np.array([_maps(Scenario(settings), np.zeros((1, n), dtype=np.int64), perm)[0][0]
+                      for perm in [None] + swaps])
+    rep = image[0]
+    while (rep[image] > rep).any():
+        rep = rep[image].max(axis=0)
     rep.flags.writeable = False
     return rep
 

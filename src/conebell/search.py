@@ -14,7 +14,7 @@ every (surviving state, free party, candidate), and one lex-min selection.
 Blocks are compared as int64 codes, the rank of each value in the sorted set
 of the coefficients and their negations, so the comparison is exact for any
 Python-int coefficient; the result is built from the coefficients
-themselves.  relabeling_orbit lists an orbit from the same per-party tables.
+themselves.  relabeling_orbit sweeps the group through constraints._maps.
 
 A generalization search does its per-reduction work once: _reduction_options
 checks the embedding, certifies the lower inequality on one enumeration of
@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DD_CAP_DEFAULT, _certify, _exact_products, constrained_facets, local_cone
-from .constraints import _embedding_map, invariant_basis
+from .constraints import (_embedding_map, _maps, _party_maps, _slot_rows, _slot_table,
+                          invariant_basis)
 from .errors import CapExceededError, ParseError
 from .exactlinalg import integer_kernel_basis
 from .inequality import (Inequality, from_cone_normal, parse_inequality, term_count,
@@ -69,50 +70,16 @@ class EquivalenceClass:
 
 
 @functools.lru_cache(maxsize=None)
-def _slot_table(m):
-    """One party's relabelings as read-only int64 arrays (src, neg).
-
-    Row k maps image setting s to source setting src[k, s] and negates it
-    when neg[k, s] is 1; column 0 is the fixed setting 0.  The m! 2^m rows
-    are every setting permutation with every outcome flip, row 0 the
-    identity.
-    """
-    perms = list(itertools.permutations(range(1, m + 1)))
-    flips = list(itertools.product((0, 1), repeat=m))
-    src = np.array([(0,) + perm for perm in perms for _ in flips], dtype=np.int64)
-    neg = np.array([(0,) + flip for _ in perms for flip in flips], dtype=np.int64)
-    src.flags.writeable = neg.flags.writeable = False
-    return src, neg
-
-
-def _local_maps(tables, rows):
-    """Signed permutations (src, sign) of local relabelings that keep every
-    party in place, one per row of rows: rows[k, p] picks that row of party
-    p's table (src, neg) of _slot_table.  Relabeling k maps a normal c to
-    c[src[k]] * sign[k], as constraints._signed_permutation maps it.
-    """
-    src = np.zeros((len(rows), 1), dtype=np.int64)
-    sign = np.ones((len(rows), 1), dtype=np.int64)
-    for p, (s, neg) in enumerate(tables):
-        width = src.shape[1] * s.shape[1]
-        src = (src[:, :, None] * s.shape[1] + s[rows[:, p], None, :]).reshape(len(rows), width)
-        sign = (sign[:, :, None] * (1 - 2 * neg[rows[:, p], None, :])).reshape(len(rows), width)
-    return src, sign
-
-
-@functools.lru_cache(maxsize=None)
 def _party_generators(m):
     """Rows of _slot_table(m) that generate all of its rows: the flip of
     setting 1, the swap of settings 1 and 2 and the cycle of settings 1..m,
     the identity left out."""
-    src, neg = _slot_table(m)
-    row = {key: k for k, key in enumerate(zip(map(tuple, src.tolist()), map(tuple, neg.tolist())))}
     settings = tuple(range(1, m + 1))
     plain = (0,) * (m + 1)
     wanted = [((0,) + settings, (0, 1) + (0,) * (m - 1)),
               ((0,) + settings[1:2] + settings[:1] + settings[2:], plain),
               ((0,) + settings[1:] + settings[:1], plain)]
-    return sorted({row[key] for key in wanted} - {0})
+    return sorted({_slot_rows(m)[key] for key in wanted} - {0})
 
 
 def _lex_min_rows(blocks):
@@ -240,37 +207,33 @@ class ReductionSpec:
     sweep_orbit: bool = False
 
 
+def _local_group(scenario, perms=(None,)):
+    """(rows, src, sign) chunks of about _GATHER_ENTRIES entries of every
+    local relabeling, one _slot_table row per party, and its gather under
+    each party map of perms."""
+    rows = np.indices([len(_slot_table(m)[0]) for m in scenario.settings]) \
+        .reshape(scenario.parties, -1).T
+    step = max(1, _GATHER_ENTRIES // (scenario.dimension + 1))
+    for perm in perms:
+        for lo in range(0, len(rows), step):
+            yield (rows[lo:lo + step], *_maps(scenario, rows[lo:lo + step], perm))
+
+
 def relabeling_orbit(ineq, cap=ORBIT_CAP_DEFAULT):
-    """All distinct relabeled variants of an inequality (bound kept positive).
-
-    The orbit is closed one group factor at a time on coefficient arrays of
-    the scenario's shape: each party's axis is gathered with every row of
-    its _slot_table, then the axes of equal-setting parties are transposed;
-    every stage keeps the distinct arrays.  Entries stay Python ints.
-    """
+    """All distinct relabeled variants of an inequality, sorted, from one
+    sweep of the group (_local_group) over the ranks of the coefficients
+    and their negations; cap bounds the size of the group."""
     sc = ineq.scenario
-    group_size = math.prod(math.factorial(sc.settings.count(m)) for m in set(sc.settings)) \
-        * math.prod(math.factorial(m) << m for m in sc.settings)
-    if group_size > cap:
-        raise CapExceededError(
-            f"relabeling group has {group_size} elements, above the cap of {cap}")
-
-    def distinct(arrays):
-        rows = dict.fromkeys(map(tuple, arrays.reshape(-1, sc.dimension + 1).tolist()))
-        return np.array(list(rows), dtype=object).reshape((-1,) + sc.shape)
-
-    vecs = np.array(ineq.coefficients, dtype=object).reshape((1,) + sc.shape)
-    for p, m in enumerate(sc.settings):
-        src, neg = _slot_table(m)
-        sign = (1 - 2 * neg).astype(object).reshape(src.shape + (1,) * (sc.parties - 1 - p))
-        vecs = distinct(np.moveaxis(np.take(vecs, src, axis=p + 1) * sign, p + 1, 1))
-    # transpositions (i j), i < j, in order of j generate each symmetric group
-    for j in range(sc.parties):
-        for i in range(j):
-            if sc.settings[i] == sc.settings[j]:
-                vecs = distinct(np.concatenate([vecs, vecs.swapaxes(i + 1, j + 1)]))
-    vecs = sorted(map(tuple, vecs.reshape(len(vecs), -1).tolist()))
-    return [Inequality(sc, vec) for vec in vecs]
+    group = len(_party_maps(sc.settings)) * math.prod(math.factorial(m) << m for m in sc.settings)
+    if group > cap:
+        raise CapExceededError(f"relabeling group has {group} elements, above the cap of {cap}")
+    coeffs = np.array(ineq.coefficients, dtype=object)
+    # codes[u] ranks coeffs[u] in values, and codes[u + D + 1] ranks -coeffs[u]
+    values, codes = np.unique(np.concatenate([coeffs, -coeffs]), return_inverse=True)
+    images = set()
+    for _, src, sign in _local_group(sc, _party_maps(sc.settings)):
+        images.update(map(tuple, codes[src + len(coeffs) * (sign < 0)].tolist()))
+    return [Inequality(sc, vec) for vec in values[np.array(sorted(images))].tolist()]
 
 
 def _reduction_options(target, spec, orbit_cap, vertex_cap):
@@ -314,13 +277,10 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
 def _stabilizer(ineq):
     """Slot-table rows, one column per party, of the local relabelings that
     keep every party in place and fix ineq coefficient for coefficient: a
-    brute force over all of them, in chunks."""
-    tables = [_slot_table(m) for m in ineq.scenario.settings]
-    rows = np.indices([len(src) for src, _ in tables]).reshape(len(tables), -1).T
+    brute force over all of them."""
     coeffs = np.array(ineq.coefficients)
-    step = max(1, _GATHER_ENTRIES // len(coeffs))
-    maps = (_local_maps(tables, rows[lo:lo + step]) for lo in range(0, len(rows), step))
-    return rows[np.concatenate([(coeffs[src] * sign == coeffs).all(axis=1) for src, sign in maps])]
+    return np.concatenate([rows[(coeffs[src] * sign == coeffs).all(axis=1)]
+                           for rows, src, sign in _local_group(ineq.scenario)])
 
 
 def _search_group(target, reductions, basis, cap, limit):
@@ -328,7 +288,7 @@ def _search_group(target, reductions, basis, cap, limit):
     every party in place, fix each unswept lower inequality on its embedded
     parties (_stabilizer), act by any local relabeling on the other parties,
     and map the symmetric subspace, the span of basis (invariant_basis),
-    into itself (_local_maps, one row per generator, the identity left out).
+    into itself (constraints._maps of table rows, the identity left out).
 
     The relabelings that pass the first three tests are the joined
     stabilizers times the whole local group of each free party.  When basis
@@ -342,15 +302,15 @@ def _search_group(target, reductions, basis, cap, limit):
     cap or there are more candidates to test; past limit generators, the
     first limit generate a subgroup of G, whose orbits only split into more.
     """
-    tables = [_slot_table(m) for m in target.settings]
+    order = [len(_slot_table(m)[0]) for m in target.settings]
     rows = np.zeros((1, target.parties), dtype=np.int64)
     fixed = np.zeros(target.parties, dtype=bool)
     for spec in reductions:
         if spec.sweep_orbit:
             continue
         embed = np.array(spec.embed)
-        if math.prod(len(tables[p][0]) for p in embed) > cap:
-            return _local_maps(tables, rows[:0])
+        if math.prod(order[p] for p in embed) > cap:
+            return _maps(target, rows[:0])
         stab = _stabilizer(spec.lower)
         # a party shared with an earlier reduction must agree with it
         shared = fixed[embed]
@@ -365,11 +325,11 @@ def _search_group(target, reductions, basis, cap, limit):
                             dtype=np.int64)
             gens[:, p] = _party_generators(target.settings[p])
             rows = np.concatenate([rows, gens])
-        return _local_maps(tables, rows[rows.any(axis=1)][:limit])
-    sizes = [len(tables[p][0]) for p in free]
+        return _maps(target, rows[rows.any(axis=1)][:limit])
+    sizes = [order[p] for p in free]
     per_row = math.prod(sizes)
     if len(rows) * per_row > cap:
-        return _local_maps(tables, rows[:0])
+        return _maps(target, rows[:0])
     # each coordinate's signed orbit number (0 off the orbits) and orbit start
     label = basis @ np.arange(1, basis.shape[1] + 1)
     first = np.abs(basis).argmax(axis=0)[np.abs(label) - 1]
@@ -380,14 +340,14 @@ def _search_group(target, reductions, basis, cap, limit):
         cand = rows[flat // per_row]
         if len(free):
             cand[:, free] = np.transpose(np.unravel_index(flat % per_row, sizes))
-        src, sign = _local_maps(tables, cand)
+        src, sign = _maps(target, cand)
         # one value per (orbit read, sign relative to the reader), 0 for none
         read = label[src] * sign * np.where(label < 0, -1, 1)
         cand = cand[(read == read[:, first] * (label != 0)).all(axis=1)]
         kept.append(cand[cand.any(axis=1)])
         if sum(map(len, kept)) >= limit:
             break
-    return _local_maps(tables, np.concatenate(kept)[:limit])
+    return _maps(target, np.concatenate(kept)[:limit])
 
 
 def _job_orbits(options, src, sign):

@@ -11,7 +11,8 @@ from .reference import reference_fixed_rows, xi_label
 def branch_constraints():
     """(rows, positive) of one branch: target, reductions, xi_combo (one xi
     per reduction, a +-1 tuple per extra party) and optional symmetry
-    generators, each reduction's option the one of its xi.  rows stacks the
+    generators, gathers (src, sign), each reduction's option the one of its
+    xi.  rows stacks the
     options' extended behaviors (last reduction first) over the symmetry
     generators' P - I (reference_fixed_rows): their common kernel is the one
     search._branch projects onto, and positive holds the options' rows M n."""

@@ -16,11 +16,11 @@ and its writer emits the SDPA text one line at a time.
 """
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import sympy
 
-from conebell.constraints import Relabeling
 from conebell.inequality import Inequality
 from conebell.npa import MomentProblem, inequality_digest
 from conebell.scenario import Scenario
@@ -158,15 +158,46 @@ def index_tuples(scenario):
     return list(itertools.product(*[range(m + 1) for m in scenario.settings]))
 
 
+class Relabeling(NamedTuple):
+    """A local relabeling: party i becomes party party_map[i], and its
+    setting s (1-based) becomes setting setting_maps[i][s-1] with outcome
+    sign sign_flips[i][s-1]; setting 0 stays put."""
+
+    party_map: tuple
+    setting_maps: tuple
+    sign_flips: tuple
+
+
 def party_swap(scenario, i, j):
     """Relabeling exchanging parties i and j (equal setting counts)."""
+    assert scenario.settings[i] == scenario.settings[j]
     party_map = list(range(scenario.parties))
     party_map[i], party_map[j] = j, i
-    rel = Relabeling(tuple(party_map),
-                     tuple(tuple(range(1, m + 1)) for m in scenario.settings),
-                     tuple((1,) * m for m in scenario.settings))
-    rel.validate(scenario)
-    return rel
+    return Relabeling(tuple(party_map),
+                      tuple(tuple(range(1, m + 1)) for m in scenario.settings),
+                      tuple((1,) * m for m in scenario.settings))
+
+
+def relabeling_text(r):
+    """r in the clause syntax of --symmetry: a perm clause, one clause of
+    the cycles of each party's setting map, and one clause per flip."""
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    clauses = ["perm:" + letters[:len(r.party_map)] + "->"
+               + "".join(letters[d] for d in r.party_map)]
+    for p, (settings, flips) in enumerate(zip(r.setting_maps, r.sign_flips)):
+        cycles, seen = [], set()
+        for s in range(1, len(settings) + 1):
+            cycle = []
+            while s not in seen:
+                seen.add(s)
+                cycle.append(s)
+                s = settings[s - 1]
+            if len(cycle) > 1:
+                cycles.append("(" + " ".join(map(str, cycle)) + ")")
+        if cycles:
+            clauses.append(f"{letters[p]}:" + "".join(cycles))
+        clauses += [f"{letters[p]}{s}:-" for s, f in enumerate(flips, start=1) if f < 0]
+    return "; ".join(clauses)
 
 
 def full_relabeling_group(scenario):
@@ -467,16 +498,18 @@ def _signed_permutation(g, scenario):
     return np.abs(image) - 1, np.sign(image)
 
 
+def gathers(scenario, *relabelings):
+    """The gathers (src, sign) that conebell takes for the relabelings."""
+    return [_signed_permutation(r, scenario) for r in relabelings]
+
+
 def reference_fixed_rows(symmetry, target):
-    """P - I of each generator of symmetry, stacked into one int64 matrix
-    whose kernel is the subspace that every generator fixes: column u of P
-    is the unit vector e_u relabeled by reference_relabel."""
+    """P - I of each generator (src, sign) of symmetry, stacked into one
+    int64 matrix whose kernel is the subspace that every generator fixes:
+    row t of P holds sign[t] in column src[t], so P c = c[src] * sign."""
     eye = np.eye(target.dimension + 1, dtype=np.int64)
-    blocks = [eye[:0]]
-    for h in symmetry:
-        perm = np.array([reference_relabel(h, target, e) for e in eye.tolist()]).T
-        blocks.append(perm - eye)
-    return np.vstack(blocks)
+    return np.vstack([eye[:0]] + [eye[src] * np.reshape(sign, (-1, 1)) - eye
+                                  for src, sign in symmetry])
 
 
 def reference_search_group(target, reductions, symmetry):

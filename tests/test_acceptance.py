@@ -15,7 +15,6 @@ import pytest
 
 from conebell import catalog
 from conebell.cone import Cone, constrained_facets, enumerate_facets_dd, lift_polytope
-from conebell.constraints import Relabeling
 from conebell.exactlinalg import integer_kernel_basis
 from conebell.inequality import (Inequality, algebraic_bound, from_cone_normal,
                                  from_terms, parse_inequality, write_inequality)
@@ -24,8 +23,8 @@ from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import (canonical_form, classify, generalize_multi, relabeling_orbit,
                              ReductionSpec, write_class_list)
 
-from .reference import (party_swap, random_full_dim_vertices, reference_reduce,
-                        reference_relabel)
+from .reference import (Relabeling, gathers, party_swap, random_full_dim_vertices,
+                        reference_reduce, reference_relabel)
 
 
 def _verdict(number, passed, detail):
@@ -124,7 +123,7 @@ def test_criterion_4_projection_equals_filtered_enumeration():
 
 def test_criterion_5_chsh_generalization_contains_mermin():
     target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
+    sym = gathers(target, party_swap(target, 0, 1), party_swap(target, 0, 2))
     classes = _generalize(catalog.chsh(), (2,), sym)
     canons = {cl.canonical.coefficients for cl in classes}
     mermin_found = canonical_form(catalog.mermin()).coefficients in canons
@@ -143,12 +142,11 @@ def _i4422_symmetries(which):
     sw12 = (2, 1, 3, 4)
     nf = (1, 1, 1, 1)
     f4 = (1, 1, 1, -1)
-    base = [party_swap(t3, 0, 1), party_swap(t3, 0, 2)]
     if which == 1:
-        base.append(Relabeling((0, 1, 2), (sw12, id4, id4), (nf, f4, f4)))
+        third = Relabeling((0, 1, 2), (sw12, id4, id4), (nf, f4, f4))
     else:
-        base.append(Relabeling((0, 1, 2), (sw12, sw12, id4), (nf, nf, f4)))
-    return base
+        third = Relabeling((0, 1, 2), (sw12, sw12, id4), (nf, nf, f4))
+    return gathers(t3, party_swap(t3, 0, 1), party_swap(t3, 0, 2), third)
 
 
 @pytest.mark.long
@@ -174,7 +172,7 @@ def _gyni_symmetries():
     fl = (-1, -1)
     s1 = Relabeling((0, 1, 2, 3), (sw, sw, id2, id2), (nf, nf, fl, nf))
     s2 = Relabeling((0, 1, 2, 3), (sw, id2, sw, id2), (fl, fl, nf, nf))
-    return [s1, s2]
+    return gathers(Scenario((2, 2, 2, 2)), s1, s2)
 
 
 def _gyni_product_form():
@@ -208,7 +206,7 @@ def test_criterion_7_gyni_generalizations():
 @pytest.mark.long
 def test_criterion_7_finding_i3322_full_run():
     t3 = Scenario((3, 3, 3))
-    sym = [party_swap(t3, 0, 1), party_swap(t3, 0, 2)]
+    sym = gathers(t3, party_swap(t3, 0, 1), party_swap(t3, 0, 2))
     classes = _generalize(catalog.i3322(), (3,), sym)
     print(f"FINDING: I3322 three-party run gives {len(classes)} classes under the "
           "full local relabeling group; the published count is 3050. The single "
@@ -225,7 +223,7 @@ def test_criterion_7_finding_hybrid_full_run():
     chsh_bc = from_terms(Scenario((3, 2)), 2, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1})
     specs = [ReductionSpec(lower=chsh_bc, embed=(1, 2), sweep_orbit=True),
              ReductionSpec(lower=catalog.i3322(), embed=(0, 1))]
-    classes = generalize_multi(target, specs, [party_swap(target, 0, 1)])
+    classes = generalize_multi(target, specs, gathers(target, party_swap(target, 0, 1)))
     canons = {cl.canonical.coefficients for cl in classes}
     exemplars = all(canonical_form(catalog.hybrid_generalization(k)).coefficients in canons
                     for k in (1, 47, 198, 314))

@@ -445,8 +445,11 @@ def test_a_key_given_twice_is_a_parse_error(tmp_path, seesaw_files, chsh_file, c
 
 
 def test_generalize_rejects_a_repeated_party(chsh_file, capsys):
-    assert main(["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}@A,A"]) == 2
-    assert "named twice" in capsys.readouterr().err
+    # and the other malformed --reduce values: a party the target lacks, no @
+    for suffix, message in [("@A,A", "named twice"), ("@A,Z", "bad party name"),
+                            ("", "FILE@PARTIES")]:
+        assert main(["generalize", "--target", "2,2,2", "--reduce", f"{chsh_file}{suffix}"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -15,7 +15,7 @@ from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec
 
-from .reference import (_candidate_witnesses, off_hyperplane_rejections, party_swap,
+from .reference import (_candidate_witnesses, gathers, off_hyperplane_rejections, party_swap,
                         random_full_dim_vertices, reference_adjacent_pairs, reference_facets,
                         sympy_nullspace_rays, sympy_rank, sympy_simplex_rays)
 
@@ -504,9 +504,9 @@ def test_projection_preserves_saturating_sets(branch_constraints):
     target = Scenario((2, 2, 2))
     verts = enumerate_vertices(target)
     cone = lift_polytope(verts)
+    swaps = gathers(target, party_swap(target, 0, 1), party_swap(target, 0, 2))
     rows, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
-                                 (((1, 1),),),
-                                 [party_swap(target, 0, 1), party_swap(target, 0, 2)])
+                                 (((1, 1),),), swaps)
     basis = integer_kernel_basis(rows, columns=cone.dim)
     projected = project_rays(cone, basis)
     # small products stay on int64; _projection_sources recomputes them in

@@ -6,16 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conebell import catalog
-from conebell.constraints import (Relabeling, _embedding_map, _signed_permutation,
-                                  invariant_basis, parse_relabeling)
+from conebell.constraints import _embedding_map, invariant_basis, parse_relabeling
 from conebell.errors import ParseError
 from conebell.exactlinalg import integer_kernel_basis, pivot_columns
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
 from conebell.search import ReductionSpec, generalize_multi
 
-from .reference import (party_swap, reference_extended_behaviors, reference_fixed_rows,
-                        reference_reduces, reference_relabel, sympy_nullity)
+from .reference import (Relabeling, _signed_permutation, gathers, party_swap,
+                        reference_extended_behaviors, reference_fixed_rows, reference_reduces,
+                        reference_relabel, relabeling_text, sympy_nullity)
 
 
 @st.composite
@@ -44,8 +44,11 @@ def relabelings(draw):
           Relabeling((2, 1, 0), ((2, 1), (3, 1, 2), (1, 2)), ((1, -1), (1, 1, -1), (-1, 1))),
           [k * 10 ** 20 for k in range(-18, 18)]))
 def test_signed_permutation_matches_the_relabeling(case):
+    # parse_relabeling of the relabeling's clause text (perm clause, cycles,
+    # flips) is the signed permutation of the one-tuple-at-a-time oracle
     sc, rel, c = case
-    src, sign = _signed_permutation(rel, sc)
+    src, sign = parse_relabeling(relabeling_text(rel), sc)
+    assert src.dtype == sign.dtype == np.int64
     # a signed permutation that keeps the constant coordinate in place
     assert (np.sort(src) == np.arange(sc.dimension + 1)).all()
     assert set(sign.tolist()) <= {-1, 1} and (src[0], sign[0]) == (0, 1)
@@ -57,9 +60,9 @@ def test_signed_permutation_matches_the_relabeling(case):
 
 
 def test_party_permutation_requires_equal_settings():
-    sc = Scenario((3, 2))
-    with pytest.raises(ValueError):
-        party_swap(sc, 0, 1)
+    with pytest.raises(ParseError, match="equal setting counts") as exc:
+        parse_relabeling("A1:-; perm:AB->BA", Scenario((3, 2)))
+    assert exc.value.column == 7
 
 
 def test_gyni_symmetries_fix_gyni():
@@ -68,19 +71,20 @@ def test_gyni_symmetries_fix_gyni():
     s1 = Relabeling((0, 1, 2), ((2, 1), (2, 1), (1, 2)), ((1, 1), (1, 1), (-1, -1)))
     s2 = Relabeling((0, 1, 2), ((2, 1), (1, 2), (2, 1)), ((-1, -1), (-1, -1), (1, 1)))
     for gen in (s1, s2):
-        src, sign = _signed_permutation(gen, sc)
+        src, sign = parse_relabeling(relabeling_text(gen), sc)
         assert (np.array(gyni.coefficients)[src] * sign == gyni.coefficients).all()
         assert reference_relabel(gen, sc, gyni.coefficients) == gyni.coefficients
     # so it lies in the symmetric subspace that the searches project onto:
     # each column of its basis is one orbit's signed indicator
-    basis = invariant_basis([s1, s2], sc)
+    basis = invariant_basis(gathers(sc, s1, s2), sc)
     n = np.array(gyni.cone_normal())
     assert (basis @ (n @ basis // np.abs(basis).sum(axis=0)) == n).all()
 
 
 def test_identity_symmetry_keeps_every_coordinate():
     sc = Scenario((2, 2))
-    basis = invariant_basis([Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))], sc)
+    identity = Relabeling((0, 1), ((1, 2), (1, 2)), ((1, 1), (1, 1)))
+    basis = invariant_basis(gathers(sc, identity), sc)
     assert basis.dtype == np.int64 and (basis == np.eye(9, dtype=np.int64)).all()
 
 
@@ -88,18 +92,19 @@ def test_swap_symmetry_kernel_dimension():
     # orbits of the 8 correlator coordinates under A<->B: {A1,B1}, {A2,B2},
     # {A1B2, A2B1}, {A1B1}, {A2B2}; plus the constant: kernel dimension 6
     sc = Scenario((2, 2))
-    assert invariant_basis([party_swap(sc, 0, 1)], sc).shape == (9, 6)
+    assert invariant_basis(gathers(sc, party_swap(sc, 0, 1)), sc).shape == (9, 6)
 
 
 def test_full_party_symmetry_kernel_dimension_three_parties():
     # one kernel dimension per multiset over {0..3}^3: C(6,3) = 20
     sc = Scenario((3, 3, 3))
-    assert invariant_basis([party_swap(sc, 0, 1), party_swap(sc, 0, 2)], sc).shape == (64, 20)
+    assert invariant_basis(gathers(sc, party_swap(sc, 0, 1), party_swap(sc, 0, 2)), sc).shape \
+        == (64, 20)
 
 
 def test_symmetry_kernel_is_pointwise_invariant():
-    # every basis vector is fixed by every generator, relabeled one setting
-    # tuple at a time, and the basis has the dimension of the invariant
+    # every basis vector is fixed by every generator, and the basis has the
+    # dimension of the invariant
     # subspace: the sympy nullity of the stacked P - I, whose column u is
     # the relabeled unit vector e_u minus e_u.  A 3-cycle with a flip tells
     # the sign of an image coordinate from that of its source.
@@ -111,9 +116,8 @@ def test_symmetry_kernel_is_pointwise_invariant():
         d1 = sc.dimension + 1
         gens = [parse_relabeling(text, sc) for text in texts]
         t = invariant_basis(gens, sc)
-        for gen in gens:
-            for col in t.T.tolist():
-                assert reference_relabel(gen, sc, col) == tuple(col)
+        for src, sign in gens:
+            assert (t[src] * sign[:, None] == t).all()
         assert t.shape[1] == sympy_nullity(reference_fixed_rows(gens, sc), d1) < d1
 
 
@@ -269,7 +273,7 @@ def test_sign_test_matches_term_by_term_reduction(embeds, symmetric, branch_cons
     # vectors: a branch that lacks one reduction's extended behaviors breaks
     # B^T M = u n^T for that reduction
     target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)] if symmetric else []
+    sym = gathers(target, party_swap(target, 0, 1), party_swap(target, 0, 2)) if symmetric else []
     specs = [ReductionSpec(catalog.chsh(), embed) for embed in embeds]
     rng = np.random.default_rng(len(embeds) + 2 * symmetric)
     live = 0
@@ -351,9 +355,9 @@ def test_chsh_extension_kernel_dimension_matches_independent_nullspace(branch_co
     from conebell.cone import lift_polytope, project_rays
 
     target = Scenario((2, 2, 2))
-    g, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))],
-                              (((1, 1),),),
-                              [party_swap(target, 0, 1), party_swap(target, 0, 2)])
+    swaps = gathers(target, party_swap(target, 0, 1), party_swap(target, 0, 2))
+    g, _ = branch_constraints(target, [ReductionSpec(catalog.chsh(), (0, 1))], (((1, 1),),),
+                              swaps)
     t = integer_kernel_basis(g, columns=27)
     assert t.shape[1] == sympy_nullity(g, 27)
     cone = lift_polytope(enumerate_vertices(target))
@@ -362,20 +366,27 @@ def test_chsh_extension_kernel_dimension_matches_independent_nullspace(branch_co
 
 def test_parse_relabeling_round_trip():
     sc = Scenario((2, 2, 4))
-    text = "perm:ABC->BAC; C:(1 2)(3 4); A1:-; C4:-"
-    rel = parse_relabeling(text, sc)
-    assert rel.party_map == (1, 0, 2)
-    assert rel.setting_maps[2] == (2, 1, 4, 3)
-    assert rel.sign_flips[0] == (-1, 1)
-    assert rel.sign_flips[2] == (1, 1, 1, -1)
+    src, sign = parse_relabeling("perm:ABC->BAC; C:(1 2)(3 4); A1:-; C4:-", sc)
+    want = _signed_permutation(Relabeling((1, 0, 2), ((1, 2), (1, 2), (2, 1, 4, 3)),
+                                          ((-1, 1), (1, 1), (1, 1, 1, -1))), sc)
+    assert src.dtype == sign.dtype == np.int64
+    assert (src == want[0]).all() and (sign == want[1]).all()
 
 
 def test_parse_relabeling_rejects_malformed():
-    sc = Scenario((2, 2))
-    for bad in ["perm:AB->AA", "A:(1 3)", "Q1:-", "A:(1 1)", "junk"]:
-        with pytest.raises(ParseError):
-            parse_relabeling(bad, sc)
-    try:
-        parse_relabeling("perm:AB->BA; A:(1 3)", sc)
-    except ParseError as exc:
-        assert exc.column is not None
+    # each malformed clause is a ParseError at its column
+    for settings_, text, column in [
+        ((2, 2), "perm:AB->AA", 1), ((2, 2), "A:(1 3)", 1), ((2, 2), "Q1:-", 1),
+        ((2, 2), "A:(1 1)", 1), ((2, 2), "junk", 1), ((2, 2), "perm:AB->BA; A:(1 3)", 14),
+        # a perm clause without ->, with the wrong number of parties or an
+        # unknown letter, and a cycle clause on a missing party
+        ((2, 2), "perm:AB", 1), ((2, 2), "A1:-;  perm:ABC->CAB", 8),
+        ((2, 2), "perm:A1->1A", 1), ((2, 2), "C:(1 2)", 1),
+        # a setting map that stops being a permutation, and a party sent to
+        # one with another setting count
+        ((3, 3), "A:(1 2)(2 3)", 1), ((3, 3), "A:(1 2); B:(2 3); A:(2 3)", 19),
+        ((3, 2), "perm:AB->BA", 1),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_relabeling(text, Scenario(settings_))
+        assert exc.value.column == column, text

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conebell import catalog, search
+from conebell import catalog, constraints, search
 from conebell.constraints import invariant_basis, parse_relabeling
 from conebell.errors import CapExceededError, ParseError
 from conebell.exactlinalg import integer_kernel_basis
@@ -13,8 +13,8 @@ from conebell.scenario import VERTEX_CAP_DEFAULT, Scenario
 from conebell.search import (ReductionSpec, canonical_form, classify, generalize_multi,
                              parse_class_list, relabeling_orbit, write_class_list)
 
-from .reference import (brute_force_canonical, full_relabeling_group, party_swap,
-                        reference_fixed_rows, reference_reduces, reference_relabel,
+from .reference import (Relabeling, brute_force_canonical, full_relabeling_group, gathers,
+                        party_swap, reference_fixed_rows, reference_reduces, reference_relabel,
                         reference_search_group, xi_label)
 
 
@@ -46,7 +46,7 @@ def _oracle_cases():
     mermin = catalog.mermin()
     yield mermin
     sc = mermin.scenario
-    shift = parse_relabeling("perm:ABC->BCA", sc)
+    shift = Relabeling((1, 2, 0), ((1, 2),) * 3, ((1, 1),) * 3)
     for _ in range(3):
         vec = [int(x) for x in rng.integers(-1, 2, size=sc.dimension + 1)]
         once = reference_relabel(shift, sc, vec)
@@ -240,7 +240,7 @@ def test_i4422_reduces_to_i3322():
 def _chsh_to_three_parties(**kwargs):
     """CHSH on parties A and B of (2,2,2), symmetric under all party swaps."""
     target = Scenario((2, 2, 2))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
+    sym = gathers(target, party_swap(target, 0, 1), party_swap(target, 0, 2))
     return generalize_multi(target, [ReductionSpec(catalog.chsh(), (0, 1))], sym, **kwargs)
 
 
@@ -252,7 +252,7 @@ def test_branch_survivors_are_the_kernel_facets_that_reduce(branch_constraints):
 
     target = Scenario((2, 2, 2))
     cone = lift_polytope(enumerate_vertices(target))
-    sym = [party_swap(target, 0, 1), party_swap(target, 0, 2)]
+    sym = gathers(target, party_swap(target, 0, 1), party_swap(target, 0, 2))
     spec = ReductionSpec(catalog.chsh(), (0, 1))
     kept = 0
     for values in itertools.product((-1, 1), repeat=2):
@@ -360,7 +360,7 @@ def _search_orbit_cases():
     cyclic symmetry, under a party-swap symmetry and with none."""
     target = Scenario((2, 2, 2))
     cyclic = [parse_relabeling("perm:ABC->BCA", target)]
-    swap = [party_swap(target, 0, 1)]
+    swap = gathers(target, party_swap(target, 0, 1))
     return [(target, [ReductionSpec(catalog.chsh(), (0, 1), sweep)], sym)
             for sweep in (False, True) for sym in (cyclic, swap, [])]
 
@@ -456,14 +456,14 @@ def test_the_orbit_gather_is_the_exact_subspace_test(settings, texts):
     src, sign = search._search_group(target, [], basis, search.ORBIT_CAP_DEFAULT,
                                      search.ORBIT_CAP_DEFAULT)
     group = set(map(tuple, np.hstack([src, sign]).tolist()))
-    tables = [search._slot_table(m) for m in settings]
+    sizes = [len(constraints._slot_table(m)[0]) for m in settings]
     rng = np.random.default_rng(len(group))
-    rows = np.column_stack([rng.integers(len(tables[p][0]), size=400) for p in range(len(tables))])
+    rows = np.column_stack([rng.integers(size, size=400) for size in sizes])
     # 384 is a multiple of every table size here, 8 and 48
     alike = rng.integers(384, size=(400, max(settings) + 1))
-    rows = np.vstack([rows, [[alike[k, m] % len(tables[p][0]) for p, m in enumerate(settings)]
+    rows = np.vstack([rows, [[alike[k, m] % sizes[p] for p, m in enumerate(settings)]
                              for k in range(len(alike))]])
-    csrc, csign = search._local_maps(tables, rows)
+    csrc, csign = constraints._maps(target, rows)
     fixed = reference_fixed_rows(gens, target)
     exact = ~np.einsum("rd,ndk->nrk", fixed, basis[csrc] * csign[..., None]).any(axis=(1, 2))
     kept = [tuple(row) in group or not k.any()
@@ -478,6 +478,40 @@ def _every_branch(monkeypatch):
         return (np.zeros((0, target.dimension + 1), dtype=np.int64),) * 2
 
     monkeypatch.setattr(search, "_search_group", no_generators)
+
+
+@pytest.mark.parametrize("sweep, texts, cap, limit, count", [
+    # the lower scenario has 64 local relabelings, more than cap
+    (False, [], 63, 100, 0),
+    # under a symmetry, the candidates (8^3, all of G's parties being free)
+    # are more than cap
+    (True, ["perm:ABC->BCA"], 511, 100, 0),
+    # limit generators are found before the candidates run out
+    (True, ["perm:ABC->BCA"], 512, 2, 2),
+])
+def test_the_search_group_falls_back_to_fewer_generators(monkeypatch, sweep, texts, cap, limit,
+                                                         count):
+    # each fallback gives the first count generators of the full group, none
+    # at all when a cap is passed, and the search still writes the class
+    # list it writes with its default caps, byte for byte
+    target = Scenario((2, 2, 2))
+    specs = [ReductionSpec(catalog.chsh(), (0, 1), sweep)]
+    symmetry = [parse_relabeling(text, target) for text in texts]
+    default = write_class_list(generalize_multi(target, specs, symmetry))
+    basis = invariant_basis(symmetry, target)
+    full = search._search_group(target, specs, basis, search.ORBIT_CAP_DEFAULT,
+                                search.ORBIT_CAP_DEFAULT)
+    group = search._search_group
+    with monkeypatch.context() as patch:
+        # one candidate a chunk, so limit stops the sweep before its end
+        patch.setattr(search, "_GATHER_ENTRIES", 1)
+        src, sign = group(target, specs, basis, cap, limit)
+    assert src.shape == sign.shape == (count, target.dimension + 1) and len(full[0]) > count
+    assert (src == full[0][:count]).all() and (sign == full[1][:count]).all()
+    monkeypatch.setattr(search, "_search_group",
+                        lambda target, reductions, basis, *_: group(target, reductions, basis,
+                                                                    cap, limit))
+    assert write_class_list(generalize_multi(target, specs, symmetry)) == default
 
 
 def test_a_swept_search_without_symmetry_has_few_generators():

@@ -7,10 +7,15 @@ function, class and constant (dunders excepted) must be named in the code of
 the package besides its own definition.  Names are read off the parsed
 code, so a mention in a docstring, comment or string does not count, and
 neither does an import.  catalog is exempt from the public rule: its
-functions are fixture data.
+functions are fixture data.  The other way round, every name that a
+docstring or comment of the package mentions must exist: each
+underscore-prefixed name, and each <module>.<name> of a conebell module.
 """
 import ast
+import io
 import pathlib
+import re
+import tokenize
 from collections import defaultdict
 
 import conebell
@@ -84,3 +89,49 @@ def test_every_private_definition_is_used_in_package_code():
                    for p, line in named[name]):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def _prose(text, tree):
+    """The docstrings and comments of one module's source text."""
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join(filter(None, docs + comments))
+
+
+def test_docstrings_and_comments_name_only_code_that_exists():
+    paths = sorted(PACKAGE.glob("*.py"))
+    texts = {path.stem: path.read_text() for path in paths}
+    trees = {stem: ast.parse(text) for stem, text in texts.items()}
+    # per module, its module-level constants and every function and class
+    # it defines; and the members of every class: fields, properties,
+    # methods and attributes set on self
+    defined, members = {}, set()
+    for stem, tree in trees.items():
+        defined[stem] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined[stem].update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[stem].add(node.name)
+            if isinstance(node, ast.ClassDef):
+                members.update(item.name if isinstance(item, ast.FunctionDef) else item.target.id
+                               for item in node.body
+                               if isinstance(item, (ast.FunctionDef, ast.AnnAssign)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self":
+                members.add(node.attr)
+    every = set().union(*defined.values())
+    modules = "|".join(defined)
+    stale = []
+    for stem, text in texts.items():
+        prose = _prose(text, trees[stem])
+        stale += [f"{stem}: {name}" for name in re.findall(r"(?<!\w)_\w+", prose)
+                  if name not in every]
+        stale += [f"{stem}: {mod}.{name}"
+                  for mod, name in re.findall(rf"\b({modules})\.(?!py\b)(\w+)", prose)
+                  if name not in defined[mod] and name not in members]
+    assert stale == []
