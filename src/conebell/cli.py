@@ -293,7 +293,8 @@ def build_parser():
                              "exit code is 3")
     parser.add_argument("--orbit-cap", type=_integer_at_least(0), default=ORBIT_CAP_DEFAULT,
                         help="most relabeling blocks a canonical form or orbit may "
-                             "evaluate; above it the exit code is 3")
+                             "evaluate; above it the exit code is 3, but a search with more "
+                             "relabelings to test runs every branch")
     parser.add_argument("--vertex-cap", type=_integer_at_least(0), default=VERTEX_CAP_DEFAULT,
                         help="most deterministic vertices a scenario may have; above it "
                              "the exit code is 3")

@@ -51,7 +51,8 @@ Neither ray of a pair lies on it, so one holder there rejects the pair, and
 nearly every rejected pair leaves after those blocks.  One expression
 combines the kept pairs.  The shared-zero counts, the tables and their
 gathers go in blocks and chunks of about _ADJACENCY_ENTRIES entries,
-whatever the ray count.
+whatever the ray count.  The zero words never leave the DD: a facet's
+saturating rays are those on which its normal is exactly zero.
 """
 from __future__ import annotations
 
@@ -171,18 +172,6 @@ def project_rays(cone, basis):
     if not len(img):
         raise DegenerateVectorError("all rays project to zero")
     return Cone(k, img)
-
-
-def _lift(normals, basis):
-    """Pull projected facet normals back: the primitive rows of normals @ basis.T.
-
-    normals holds one normal per row; a non-integral entry raises ValueError.
-    """
-    b = _as_int_rows(normals)
-    t = _as_int_rows(basis)
-    if b.ndim != 2 or b.shape[1] != t.shape[1]:
-        raise ValueError("normal length does not match basis column count")
-    return _primitive_rows(_exact_products(b, t.T))
 
 
 def _certify(cone, lifted):
@@ -389,48 +378,37 @@ def _byte_table(zbytes):
 
 
 def _polar(cone, cap):
-    """(normals, zero words) of the cone's facets, sorted by normal.
-
-    The normals are the extreme rays of the polar cone, in the cone's own
-    coordinates; bit i of a zero word says the normal saturates ray i.  A
-    cone that does not span its space is restricted to its span first: with
-    u an integer basis of the span, r -> r @ u is injective there, so the
-    projected cone keeps the ray order and the zero sets, and its facets lift
-    back through u.  cap bounds the DD's intermediate rays.
-    """
+    """The cone's facet normals, sorted: the extreme rays of the polar cone,
+    in the cone's own coordinates.  A cone that does not span its space is
+    restricted to its span first: with u an integer basis of the span,
+    r -> r @ u is injective there, and a normal y of the projected cone lifts
+    back to the primitive form of u @ y.  cap bounds the DD's intermediate
+    rays."""
     if cone.rank == cone.dim:
-        normals, zero = _dd_extreme_rays(cone.rays, cap)
+        normals, _ = _dd_extreme_rays(cone.rays, cap)
     else:
         u = integer_kernel_basis(integer_kernel_basis(cone.rays).T)
-        normals, zero = _polar(project_rays(cone, u), cap)
-        if len(normals):
-            normals = _lift(normals, u)
-    order = sorted(range(len(normals)), key=normals.tolist().__getitem__)
-    return normals[order], zero[order]
+        normals = _primitive_rows(_exact_products(_polar(project_rays(cone, u), cap), u.T))
+    return normals[sorted(range(len(normals)), key=normals.tolist().__getitem__)]
 
 
 def enumerate_facets_dd(cone, cap=DD_CAP_DEFAULT):
-    """Complete irredundant facet list of the conic hull of the rays.
-
-    Facets are the (rank-1)-dimensional faces; a cone that does not span the
-    whole space needs no special casing by the caller (see _polar).  Output
-    is sorted by normal vector and independent of the input ray order; cap
-    bounds the intermediate rays of the double description.
-    """
-    normals, zero = _polar(cone, cap)
+    """Complete irredundant facet list of the conic hull of the rays: its
+    (rank-1)-dimensional faces, also where the rays do not span the space
+    (see _polar; cap bounds the DD's intermediate rays), sorted by normal
+    and independent of the ray order.  A facet saturates the rays on which
+    its normal is exactly zero, as in _certify, read off chunks of about
+    _ADJACENCY_ENTRIES exact values."""
+    normals = _polar(cone, cap)
     facets = []
-    # one np.nonzero per chunk of about _ADJACENCY_ENTRIES bits
-    step = max(1, _ADJACENCY_ENTRIES // (64 * zero.shape[1]))
+    step = max(1, _ADJACENCY_ENTRIES // cone.ray_count)
     for lo in range(0, len(normals), step):
-        # bit i of a zero set is bit i & 63 of word i >> 6, so little-endian
-        # bytes unpacked little-end first put row i at position i
-        bits = np.unpackbits(zero[lo:lo + step].astype("<u8").view(np.uint8), axis=1,
-                             bitorder="little")
-        facet, ray = np.nonzero(bits)
-        ends = np.cumsum(np.bincount(facet, minlength=len(bits))).tolist()
+        chunk = normals[lo:lo + step]
+        facet, ray = np.nonzero(_exact_products(chunk, cone.rays.T) == 0)
+        ends = np.cumsum(np.bincount(facet, minlength=len(chunk))).tolist()
         ray = ray.tolist()
         facets += [FacetNormal(vector=tuple(vec), saturating=tuple(ray[a:b]))
-                   for vec, a, b in zip(normals[lo:lo + step].tolist(), [0] + ends, ends)]
+                   for vec, a, b in zip(chunk.tolist(), [0] + ends, ends)]
     return facets
 
 
@@ -442,16 +420,16 @@ def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):
     as integer_kernel_basis(rows, columns=cone.dim) for the normals tight on
     constraint rows; a search passes its invariant basis times its branch's
     kernel.  Any other basis raises ValueError.  Projects the rays onto B =
-    basis, enumerates facets of the projected cone (cap bounds its
-    intermediate rays), keeps the normals y with y . (B^T w) > 0, lifts them
-    back in one product and certifies them in one batch (see _certify); if
-    some B^T w is zero, it returns [] before the projection.  A spanning
-    cone projects onto a spanning cone, so its rank is recorded, not
-    computed.  In a search, w = M n for a lower normal n and embedding map
-    M, and B spans the normals tight on every saturating vertex of n
-    embedded by M, so c M is a multiple of n and the sign is the reduction
-    check.  Returns the certified lifted normals in the projected cone's
-    facet order.
+    basis, enumerates the facet normals of the projected cone (_polar; cap
+    bounds its intermediate rays), keeps the normals y with y . (B^T w) > 0,
+    lifts them back as the primitive rows of one product y B^T and certifies
+    them in one batch (see _certify); if some B^T w is zero, it returns []
+    before the projection.  A spanning cone projects onto a spanning cone,
+    so its rank is recorded, not computed.  In a search, w = M n for a lower
+    normal n and embedding map M, and B spans the normals tight on every
+    saturating vertex of n embedded by M, so c M is a multiple of n and the
+    sign is the reduction check.  Returns the certified lifted normals in
+    the projected cone's facet order.
     """
     basis = np.asarray(basis)
     if basis.ndim != 2 or basis.shape[0] != cone.dim:
@@ -460,6 +438,7 @@ def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):
                          "integer_kernel_basis(rows, columns=cone.dim)")
     if basis.shape[1] == 0:
         return []
+    basis = _as_int_rows(basis)
     if capped_ranks(basis, np.ones((cone.dim, 1), dtype=bool), basis.shape[1])[0] \
             < basis.shape[1]:
         raise ValueError("a basis must have full column rank")
@@ -469,9 +448,9 @@ def constrained_facets(cone, basis, positive, cap=DD_CAP_DEFAULT):
     projected = project_rays(cone, basis)
     if cone.rank == cone.dim:
         projected._rank = projected.dim
-    normals, _ = _polar(projected, cap)
+    normals = _polar(projected, cap)
     normals = normals[(_exact_products(normals, signs) > 0).all(axis=1)]
     if not len(normals):
         return []
-    lifted = _lift(normals, basis)
+    lifted = _primitive_rows(_exact_products(normals, basis.T))
     return list(lifted[_certify(cone, lifted)])

@@ -219,6 +219,14 @@ def _local_group(scenario, perms=(None,)):
             yield (rows[lo:lo + step], *_maps(scenario, rows[lo:lo + step], perm))
 
 
+def _signed_codes(ineq):
+    """(values, codes): the distinct values of the coefficients of ineq and
+    their negations, in Python ints, where -(-2^63) does not wrap, and the
+    ranks in values of the coefficients, then of their negations."""
+    coeffs = np.array(ineq.coefficients, dtype=object)
+    return np.unique(np.concatenate([coeffs, -coeffs]), return_inverse=True)
+
+
 def relabeling_orbit(ineq, cap=ORBIT_CAP_DEFAULT):
     """All distinct relabeled variants of an inequality, sorted, from one
     sweep of the group (_local_group) over the ranks of the coefficients
@@ -227,12 +235,10 @@ def relabeling_orbit(ineq, cap=ORBIT_CAP_DEFAULT):
     group = len(_party_maps(sc.settings)) * math.prod(math.factorial(m) << m for m in sc.settings)
     if group > cap:
         raise CapExceededError(f"relabeling group has {group} elements, above the cap of {cap}")
-    coeffs = np.array(ineq.coefficients, dtype=object)
-    # codes[u] ranks coeffs[u] in values, and codes[u + D + 1] ranks -coeffs[u]
-    values, codes = np.unique(np.concatenate([coeffs, -coeffs]), return_inverse=True)
+    values, codes = _signed_codes(ineq)
     images = set()
     for _, src, sign in _local_group(sc, _party_maps(sc.settings)):
-        images.update(map(tuple, codes[src + len(coeffs) * (sign < 0)].tolist()))
+        images.update(map(tuple, codes[src + len(ineq.coefficients) * (sign < 0)].tolist()))
     return [Inequality(sc, vec) for vec in values[np.array(sorted(images))].tolist()]
 
 
@@ -277,9 +283,9 @@ def _reduction_options(target, spec, orbit_cap, vertex_cap):
 def _stabilizer(ineq):
     """Slot-table rows, one column per party, of the local relabelings that
     keep every party in place and fix ineq coefficient for coefficient: a
-    brute force over all of them."""
-    coeffs = np.array(ineq.coefficients)
-    return np.concatenate([rows[(coeffs[src] * sign == coeffs).all(axis=1)]
+    brute force over all of them, on _signed_codes."""
+    codes, n = _signed_codes(ineq)[1], len(ineq.coefficients)
+    return np.concatenate([rows[(codes[src + n * (sign < 0)] == codes[:n]).all(axis=1)]
                            for rows, src, sign in _local_group(ineq.scenario)])
 
 

@@ -357,6 +357,13 @@ def test_report_rejects_a_zero_classical_bound(tmp_path, capsys):
     assert "classical bound, got 0" in capsys.readouterr().err
 
 
+def test_report_rejects_a_record_without_an_inequality(tmp_path, capsys):
+    rec = tmp_path / "rec.txt"
+    rec.write_text("qubit: 2.8\nqutrit: 2.8\n")
+    assert main(["report", str(rec)]) == 2
+    assert "the record holds no inequality" in capsys.readouterr().err
+
+
 def test_report_command(tmp_path, capsys):
     rec = tmp_path / "rec1.txt"
     rec.write_text(write_inequality(catalog.i3322_generalization(400), comments=False)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conebell import catalog
 from conebell.cone import (DD_CAP_DEFAULT, Cone, _byte_table, _certify, _combine_adjacent,
-                           _dd_extreme_rays, _lift, _only_two_hold, constrained_facets,
+                           _dd_extreme_rays, _only_two_hold, constrained_facets,
                            enumerate_facets_dd, lift_polytope, local_cone, project_rays)
-from conebell.errors import CapExceededError
+from conebell.errors import CapExceededError, DegenerateVectorError
 from conebell.exactlinalg import _PRIME, capped_ranks, integer_kernel_basis, pivot_columns
 from conebell.inequality import from_terms
 from conebell.scenario import Scenario, enumerate_vertices
@@ -55,6 +55,27 @@ def test_lift_rejects_bad_input():
         lift_polytope([(2, 1)])
     with pytest.raises(ValueError):
         lift_polytope([(1, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="rows of equal length"):
+        lift_polytope([1, 1])
+
+
+def test_cone_rejects_bad_rays():
+    with pytest.raises(ValueError, match="at least one ray"):
+        Cone(2, [])
+    with pytest.raises(ValueError, match="rows of length 3"):
+        Cone(3, [[1, 0], [0, 1]])
+    with pytest.raises(DegenerateVectorError, match="zero ray"):
+        Cone(2, [[1, 0], [0, 0]])
+
+
+def test_project_rejects_bad_bases():
+    cone = local_cone(Scenario((2, 2)))
+    with pytest.raises(ValueError, match="basis has 8 rows, cone dimension is 9"):
+        project_rays(cone, np.eye(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="zero-dimensional kernel"):
+        project_rays(cone, np.zeros((9, 0), dtype=np.int64))
+    with pytest.raises(DegenerateVectorError, match="all rays project to zero"):
+        project_rays(cone, np.zeros((9, 1), dtype=np.int64))
 
 
 def test_project_identity_keeps_rays():
@@ -476,26 +497,23 @@ def test_cone_dedup_keeps_first_seen_order():
         assert cone.rays.tolist() == [[1, 0], [0, 1], [-1, 1]]
 
 
-def test_non_integral_candidates_are_rejected():
-    # int() would truncate these to integral vectors and judge those instead
-    with pytest.raises(ValueError):
-        _lift([[0.5, 1.5]], integer_kernel_basis(np.array([[1, 1, 0]], dtype=object)))
-
-
 def test_lift_identity_and_kernel_property():
-    assert _lift([[0, 1, -1]], np.eye(3, dtype=object)).tolist() == [[0, 1, -1]]
-    g = np.array([[1, 2, 3]], dtype=object)
-    t = integer_kernel_basis(g)
-    rng = np.random.default_rng(0)
-    b = rng.integers(-5, 6, size=(20, t.shape[1]))
-    b = b[b.any(axis=1)]
-    lifted = _lift(b, t)
-    assert (g @ lifted.T == 0).all()
-    # row by row, the lift is the primitive vector in the direction of T b
-    for row, vec in zip(lifted, b):
-        image = t @ vec.astype(object)
-        g_row = math.gcd(*image)
-        assert row.tolist() == [x // g_row for x in image]
+    # with the identity basis the lift is the identity: every facet, in the
+    # facet order
+    cone = local_cone(Scenario((2, 2)))
+    no_demand = np.zeros((0, cone.dim), dtype=np.int64)
+    everything = constrained_facets(cone, np.eye(cone.dim, dtype=object), no_demand)
+    assert [tuple(v.tolist()) for v in everything] == [f.vector for f in enumerate_facets_dd(cone)]
+    # tight on one vertex, through a basis whose columns are 3 times a
+    # kernel basis: every lifted normal is primitive, lies in the kernel and
+    # is a facet tight on the vertex
+    g = cone.rays[:1].astype(object)
+    basis = 3 * integer_kernel_basis(g, columns=cone.dim)
+    lifted = constrained_facets(cone, basis, no_demand)
+    assert {tuple(v.tolist()) for v in lifted} == \
+        {f.vector for f in enumerate_facets_dd(cone) if 0 in f.saturating}
+    for vec in lifted:
+        assert math.gcd(*vec.tolist()) == 1 and not (g @ vec.astype(object)).any()
 
 
 def test_projection_preserves_saturating_sets(branch_constraints):
@@ -516,8 +534,9 @@ def test_projection_preserves_saturating_sets(branch_constraints):
     assert dropped, "the saturation rows send some vertices to zero"
     rays = cone.rays.astype(object)
     facets = enumerate_facets_dd(projected)
-    for facet, lifted in zip(facets, _lift([f.vector for f in facets], basis)):
-        vals = rays @ lifted.astype(object)
+    lifted = np.array([f.vector for f in facets], dtype=object) @ basis.T.astype(object)
+    for facet, normal in zip(facets, lifted):
+        vals = rays @ normal
         sat_sources = {i for i, v in enumerate(vals) if v == 0}
         mapped = set(dropped)
         for j in facet.saturating:

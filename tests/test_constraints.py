@@ -371,6 +371,9 @@ def test_parse_relabeling_round_trip():
                                           ((-1, 1), (1, 1), (1, 1, 1, -1))), sc)
     assert src.dtype == sign.dtype == np.int64
     assert (src == want[0]).all() and (sign == want[1]).all()
+    # an empty clause is skipped
+    for a, b in zip(parse_relabeling("A1:-;;B1:-", sc), parse_relabeling("A1:-; B1:-", sc)):
+        assert (a == b).all()
 
 
 def test_parse_relabeling_rejects_malformed():

@@ -59,6 +59,11 @@ def test_kernel_rejects_a_wrong_column_count():
         assert integer_kernel_basis(mat, columns=64).shape == (64, 61)
         with pytest.raises(ValueError, match="expected 65 columns, got 64"):
             integer_kernel_basis(mat, columns=65)
+    # an empty matrix needs its column count, and a vector is no matrix
+    with pytest.raises(ValueError, match="explicit column count"):
+        integer_kernel_basis(np.zeros((0, 3), dtype=object))
+    with pytest.raises(ValueError, match=r"2-d matrix, got shape \(3,\)"):
+        integer_kernel_basis(np.array([1, 2, 3], dtype=object))
 
 
 def test_kernel_single_row():

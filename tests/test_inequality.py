@@ -212,6 +212,22 @@ def test_read_fields_numbers_the_file_lines():
         read_fields("npa2: 3.5\nnpa3 3.6\n")
 
 
+HEADER = "scenario: n=2 settings=2,2\n"
+
+
+@pytest.mark.parametrize("text, start, match, line", [
+    ("# CHSH\n1,1: 1\n" + HEADER + "bound: 2\n", 1, "coefficient line before header", 2),
+    (HEADER + "bound: 2\n0,0: 3\n", 1, "all-zero tuple", 3),
+    ("# no bound\n" + HEADER + "dim: 2\n", 1, "without a bound line", 2),
+    ("# nothing\n\n", 5, "missing scenario header", 5),
+    ("\nscenario: n=2 settings=2,x\nbound: 2\n", 1, "malformed scenario header", 2),
+])
+def test_inequality_text_errors_name_their_line(text, start, match, line):
+    with pytest.raises(ParseError, match=match) as exc:
+        parse_inequality(text, start_line=start)
+    assert exc.value.line == line
+
+
 def test_parse_errors_carry_position():
     good = write_inequality(catalog.chsh())
     # a second bound is a key given twice, and no other field is allowed

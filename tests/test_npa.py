@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conebell import catalog
+from conebell.errors import ParseError
 from conebell.inequality import Inequality, from_terms
 from conebell.npa import (export_sdpa, inequality_digest, moment_matrix_structure,
                           monomial_name, parse_sdpa)
@@ -100,6 +101,22 @@ def test_export_deterministic_and_round_trip():
     f0 = [(i, j, v) for mat, _, i, j, v in parsed["entries"] if mat == 0]
     assert all(i == j and v == -1 for i, j, v in f0)
     assert len(f0) == mp.size
+
+
+@pytest.mark.parametrize("edit, match, line", [
+    # the objective row (line 8) one number longer than mDIM
+    (lambda lines: lines[:7] + [lines[7] + " 0"] + lines[8:], "does not match mDIM", 8),
+    # an entry line (line 9) without its value
+    (lambda lines: lines[:8] + [lines[8].rpartition(" ")[0]] + lines[9:], "malformed entry", 9),
+    # no nBLOCK line
+    (lambda lines: lines[:5] + lines[6:], "incomplete SDPA header", None),
+])
+def test_parse_sdpa_errors_name_their_line(edit, match, line):
+    lines = export_sdpa(catalog.chsh(), 1)[0].splitlines()
+    assert lines[4:7] == ["10 = mDIM", "1 = nBLOCK", "5 = bLOCKsTRUCT"]
+    with pytest.raises(ParseError, match=match) as exc:
+        parse_sdpa("\n".join(edit(lines)))
+    assert exc.value.line == line
 
 
 def test_export_objective_sign_convention():

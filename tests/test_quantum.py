@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conebell import catalog
-from conebell.errors import InvariantViolationError
+from conebell.errors import InvariantViolationError, ParseError
 from conebell.inequality import Inequality, algebraic_bound, from_terms
 from conebell.quantum import (BoundsRecord, SeesawConfig,
                               assert_valid_observable, bell_operator,
@@ -321,3 +321,15 @@ def test_seesaw_result_file_round_trip():
     assert dim == FAST.local_dim
     # the value is recomputed from the file's state and observables
     assert abs(value - res.value) < 1e-9
+
+
+def test_replay_rejects_an_unknown_line_and_a_missing_observable():
+    chsh = catalog.chsh()
+    lines = write_seesaw_result(chsh, seesaw(chsh, FAST), FAST).splitlines()
+    with pytest.raises(ParseError, match="unrecognized line 'npa9: 3'") as exc:
+        replay_seesaw_result("\n".join(lines + ["npa9: 3"]))
+    assert exc.value.line == len(lines) + 1
+    missing = [line for line in lines if not line.startswith("observable 1 2:")]
+    assert len(missing) == len(lines) - 1
+    with pytest.raises(InvariantViolationError, match="no 2x2 observable for party 1 setting 2"):
+        replay_seesaw_result("\n".join(missing))

@@ -104,6 +104,24 @@ def test_relabeling_orbit_matches_brute_force(ineq):
     assert [v.coefficients for v in relabeling_orbit(ineq)] == want
 
 
+@pytest.mark.parametrize("settings, bound, terms, size", [
+    # -(-2^63) wraps to -2^63 in int64, so a flip of A1 would pass as fixing it
+    ((2, 2), 1, {(1, 0): -2 ** 63}, 16),
+    ((2, 2), 1, {(1, 0): -2 ** 63, (0, 1): -2 ** 63, (1, 1): 2 ** 63 - 1}, None),
+    ((3, 2), 2 ** 63 - 1, {(1, 0): -2 ** 63, (2, 0): -2 ** 63, (0, 2): 2 ** 63 - 1}, None),
+    ((2, 2), 2 ** 70, {(1, 1): 2 ** 70, (2, 2): -2 ** 70, (1, 0): -2 ** 63}, None),
+])
+def test_the_stabilizer_matches_brute_force(settings, bound, terms, size):
+    sc = Scenario(settings)
+    ineq = from_terms(sc, bound, terms)
+    fixing = [g for g in full_relabeling_group(sc) if g.party_map == tuple(range(sc.parties))
+              and reference_relabel(g, sc, ineq.coefficients) == ineq.coefficients]
+    want = sorted(tuple(src.tolist() + sign.tolist()) for src, sign in gathers(sc, *fixing))
+    rows = search._stabilizer(ineq)
+    assert sorted(map(tuple, np.hstack(constraints._maps(sc, rows)).tolist())) == want
+    assert size is None or len(rows) == size
+
+
 def test_relabeling_orbit_cap_counts_group_elements():
     """cap bounds the group size: 2 (8 * 8) = 128 for CHSH."""
     assert len(relabeling_orbit(catalog.chsh(), cap=128)) == 8

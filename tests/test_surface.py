@@ -8,8 +8,9 @@ the package besides its own definition.  Names are read off the parsed
 code, so a mention in a docstring, comment or string does not count, and
 neither does an import.  catalog is exempt from the public rule: its
 functions are fixture data.  The other way round, every name that a
-docstring or comment of the package mentions must exist: each
-underscore-prefixed name, and each <module>.<name> of a conebell module.
+docstring or comment of the package, or a backticked span of README.md,
+mentions must exist: each underscore-prefixed name, and each
+<module>.<name> of a conebell module.
 """
 import ast
 import io
@@ -100,15 +101,15 @@ def _prose(text, tree):
     return "\n".join(filter(None, docs + comments))
 
 
-def test_docstrings_and_comments_name_only_code_that_exists():
-    paths = sorted(PACKAGE.glob("*.py"))
-    texts = {path.stem: path.read_text() for path in paths}
-    trees = {stem: ast.parse(text) for stem, text in texts.items()}
-    # per module, its module-level constants and every function and class
-    # it defines; and the members of every class: fields, properties,
-    # methods and attributes set on self
+def _definitions():
+    """(source text per module, {module: names it defines}, members): per
+    module, its module-level constants and every function and class it
+    defines; and the members of every class: fields, properties, methods
+    and attributes set on self."""
+    texts = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     defined, members = {}, set()
-    for stem, tree in trees.items():
+    for stem, text in texts.items():
+        tree = ast.parse(text)
         defined[stem] = set()
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -124,14 +125,29 @@ def test_docstrings_and_comments_name_only_code_that_exists():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
                     and isinstance(node.value, ast.Name) and node.value.id == "self":
                 members.add(node.attr)
+    return texts, defined, members
+
+
+def _stale_names(prose, defined, members):
+    """The names in prose that no module defines: each underscore-prefixed
+    name, and each <module>.<name> of a conebell module."""
     every = set().union(*defined.values())
     modules = "|".join(defined)
-    stale = []
-    for stem, text in texts.items():
-        prose = _prose(text, trees[stem])
-        stale += [f"{stem}: {name}" for name in re.findall(r"(?<!\w)_\w+", prose)
-                  if name not in every]
-        stale += [f"{stem}: {mod}.{name}"
-                  for mod, name in re.findall(rf"\b({modules})\.(?!py\b)(\w+)", prose)
-                  if name not in defined[mod] and name not in members]
+    return [name for name in re.findall(r"(?<!\w)_\w+", prose) if name not in every] + [
+        f"{mod}.{name}" for mod, name in re.findall(rf"\b({modules})\.(?!py\b)(\w+)", prose)
+        if name not in defined[mod] and name not in members]
+
+
+def test_docstrings_and_comments_name_only_code_that_exists():
+    texts, defined, members = _definitions()
+    stale = [f"{stem}: {name}" for stem, text in texts.items()
+             for name in _stale_names(_prose(text, ast.parse(text)), defined, members)]
     assert stale == []
+
+
+def test_the_readme_names_only_code_that_exists():
+    # the same rules on the README's backticked spans
+    _, defined, members = _definitions()
+    spans = re.findall(r"`([^`\n]+)`", (PACKAGE.parents[1] / "README.md").read_text())
+    assert len(spans) > 100
+    assert _stale_names("\n".join(spans), defined, members) == []
